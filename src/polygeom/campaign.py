@@ -13,15 +13,17 @@ import math
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import jsonio
 from .apolarity import apolarity_functional, grace_witness, make_apolar
-from .coincidence import SymmetricMultiaffine, coincidence_witness
+from .coincidence import SymmetricMultiaffine, coincidence_witness, theorem1_hypothesis
 from .derivative_bound import (
     Theorem2Instance,
     check_theorem2,
     gauss_lucas_check,
+    generate_theorem2_instance,
     kth_derivative_identity,
 )
 from .errors import (
@@ -40,6 +42,18 @@ PASS = "pass"
 FAIL = "fail"
 ERROR = "error"
 HYPOTHESIS_VIOLATION = "hypothesis-violation"
+
+
+class Verdict(NamedTuple):
+    """The outcome of one check, with the witness or report it computed
+    and the exception that decided a non-pass status."""
+
+    status: str
+    diagnostic: str
+    witness: complex | None = None
+    report: object = None
+    error: PolygeomError | None = None
+
 
 _MASK = (1 << 64) - 1
 
@@ -77,8 +91,10 @@ class CampaignConfig:
             raise InvalidConfig("trials must be >= 1")
         if not 1 <= self.n_min <= self.n_max <= N_MAX:
             raise InvalidConfig(f"need 1 <= n_min <= n_max <= {N_MAX}")
-        if self.root_tol <= 0:
-            raise InvalidConfig("root_tol must be positive")
+        if not (self.root_tol > 0 and self.membership_tol >= 0 and self.witness_tol >= 0):
+            raise InvalidConfig("need root_tol > 0, membership_tol >= 0 and witness_tol >= 0")
+        if self.jobs < 1:
+            raise InvalidConfig("jobs must be >= 1")
 
     def to_json(self) -> dict:
         return {
@@ -162,20 +178,15 @@ def _gen_grace(rng: random.Random, cfg: CampaignConfig) -> dict:
     }
 
 
-def _check_grace(inst: dict, cfg: CampaignConfig) -> tuple[str, str]:
+def _check_grace(inst: dict, cfg: CampaignConfig) -> Verdict:
     a = jsonio.poly_from_json(inst["a"])
     b = jsonio.poly_from_json(inst["b"])
     region = jsonio.region_from_json(inst["region"])
-    try:
-        w = grace_witness(
-            a, b, inst["n"], region,
-            membership_tol=cfg.membership_tol, witness_tol=cfg.witness_tol,
-        )
-    except HypothesisViolated as e:
-        return HYPOTHESIS_VIOLATION, str(e)
-    except TheoremViolation as e:
-        return FAIL, str(e)
-    return PASS, f"witness {w}"
+    w = grace_witness(
+        a, b, inst["n"], region,
+        membership_tol=cfg.membership_tol, witness_tol=cfg.witness_tol,
+    )
+    return Verdict(PASS, f"witness {w}", w)
 
 
 def _random_multiaffine(rng: random.Random, n: int, m: int) -> SymmetricMultiaffine:
@@ -231,24 +242,24 @@ def _gen_theorem1(rng: random.Random, cfg: CampaignConfig, exterior: bool) -> di
     }
 
 
-def _check_coincidence(inst: dict, cfg: CampaignConfig) -> tuple[str, str]:
-    ma = inst["multiaffine"]
-    P = SymmetricMultiaffine(ma["n"], jsonio.points_from_json(ma["E"]), trim=False)
+def _check_coincidence(inst: dict, cfg: CampaignConfig) -> Verdict:
+    P = jsonio.multiaffine_from_json(inst["multiaffine"])
     w = jsonio.points_from_json(inst["points"])
     region = jsonio.region_from_json(inst["region"])
-    try:
-        z = coincidence_witness(
-            P, w, region,
-            membership_tol=cfg.membership_tol,
-            witness_tol=cfg.witness_tol,
-            root_tol=cfg.root_tol,
-            classic=bool(inst.get("classic", False)),
-        )
-    except HypothesisViolated as e:
-        return HYPOTHESIS_VIOLATION, str(e)
-    except TheoremViolation as e:
-        return FAIL, str(e)
-    return PASS, f"witness {z}"
+    # force (set by `polygeom coincidence --force`) solves despite a failed hypothesis
+    classic, force = bool(inst.get("classic", False)), bool(inst.get("force", False))
+    hyp = None if classic else theorem1_hypothesis(
+        w, max(P.total_degree, 1), region, cfg.membership_tol, cfg.root_tol)
+    z = coincidence_witness(
+        P, w, region,
+        membership_tol=cfg.membership_tol,
+        witness_tol=cfg.witness_tol,
+        root_tol=cfg.root_tol,
+        check_hypothesis=not force,
+        classic=classic,
+        hypothesis=hyp,
+    )
+    return Verdict(PASS, f"witness {z}", z, hyp)
 
 
 def _gen_theorem2(rng: random.Random, cfg: CampaignConfig) -> dict:
@@ -256,8 +267,6 @@ def _gen_theorem2(rng: random.Random, cfg: CampaignConfig) -> dict:
     k = rng.randint(1, n - 1)
     radius = rng.uniform(0.1, 3.0)
     factor = rng.uniform(1.01, 2.0) if rng.random() < 0.5 else rng.uniform(2.0, 100.0)
-    from .derivative_bound import generate_theorem2_instance
-
     inst = generate_theorem2_instance(
         n,
         seed=rng.getrandbits(32),
@@ -274,7 +283,7 @@ def _gen_theorem2(rng: random.Random, cfg: CampaignConfig) -> dict:
     }
 
 
-def _check_theorem2(inst: dict, cfg: CampaignConfig) -> tuple[str, str]:
+def _check_theorem2(inst: dict, cfg: CampaignConfig) -> Verdict:
     t2 = Theorem2Instance(
         tuple(jsonio.points_from_json(inst["inner_zeros"])),
         jsonio.complex_from_json(inst["outer_zero"]),
@@ -282,13 +291,15 @@ def _check_theorem2(inst: dict, cfg: CampaignConfig) -> tuple[str, str]:
     )
     report = check_theorem2(t2, inst["k"], root_tol=cfg.root_tol)
     if not report.satisfied:
-        return FAIL, (
+        return Verdict(FAIL, (
             f"count {report.count_in_disk} < bound {report.bound} "
             f"(n={report.n}, k={report.k})"
-        )
+        ), report=report)
     if report.mean_residual > 1e-12:
-        return FAIL, f"mean residual {report.mean_residual:.3e} above 1e-12"
-    return PASS, f"count {report.count_in_disk} >= bound {report.bound}"
+        return Verdict(FAIL, f"mean residual {report.mean_residual:.3e} above 1e-12",
+                       report=report)
+    return Verdict(PASS, f"count {report.count_in_disk} >= bound {report.bound}",
+                   report=report)
 
 
 def _gen_apolarity_identity(rng: random.Random, cfg: CampaignConfig) -> dict:
@@ -305,7 +316,7 @@ def _gen_apolarity_identity(rng: random.Random, cfg: CampaignConfig) -> dict:
     }
 
 
-def _check_apolarity_identity(inst: dict, cfg: CampaignConfig) -> tuple[str, str]:
+def _check_apolarity_identity(inst: dict, cfg: CampaignConfig) -> Verdict:
     n = inst["n"]
     a = Polynomial(jsonio.points_from_json(inst["a"]))
     a2 = Polynomial(jsonio.points_from_json(inst["a2"]))
@@ -322,8 +333,8 @@ def _check_apolarity_identity(inst: dict, cfg: CampaignConfig) -> tuple[str, str
     scale = 1.0 + abs(apolarity_functional(a, b, n)) + abs(b(c))
     worst = max(abs(lin), abs(swap), abs(point)) / scale
     if worst > 1e-10:
-        return FAIL, f"identity residual {worst:.3e} above 1e-10"
-    return PASS, f"residual {worst:.3e}"
+        return Verdict(FAIL, f"identity residual {worst:.3e} above 1e-10")
+    return Verdict(PASS, f"residual {worst:.3e}")
 
 
 def _gen_derivative_identity(rng: random.Random, cfg: CampaignConfig) -> dict:
@@ -336,11 +347,11 @@ def _gen_derivative_identity(rng: random.Random, cfg: CampaignConfig) -> dict:
     }
 
 
-def _check_derivative_identity(inst: dict, cfg: CampaignConfig) -> tuple[str, str]:
+def _check_derivative_identity(inst: dict, cfg: CampaignConfig) -> Verdict:
     res = kth_derivative_identity(inst["n"], inst["k"], jsonio.complex_from_json(inst["y"]))
     if res > 1e-11:
-        return FAIL, f"closed-form residual {res:.3e} above 1e-11"
-    return PASS, f"residual {res:.3e}"
+        return Verdict(FAIL, f"closed-form residual {res:.3e} above 1e-11")
+    return Verdict(PASS, f"residual {res:.3e}")
 
 
 def _gen_gauss_lucas(rng: random.Random, cfg: CampaignConfig) -> dict:
@@ -351,11 +362,11 @@ def _gen_gauss_lucas(rng: random.Random, cfg: CampaignConfig) -> dict:
     return {"property": "gauss_lucas", "poly": jsonio.poly_to_json(Polynomial(coeffs))}
 
 
-def _check_gauss_lucas(inst: dict, cfg: CampaignConfig) -> tuple[str, str]:
+def _check_gauss_lucas(inst: dict, cfg: CampaignConfig) -> Verdict:
     p = jsonio.poly_from_json(inst["poly"])
     if gauss_lucas_check(p, tol=1e-7, root_tol=cfg.root_tol):
-        return PASS, "all critical points in the root hull"
-    return FAIL, "critical point outside the root hull"
+        return Verdict(PASS, "all critical points in the root hull")
+    return Verdict(FAIL, "critical point outside the root hull")
 
 
 PROPERTIES = {
@@ -376,21 +387,20 @@ PROPERTIES = {
 }
 
 
-def run_check(prop: str, inst: dict, cfg: CampaignConfig) -> tuple[str, str]:
-    """One verification with a single relaxed-tolerance retry on
-    root-finder non-convergence."""
+def run_check(prop: str, inst: dict, cfg: CampaignConfig) -> Verdict:
+    """One verification; the only place a check's exceptions become a
+    status. No relaxed tolerance is retried: a pass rests on cfg.root_tol."""
     _, check = PROPERTIES[prop]
     try:
         return check(inst, cfg)
-    except NonConvergence:
-        try:
-            relaxed = replace(cfg, root_tol=cfg.root_tol * 10.0)
-            status, diag = check(inst, relaxed)
-            return status, diag + " (after tol relaxation x10)"
-        except NonConvergence as e:
-            return ERROR, f"root finding did not converge: {e}"
+    except HypothesisViolated as e:
+        return Verdict(HYPOTHESIS_VIOLATION, str(e), report=e.report, error=e)
+    except TheoremViolation as e:
+        return Verdict(FAIL, str(e), report=e.report, error=e)
+    except NonConvergence as e:
+        return Verdict(ERROR, f"root finding did not converge: {e}", error=e)
     except PolygeomError as e:
-        return ERROR, f"{type(e).__name__}: {e}"
+        return Verdict(ERROR, f"{type(e).__name__}: {e}", error=e)
 
 
 def _run_trial(cfg: CampaignConfig, index: int) -> dict:
@@ -402,9 +412,9 @@ def _run_trial(cfg: CampaignConfig, index: int) -> dict:
     except PolygeomError as e:
         return {"trial": index, "trial_seed": ts, "status": ERROR,
                 "instance": None, "diagnostic": f"generation failed: {e}"}
-    status, diag = run_check(cfg.property, inst, cfg)
-    return {"trial": index, "trial_seed": ts, "status": status,
-            "instance": inst, "diagnostic": diag}
+    v = run_check(cfg.property, inst, cfg)
+    return {"trial": index, "trial_seed": ts, "status": v.status,
+            "instance": inst, "diagnostic": v.diagnostic}
 
 
 def run_campaign(config: CampaignConfig) -> CampaignReport:
@@ -446,14 +456,21 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
     return report
 
 
-def replay(inst: dict, prop: str | None = None,
-           cfg: CampaignConfig | None = None) -> dict:
-    """Re-run exactly one recorded trial instance."""
+def replay_verdict(inst: dict, prop: str | None = None,
+                   cfg: CampaignConfig | None = None) -> tuple[dict, Verdict]:
+    """Re-run exactly one recorded trial instance: its verdict document
+    and the verdict itself."""
     prop = prop or inst.get("property")
     if prop not in PROPERTIES:
         raise InvalidInput(f"unknown or missing property {prop!r}")
     if cfg is None:
         cfg = CampaignConfig(property=prop, trials=1)
-    status, diag = run_check(prop, inst, cfg)
-    return {"schema": jsonio.SCHEMA, "property": prop, "status": status,
-            "diagnostic": diag}
+    v = run_check(prop, inst, cfg)
+    return {"schema": jsonio.SCHEMA, "property": prop, "status": v.status,
+            "diagnostic": v.diagnostic}, v
+
+
+def replay(inst: dict, prop: str | None = None,
+           cfg: CampaignConfig | None = None) -> dict:
+    """Re-run exactly one recorded trial instance."""
+    return replay_verdict(inst, prop, cfg)[0]

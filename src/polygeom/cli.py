@@ -1,7 +1,9 @@
 """polygeom command-line interface.
 
-Exit codes: 0 all checks passed, 1 a verified property failed,
-2 invalid input, 3 numerical failure (non-convergence beyond retry).
+Exit codes: 0 all checks passed (including a correctly rejected
+hypothesis), 1 a verified property failed, 2 invalid input, 3 numerical
+failure (the root finder did not converge at the configured tolerance;
+no relaxed tolerance is retried) or another error.
 """
 
 from __future__ import annotations
@@ -10,26 +12,20 @@ import argparse
 import sys
 
 from . import jsonio
-from .apolarity import apolarity_functional, grace_witness, is_apolar
-from .campaign import PROPERTIES, CampaignConfig, replay, run_campaign
-from .coincidence import (
-    SymmetricMultiaffine,
-    coincidence_witness,
-    theorem1_apolarity_residual,
-    theorem1_hypothesis,
+from .apolarity import apolarity_functional, is_apolar
+from .campaign import (
+    ERROR,
+    FAIL,
+    PASS,
+    PROPERTIES,
+    CampaignConfig,
+    Verdict,
+    replay_verdict,
+    run_campaign,
 )
-from .derivative_bound import (
-    Theorem2Instance,
-    check_theorem2,
-    generate_theorem2_instance,
-)
-from .errors import (
-    HypothesisViolated,
-    InvalidInput,
-    NonConvergence,
-    PolygeomError,
-    TheoremViolation,
-)
+from .coincidence import theorem1_apolarity_residual
+from .derivative_bound import generate_theorem2_instance
+from .errors import InvalidInput, NonConvergence, PolygeomError, TheoremViolation
 from .rootfind import find_roots
 from .svgplot import emit_svg
 
@@ -48,9 +44,27 @@ def _emit(doc: dict, args) -> None:
         print(text)
 
 
-def _load_multiaffine(path: str) -> SymmetricMultiaffine:
-    d = jsonio.load_file(path)
-    return SymmetricMultiaffine(int(d["n"]), jsonio.points_from_json(d["E"]), trim=False)
+def _exit_code(v: Verdict) -> int:
+    """The exit code of grace, coincidence, theorem2 --instance and replay."""
+    if v.status == ERROR:
+        return EXIT_INVALID if isinstance(v.error, InvalidInput) else EXIT_NUMERICAL
+    return EXIT_FAILURE if v.status == FAIL else EXIT_OK
+
+
+def _verdict(args, prop: str, inst: dict, fields=None) -> int:
+    """Print the verdict of one instance, reached as replay reaches it, plus
+    fields(report) when the check produced a report; return the exit code."""
+    _, v = replay_verdict(inst, prop)
+    status = "theorem-violation" if isinstance(v.error, TheoremViolation) else v.status
+    doc = {"schema": jsonio.SCHEMA, "status": status}
+    if v.status != PASS:
+        doc["diagnostic"] = v.diagnostic
+    if v.witness is not None:
+        doc["witness"] = jsonio.complex_to_json(v.witness)
+    if fields is not None and v.report is not None:
+        doc.update(fields(v.report))
+    _emit(doc, args)
+    return _exit_code(v)
 
 
 def _cmd_roots(args) -> int:
@@ -76,55 +90,34 @@ def _cmd_apolar(args) -> int:
 
 
 def _cmd_grace(args) -> int:
-    a = jsonio.poly_from_json(jsonio.load_file(args.a))
-    b = jsonio.poly_from_json(jsonio.load_file(args.b))
-    region = jsonio.region_from_json(jsonio.load_file(args.region))
-    n = args.n if args.n is not None else max(a.degree(), b.degree())
-    try:
-        w = grace_witness(a, b, n, region)
-    except HypothesisViolated as e:
-        _emit({"schema": jsonio.SCHEMA, "status": "hypothesis-violation",
-               "diagnostic": str(e)}, args)
-        return EXIT_OK
-    except TheoremViolation as e:
-        _emit({"schema": jsonio.SCHEMA, "status": "theorem-violation",
-               "diagnostic": str(e)}, args)
-        return EXIT_FAILURE
-    _emit({"schema": jsonio.SCHEMA, "status": "pass",
-           "witness": jsonio.complex_to_json(w)}, args)
-    return EXIT_OK
+    a, b = jsonio.load_file(args.a), jsonio.load_file(args.b)
+    n = args.n
+    if n is None:
+        n = max(jsonio.poly_from_json(a).degree(), jsonio.poly_from_json(b).degree())
+    return _verdict(args, "grace",
+                    {"a": a, "b": b, "region": jsonio.load_file(args.region), "n": n})
 
 
 def _cmd_coincidence(args) -> int:
-    P = _load_multiaffine(args.multiaffine)
-    w = jsonio.points_from_json(jsonio.load_file(args.points))
-    region = jsonio.region_from_json(jsonio.load_file(args.region))
-    doc: dict = {"schema": jsonio.SCHEMA}
+    inst = {"multiaffine": jsonio.load_file(args.multiaffine),
+            "points": jsonio.load_file(args.points),
+            "region": jsonio.load_file(args.region),
+            "classic": args.classic, "force": args.force}
 
-    if not args.classic:
-        hyp = theorem1_hypothesis(w, max(P.total_degree, 1), region)
-        doc["hypothesis"] = {
-            "holds": hyp.holds,
-            "derivative_roots": jsonio.points_to_json(hyp.derivative_roots.roots),
-            "outside": jsonio.points_to_json(hyp.outside),
+    def fields(hyp) -> dict:
+        P = jsonio.multiaffine_from_json(inst["multiaffine"])
+        w = jsonio.points_from_json(inst["points"])
+        return {
+            "hypothesis": {
+                "holds": hyp.holds,
+                "derivative_roots": jsonio.points_to_json(hyp.derivative_roots.roots),
+                "outside": jsonio.points_to_json(hyp.outside),
+            },
+            "apolarity_residual": (
+                theorem1_apolarity_residual(P, w) if P.total_degree >= 1 else 0.0
+            ),
         }
-        doc["apolarity_residual"] = (
-            theorem1_apolarity_residual(P, w) if P.total_degree >= 1 else 0.0
-        )
-    try:
-        z = coincidence_witness(P, w, region, classic=args.classic,
-                                check_hypothesis=not args.force)
-    except HypothesisViolated as e:
-        doc.update(status="hypothesis-violation", diagnostic=str(e))
-        _emit(doc, args)
-        return EXIT_OK
-    except TheoremViolation as e:
-        doc.update(status="theorem-violation", diagnostic=str(e))
-        _emit(doc, args)
-        return EXIT_FAILURE
-    doc.update(status="pass", witness=jsonio.complex_to_json(z))
-    _emit(doc, args)
-    return EXIT_OK
+    return _verdict(args, "walsh_classic" if args.classic else "theorem1_convex", inst, fields)
 
 
 def _cmd_theorem2(args) -> int:
@@ -143,20 +136,14 @@ def _cmd_theorem2(args) -> int:
 
     if args.instance is None or args.k is None:
         raise InvalidInput("need --instance and --k (or --generate)")
-    d = jsonio.load_file(args.instance)
-    inst = Theorem2Instance(
-        tuple(jsonio.points_from_json(d["inner_zeros"])),
-        jsonio.complex_from_json(d["outer_zero"]),
-        jsonio.disk_from_json(d["disk"]),
-    )
-    report = check_theorem2(inst, args.k)
-    _emit({"schema": jsonio.SCHEMA, "n": report.n, "k": report.k,
-           "bound": report.bound, "count_in_disk": report.count_in_disk,
-           "satisfied": report.satisfied, "vacuous": report.vacuous,
-           "mean_residual": report.mean_residual,
-           "derivative_roots": jsonio.points_to_json(report.derivative_roots.roots)},
-          args)
-    return EXIT_OK if report.satisfied else EXIT_FAILURE
+    inst = jsonio.load_file(args.instance)
+    if not isinstance(inst, dict):
+        raise InvalidInput("a theorem2 instance must be a JSON object")
+    inst["k"] = args.k
+    return _verdict(args, "theorem2", inst, lambda r: {
+        "n": r.n, "k": r.k, "bound": r.bound, "count_in_disk": r.count_in_disk,
+        "satisfied": r.satisfied, "vacuous": r.vacuous, "mean_residual": r.mean_residual,
+        "derivative_roots": jsonio.points_to_json(r.derivative_roots.roots)})
 
 
 def _cmd_fuzz(args) -> int:
@@ -172,19 +159,12 @@ def _cmd_fuzz(args) -> int:
 
 
 def _cmd_replay(args) -> int:
-    inst = jsonio.load_file(args.instance)
-    verdict = replay(inst, args.property)
-    _emit(verdict, args)
-    if verdict["status"] == "fail":
-        return EXIT_FAILURE
-    if verdict["status"] == "error":
-        return EXIT_NUMERICAL
-    return EXIT_OK
+    doc, v = replay_verdict(jsonio.load_file(args.instance), args.property)
+    _emit(doc, args)
+    return _exit_code(v)
 
 
 def _cmd_plot(args) -> int:
-    if not args.svg_out:
-        raise InvalidInput("plot requires --svg-out")
     point_sets = []
     if args.points:
         point_sets.append(("points", jsonio.points_from_json(jsonio.load_file(args.points))))
@@ -205,24 +185,17 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="polygeom")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--tol", type=float, default=1e-12)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--json-out")
-        p.add_argument("--svg-out")
-        p.add_argument("--jobs", type=int, default=1)
-
+    # each subcommand takes only the options it reads
     p = sub.add_parser("roots", help="all zeros of a polynomial")
     p.add_argument("--poly", required=True)
     p.add_argument("--max-iter", type=int, default=200)
-    common(p)
+    p.add_argument("--tol", type=float, default=1e-12)
     p.set_defaults(func=_cmd_roots)
 
     p = sub.add_parser("apolar", help="apolarity functional of two polynomials")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.add_argument("--n", type=int, required=True)
-    common(p)
     p.set_defaults(func=_cmd_apolar)
 
     p = sub.add_parser("grace", help="in-region root of b for an apolar pair")
@@ -230,20 +203,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", required=True)
     p.add_argument("--region", required=True)
     p.add_argument("--n", type=int)
-    common(p)
     p.set_defaults(func=_cmd_grace)
 
-    for name in ("coincidence", "theorem1"):
-        p = sub.add_parser(name, help="coincidence witness over a circular region")
-        p.add_argument("--multiaffine", required=True)
-        p.add_argument("--points", required=True)
-        p.add_argument("--region", required=True)
-        p.add_argument("--classic", action="store_true",
-                       help="check the classical hypothesis (points in region)")
-        p.add_argument("--force", action="store_true",
-                       help="attempt the witness solve even if the hypothesis fails")
-        common(p)
-        p.set_defaults(func=_cmd_coincidence)
+    p = sub.add_parser("coincidence", help="coincidence witness over a circular region")
+    p.add_argument("--multiaffine", required=True)
+    p.add_argument("--points", required=True)
+    p.add_argument("--region", required=True)
+    p.add_argument("--classic", action="store_true",
+                   help="check the classical hypothesis (points in region)")
+    p.add_argument("--force", action="store_true",
+                   help="attempt the witness solve even if the hypothesis fails")
+    p.set_defaults(func=_cmd_coincidence)
 
     p = sub.add_parser("theorem2", help="derivative-zero count bound in a disk")
     p.add_argument("--instance")
@@ -252,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--radius", type=float, default=1.0)
     p.add_argument("--outer-distance", type=float, default=2.0)
-    common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_theorem2)
 
     p = sub.add_parser("fuzz", help="deterministic randomized campaign")
@@ -260,22 +230,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--n-min", type=int, default=2)
     p.add_argument("--n-max", type=int, default=12)
-    common(p)
+    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_fuzz)
 
     p = sub.add_parser("replay", help="re-run one recorded instance")
     p.add_argument("--instance", required=True)
     p.add_argument("--property")
-    common(p)
     p.set_defaults(func=_cmd_replay)
 
     p = sub.add_parser("plot", help="SVG scatter of points/zeros and regions")
     p.add_argument("--points")
     p.add_argument("--poly")
     p.add_argument("--region")
-    common(p)
+    p.add_argument("--svg-out", required=True)
     p.set_defaults(func=_cmd_plot)
 
+    for name, p in sub.choices.items():
+        if name != "plot":
+            p.add_argument("--json-out")
     return ap
 
 
@@ -283,15 +257,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except NonConvergence as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except (InvalidInput, FileNotFoundError, KeyError, ValueError) as e:
+    except (InvalidInput, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID
     except PolygeomError as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_FAILURE
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -104,11 +104,14 @@ def coincidence_witness(
     root_tol: float = 1e-12,
     check_hypothesis: bool = True,
     classic: bool = False,
+    hypothesis: HypothesisReport | None = None,
 ) -> complex:
     """A point z in the region with p(w_1..w_n) = p(z,...,z).
 
     classic=True checks the original Walsh hypothesis (the points
     themselves in the region) instead of the derivative-zero hypothesis.
+    hypothesis is a theorem1_hypothesis report already computed for these
+    points and region; it is used instead of computing one.
     """
     if len(points) != P.n:
         raise InvalidInput(f"expected {P.n} points, got {len(points)}")
@@ -120,10 +123,12 @@ def coincidence_witness(
             if bad:
                 raise HypothesisViolated(f"points outside region: {bad}")
         else:
-            hyp = theorem1_hypothesis(points, max(m, 1), region, membership_tol, root_tol)
-            if not hyp.holds:
+            hypothesis = hypothesis or theorem1_hypothesis(
+                points, max(m, 1), region, membership_tol, root_tol)
+            if not hypothesis.holds:
                 raise HypothesisViolated(
-                    f"derivative zeros outside region: {list(hyp.outside)}"
+                    f"derivative zeros outside region: {list(hypothesis.outside)}",
+                    report=hypothesis,
                 )
 
     c = evaluate_multiaffine(P, points)
@@ -146,7 +151,8 @@ def coincidence_witness(
     if not inside:
         raise TheoremViolation(
             f"no solution of the diagonal equation inside the region "
-            f"(roots {list(groots.roots)})"
+            f"(roots {list(groots.roots)})",
+            report=hypothesis,
         )
     return min(inside)[2]
 

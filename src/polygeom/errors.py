@@ -2,7 +2,12 @@
 
 
 class PolygeomError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package; report is what
+    the raising check had computed (a theorem 1 hypothesis report)."""
+
+    def __init__(self, message="", report=None):
+        super().__init__(message)
+        self.report = report
 
 
 class InvalidInput(PolygeomError):

@@ -5,8 +5,10 @@ every emitted document carries the schema tag "polygeom/1".
 from __future__ import annotations
 
 import json
+import math
 from typing import Any, Sequence
 
+from .coincidence import SymmetricMultiaffine
 from .errors import InvalidInput
 from .poly import Polynomial
 from .regions import (
@@ -24,6 +26,16 @@ from .rootfind import RootSet
 SCHEMA = "polygeom/1"
 
 
+def _real(v: Any) -> float:
+    try:
+        x = float(v)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidInput(f"expected a number, got {v!r}") from None
+    if not math.isfinite(x):
+        raise InvalidInput(f"expected a finite number, got {v!r}")
+    return x
+
+
 def complex_to_json(z: complex) -> list[float]:
     return [z.real, z.imag]
 
@@ -31,7 +43,7 @@ def complex_to_json(z: complex) -> list[float]:
 def complex_from_json(v: Any) -> complex:
     if not (isinstance(v, (list, tuple)) and len(v) == 2):
         raise InvalidInput(f"expected [re, im], got {v!r}")
-    return complex(float(v[0]), float(v[1]))
+    return complex(_real(v[0]), _real(v[1]))
 
 
 def poly_to_json(p: Polynomial) -> dict:
@@ -39,8 +51,6 @@ def poly_to_json(p: Polynomial) -> dict:
 
 
 def poly_from_json(d: dict) -> Polynomial:
-    if "coeffs" not in d:
-        raise InvalidInput("polynomial JSON needs a 'coeffs' field")
     return Polynomial([complex_from_json(c) for c in d["coeffs"]])
 
 
@@ -71,11 +81,11 @@ def region_from_json(d: dict) -> CircularRegion:
     kind = d.get("kind")
     closed = bool(d.get("closed", True))
     if kind == DISK:
-        return disk(complex_from_json(d["center"]), float(d["radius"]), closed)
+        return disk(complex_from_json(d["center"]), _real(d["radius"]), closed)
     if kind == EXTERIOR:
-        return exterior_disk(complex_from_json(d["center"]), float(d["radius"]), closed)
+        return exterior_disk(complex_from_json(d["center"]), _real(d["radius"]), closed)
     if kind == HALFPLANE:
-        return half_plane(complex_from_json(d["direction"]), float(d["offset"]), closed)
+        return half_plane(complex_from_json(d["direction"]), _real(d["offset"]), closed)
     raise InvalidInput(f"unknown region kind {kind!r}")
 
 
@@ -84,7 +94,11 @@ def disk_to_json(d: Disk) -> dict:
 
 
 def disk_from_json(d: dict) -> Disk:
-    return Disk(complex_from_json(d["center"]), float(d["radius"]))
+    return Disk(complex_from_json(d["center"]), _real(d["radius"]))
+
+
+def multiaffine_from_json(d: dict) -> SymmetricMultiaffine:
+    return SymmetricMultiaffine(int(_real(d["n"])), points_from_json(d["E"]), trim=False)
 
 
 def rootset_to_json(rs: RootSet) -> dict:
@@ -104,6 +118,21 @@ def dumps(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def _reject_constant(name: str) -> Any:
+    raise InvalidInput(f"non-finite literal {name} in JSON")
+
+
+class _Object(dict):
+    """A JSON object read from a file: a missing key is invalid input."""
+
+    def __missing__(self, key):
+        raise InvalidInput(f"missing field {key!r}")
+
+
 def load_file(path: str) -> Any:
+    """Parsed JSON; malformed JSON, NaN/Infinity and missing keys are InvalidInput."""
     with open(path, "r", encoding="utf-8") as f:
-        return json.load(f)
+        try:
+            return json.load(f, object_hook=_Object, parse_constant=_reject_constant)
+        except ValueError as e:
+            raise InvalidInput(f"{path}: not valid JSON: {e}") from None

@@ -8,6 +8,7 @@ half-plane is again a half-plane, so only three variants exist.
 
 from __future__ import annotations
 
+import cmath
 import random
 from dataclasses import dataclass
 from typing import Sequence
@@ -35,6 +36,10 @@ class CircularRegion:
     radius: float = 0.0
     direction: complex = 1 + 0j
     offset: float = 0.0
+
+    def __post_init__(self):
+        if not all(map(cmath.isfinite, (self.center, self.radius, self.direction, self.offset))):
+            raise InvalidInput(f"region parameters must be finite: {self}")
 
     def signed_distance(self, z: complex) -> float:
         """Negative inside, zero on the boundary, positive outside."""

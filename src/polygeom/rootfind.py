@@ -7,6 +7,7 @@ collapsed onto a refined representative before multiplicity clustering.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -34,11 +35,6 @@ class RootSet:
     residuals: tuple[float, ...]
     clusters: tuple[tuple[complex, int], ...]
 
-    def in_region(self, region, tol: float = 1e-9) -> list[complex]:
-        from .regions import contains
-
-        return [r for r in self.roots if contains(region, r, tol)]
-
 
 def cauchy_bound(p: Polynomial) -> float:
     """1 + max |a_k/a_n|; every root has modulus below this."""
@@ -59,8 +55,16 @@ def _residual_scale(p: Polynomial, z: complex) -> float:
     return s
 
 
+def _modulus(v: complex) -> float:
+    """|v|, or inf where the modulus of a finite v overflows a float."""
+    try:
+        return abs(v)
+    except OverflowError:
+        return math.inf
+
+
 def _scaled_residual(p: Polynomial, z: complex) -> float:
-    return abs(p(z)) / _residual_scale(p, z)
+    return _modulus(p(z)) / _residual_scale(p, z)
 
 
 def _aberth(c: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
@@ -95,7 +99,7 @@ def _newton_polish(p: Polynomial, z: complex) -> complex:
     if dv == 0:
         return z
     cand = z - pv / dv
-    return cand if abs(p(cand)) <= abs(pv) else z
+    return cand if _modulus(p(cand)) <= _modulus(pv) else z
 
 
 def _single_linkage(points: Sequence[complex], radius_of) -> list[list[int]]:

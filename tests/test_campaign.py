@@ -4,6 +4,7 @@ from polygeom import jsonio
 from polygeom.campaign import (
     PROPERTIES,
     CampaignConfig,
+    _run_trial,
     replay,
     run_campaign,
     trial_seed,
@@ -23,6 +24,12 @@ class TestConfig:
     def test_bad_range(self):
         with pytest.raises(InvalidConfig):
             run_campaign(CampaignConfig(property="grace", trials=1, n_min=5, n_max=2))
+
+    @pytest.mark.parametrize("bad", [{"membership_tol": -1}, {"witness_tol": -1},
+                                     {"jobs": -4}, {"jobs": 0}])
+    def test_bad_tolerance_or_jobs(self, bad):
+        with pytest.raises(InvalidConfig):
+            run_campaign(CampaignConfig(property="grace", trials=5, **bad))
 
 
 class TestSeeding:
@@ -57,6 +64,18 @@ class TestAllProperties:
         assert rep.passed + rep.failed + rep.errored == 50
         assert rep.failed == 0
         assert rep.errored == 0
+
+
+class TestOverflow:
+    def test_overflowing_newton_step_gets_a_verdict(self):
+        # trial 30 is a degree-38 instance whose Aberth start overflows;
+        # abs() of the polish residual used to raise OverflowError and
+        # lose the whole campaign
+        cfg = CampaignConfig(property="theorem1_convex", trials=200,
+                             seed=(9203 << 20) | (1 << 4) | 2, n_min=25, n_max=60)
+        rec = _run_trial(cfg, 30)
+        assert rec["status"] == "error"
+        assert rec["diagnostic"].startswith("root finding did not converge")
 
 
 class TestReplay:

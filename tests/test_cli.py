@@ -167,3 +167,114 @@ class TestPlot:
         out = tmp_path / "p.svg"
         assert main(["plot", "--points", pts, "--svg-out", str(out)]) == 0
         assert out.read_text().count('r="3.5"') == 3
+
+
+def _disk(center, radius, kind="disk"):
+    return {"kind": kind, "closed": True, "center": center, "radius": radius}
+
+
+_QUAD_A = {"coeffs": [[1, 0], [-2, 0], [1, 0]]}
+_QUAD_B = {"coeffs": [[0, 0], [-1, 0], [1, 0]]}
+_LINEAR_P = {"n": 2, "E": [[0, 0], [1, 0]]}
+
+# (replay instance, exit code, status) for the direct subcommand and replay
+AGREEMENT_CASES = {
+    "grace-pass": ({"property": "grace", "n": 2, "a": _QUAD_A, "b": _QUAD_B,
+                    "region": _disk([1, 0], 0.1)}, 0, "pass"),
+    "walsh-classic-pass": ({"property": "walsh_classic", "multiaffine": _LINEAR_P,
+                            "points": [[-1, 0], [1, 0]], "region": _disk([0, 0], 1),
+                            "classic": True}, 0, "pass"),
+    "theorem1-convex-pass": ({"property": "theorem1_convex", "multiaffine": _LINEAR_P,
+                              "points": [[-1, 0], [1, 0]], "region": _disk([0, 0], 1),
+                              "classic": False}, 0, "pass"),
+    "theorem1-exterior-pass": ({"property": "theorem1_exterior", "multiaffine": _LINEAR_P,
+                                "points": [[3, 0], [5, 0]],
+                                "region": _disk([0, 0], 1, "exterior"),
+                                "classic": False}, 0, "pass"),
+    "theorem2-pass": ({"property": "theorem2", "k": 1,
+                       "inner_zeros": [[0.5, 0], [-0.5, 0], [0, 0.5], [0, -0.5]],
+                       "outer_zero": [3, 0], "disk": {"center": [0, 0], "radius": 1}},
+                      0, "pass"),
+    # b of degree n+1: invalid input from both
+    "grace-degree-mismatch": ({"property": "grace", "n": 2, "a": _QUAD_A,
+                               "b": {"coeffs": [[0, 0], [-1, 0], [1, 0], [1, 0]]},
+                               "region": _disk([1, 0], 0.1)}, 2, "error"),
+    # q' = 2z - 2e15 trims to a constant: invalid input from both
+    "theorem1-constant-derivative": ({"property": "theorem1_convex",
+                                      "multiaffine": _LINEAR_P,
+                                      "points": [[1e15, 0], [1e15, 0]],
+                                      "region": _disk([0, 0], 1), "classic": False},
+                                     2, "error"),
+    # the paper's counterexample: a correctly rejected hypothesis
+    "paper-exterior-counterexample": ({"property": "theorem1_convex",
+                                       "multiaffine": _LINEAR_P,
+                                       "points": [[-1, 0], [1, 0]],
+                                       "region": _disk([0, 0], 1, "exterior"),
+                                       "classic": False}, 0, "hypothesis-violation"),
+}
+
+
+def subcommand_argv(tmp_path, inst):
+    prop = inst["property"]
+    if prop == "grace":
+        return ["grace", "--a", write(tmp_path, "a.json", inst["a"]),
+                "--b", write(tmp_path, "b.json", inst["b"]),
+                "--region", write(tmp_path, "r.json", inst["region"]),
+                "--n", str(inst["n"])]
+    if prop == "theorem2":
+        doc = {key: inst[key] for key in ("inner_zeros", "outer_zero", "disk")}
+        return ["theorem2", "--instance", write(tmp_path, "t2.json", doc),
+                "--k", str(inst["k"])]
+    return ["coincidence", "--multiaffine", write(tmp_path, "ma.json", inst["multiaffine"]),
+            "--points", write(tmp_path, "w.json", inst["points"]),
+            "--region", write(tmp_path, "r.json", inst["region"])] + (
+        ["--classic"] if inst["classic"] else [])
+
+
+class TestSubcommandAgreesWithReplay:
+    @pytest.mark.parametrize("case", sorted(AGREEMENT_CASES))
+    def test_same_exit_code_and_status(self, tmp_path, capsys, case):
+        inst, code, status = AGREEMENT_CASES[case]
+        assert main(subcommand_argv(tmp_path, inst)) == code
+        direct = json.loads(capsys.readouterr().out)
+        assert main(["replay", "--instance", write(tmp_path, "inst.json", inst)]) == code
+        replayed = json.loads(capsys.readouterr().out)
+        assert direct["status"] == replayed["status"] == status
+
+    def test_missing_key_is_invalid_input(self, tmp_path, capsys):
+        inst = dict(AGREEMENT_CASES["theorem1-convex-pass"][0])
+        del inst["points"]
+        assert main(["replay", "--instance", write(tmp_path, "inst.json", inst)]) == 2
+        region = write(tmp_path, "r.json", {"kind": "disk", "center": [1, 0]})
+        assert main(["grace", "--a", write(tmp_path, "a.json", _QUAD_A),
+                     "--b", write(tmp_path, "b.json", _QUAD_B), "--region", region]) == 2
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("region_text", [
+        '{"kind": "disk", "center": [0, 0], "radius": NaN}',
+        '{"kind": "exterior", "center": [0, 0], "radius": Infinity}',
+        '{"kind": "disk", "center": [0, 0], "radius": 1e999}',
+        '{"kind": "halfplane", "direction": [1, 0], "offset": -Infinity}',
+    ])
+    def test_region_rejected(self, tmp_path, capsys, region_text):
+        region = tmp_path / "r.json"
+        region.write_text(region_text)
+        code = main(["grace", "--a", write(tmp_path, "a.json", _QUAD_A),
+                     "--b", write(tmp_path, "b.json", _QUAD_B), "--region", str(region)])
+        assert code == 2
+
+
+class TestOptions:
+    @pytest.mark.parametrize("flag", [["--tol", "1e-300"], ["--jobs", "-7"],
+                                      ["--seed", "99"], ["--svg-out", "x.svg"]])
+    def test_grace_rejects_options_it_does_not_read(self, tmp_path, flag):
+        argv = subcommand_argv(tmp_path, AGREEMENT_CASES["grace-pass"][0])
+        with pytest.raises(SystemExit) as exc:
+            main(argv + flag)
+        assert exc.value.code == 2
+
+    def test_theorem1_alias_removed(self, tmp_path):
+        argv = subcommand_argv(tmp_path, AGREEMENT_CASES["theorem1-convex-pass"][0])
+        with pytest.raises(SystemExit):
+            main(["theorem1"] + argv[1:])

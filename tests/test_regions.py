@@ -55,6 +55,25 @@ class TestContains:
             )
 
 
+
+NAN, INF = float("nan"), float("inf")
+
+
+class TestConstructors:
+    @pytest.mark.parametrize("make, args", [
+        (disk, (0, NAN)),
+        (disk, (NAN, 1)),
+        (disk, (complex(0, INF), 1)),
+        (exterior_disk, (0, NAN)),
+        (exterior_disk, (INF, 1)),
+        (half_plane, (1, INF)),
+        (half_plane, (complex(NAN, 1), 0)),
+    ])
+    def test_non_finite_parameters_rejected(self, make, args):
+        with pytest.raises(InvalidInput):
+            make(*args)
+
+
 class TestIsConvex:
     def test_variants(self):
         assert is_convex(disk(0, 1))

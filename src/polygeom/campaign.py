@@ -303,7 +303,9 @@ def _check_theorem2(inst: dict, cfg: CampaignConfig) -> Verdict:
 
 
 def _gen_apolarity_identity(rng: random.Random, cfg: CampaignConfig) -> dict:
-    n = rng.randint(max(1, cfg.n_min), min(cfg.n_max, 20))
+    # the identities are drawn at degree 20 at most; a range above that
+    # draws degree 20
+    n = rng.randint(min(max(1, cfg.n_min), 20), min(cfg.n_max, 20))
     deg_poly = lambda: [_unit_box(rng) for _ in range(n + 1)]
     return {
         "property": "apolarity_identity",
@@ -460,6 +462,8 @@ def replay_verdict(inst: dict, prop: str | None = None,
                    cfg: CampaignConfig | None = None) -> tuple[dict, Verdict]:
     """Re-run exactly one recorded trial instance: its verdict document
     and the verdict itself."""
+    if not isinstance(inst, dict):
+        raise InvalidInput("an instance must be a JSON object")
     prop = prop or inst.get("property")
     if prop not in PROPERTIES:
         raise InvalidInput(f"unknown or missing property {prop!r}")

@@ -36,6 +36,12 @@ def _real(v: Any) -> float:
     return x
 
 
+def _object(v: Any, what: str) -> dict:
+    if not isinstance(v, dict):
+        raise InvalidInput(f"{what} JSON must be an object, got {v!r}")
+    return v
+
+
 def complex_to_json(z: complex) -> list[float]:
     return [z.real, z.imag]
 
@@ -51,7 +57,10 @@ def poly_to_json(p: Polynomial) -> dict:
 
 
 def poly_from_json(d: dict) -> Polynomial:
-    return Polynomial([complex_from_json(c) for c in d["coeffs"]])
+    coeffs = _object(d, "polynomial")["coeffs"]
+    if not isinstance(coeffs, list):
+        raise InvalidInput("coeffs JSON must be a list of [re, im] pairs")
+    return Polynomial([complex_from_json(c) for c in coeffs])
 
 
 def points_to_json(points: Sequence[complex]) -> list[list[float]]:
@@ -78,6 +87,7 @@ def region_to_json(r: CircularRegion) -> dict:
 
 
 def region_from_json(d: dict) -> CircularRegion:
+    _object(d, "region")
     kind = d.get("kind")
     closed = bool(d.get("closed", True))
     if kind == DISK:
@@ -94,10 +104,12 @@ def disk_to_json(d: Disk) -> dict:
 
 
 def disk_from_json(d: dict) -> Disk:
+    _object(d, "disk")
     return Disk(complex_from_json(d["center"]), _real(d["radius"]))
 
 
 def multiaffine_from_json(d: dict) -> SymmetricMultiaffine:
+    _object(d, "multiaffine")
     return SymmetricMultiaffine(int(_real(d["n"])), points_from_json(d["E"]), trim=False)
 
 

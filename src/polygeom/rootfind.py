@@ -1,15 +1,19 @@
-"""All-roots solver: Aberth-Ehrlich simultaneous iteration.
+"""All-roots solver: companion-matrix eigenvalues polished by Aberth-Ehrlich.
 
-All roots are iterated at once (no deflation), each gets one terminal
-Newton polish, and near-coincident approximations of a multiple root are
-collapsed onto a refined representative before multiplicity clustering.
+The start is ``np.roots`` (eigenvalues of the balanced companion matrix,
+backward stable by Edelman & Murakami 1995). Aberth-Ehrlich sweeps then
+run over the roots that are still active; a root freezes once its step is
+negligible or its scaled residual is within tol (Bini 1996). Every root
+gets one vectorized Newton polish, and near-coincident approximations of
+a multiple root are collapsed onto a refined representative before
+multiplicity clustering. A root set is certified only when the scaled
+residual of every root under the original polynomial is within tol; a
+NaN or inf residual fails.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -18,11 +22,6 @@ from .poly import Polynomial
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 200
-
-# initial guesses live on 0.8 * cauchy_bound, rotated to break the
-# symmetric stall of z**n - c
-_INIT_RADIUS_FACTOR = 0.8
-_INIT_PHASE = 0.4
 
 # single-linkage threshold for detecting a candidate multiple-root group,
 # well below the 1e-2 separation the round-trip contract assumes
@@ -45,95 +44,85 @@ def cauchy_bound(p: Polynomial) -> float:
     return 1.0 + max((abs(c) for c in p.coeffs[:n]), default=0.0) / an
 
 
-def _residual_scale(p: Polynomial, z: complex) -> float:
-    m = max(1.0, abs(z))
-    s = 0.0
-    t = 1.0
-    for c in p.coeffs:
-        s += abs(c) * t
-        t *= m
-    return s
+def _scaled_residuals(rc: np.ndarray, z: np.ndarray, pz: np.ndarray) -> np.ndarray:
+    """|p(z)| / sum_k |a_k| max(1, |z|)**k, given pz = p(z) and the
+    coefficients rc of p in descending order.
+
+    NaN or inf where the evaluation overflows; neither passes a
+    ``<= tol`` test.
+    """
+    return np.abs(pz) / np.polyval(np.abs(rc), np.maximum(1.0, np.abs(z)))
 
 
-def _modulus(v: complex) -> float:
-    """|v|, or inf where the modulus of a finite v overflows a float."""
-    try:
-        return abs(v)
-    except OverflowError:
-        return math.inf
-
-
-def _scaled_residual(p: Polynomial, z: complex) -> float:
-    return _modulus(p(z)) / _residual_scale(p, z)
-
-
-def _aberth(c: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
-    d = len(c) - 1
-    dc = c[1:] * np.arange(1, d + 1)
-    radius = _INIT_RADIUS_FACTOR * (1.0 + np.max(np.abs(c[:-1])) / abs(c[-1]))
-    angles = 2.0 * np.pi * np.arange(d) / d + _INIT_PHASE
-    x = radius * np.exp(1j * angles)
-
-    rc = c[::-1]
-    rdc = dc[::-1]
+def _aberth(rc: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
+    """Roots of descending coefficients rc (degree >= 2, no zero root)."""
+    drc = np.polyder(rc)
+    x = np.roots(rc).astype(complex)
+    active = np.arange(len(x))
     for _ in range(max_iter):
-        p = np.polyval(rc, x)
-        dp = np.polyval(rdc, x)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        xa = x[active]
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            p = np.polyval(rc, xa)
+            converged = _scaled_residuals(rc, xa, p) <= tol
+            dp = np.polyval(drc, xa)
             w = np.where(p == 0, 0.0, p / np.where(dp == 0, 1e-300, dp))
-            diff = x[:, None] - x[None, :]
-            np.fill_diagonal(diff, np.inf)
+            diff = xa[:, None] - x[None, :]
+            diff[np.arange(len(active)), active] = np.inf
             s = np.sum(1.0 / diff, axis=1)
             delta = w / (1.0 - w * s)
-        delta = np.where(np.isfinite(delta), delta, 0.0)
-        x = x - delta
-        if np.all(np.abs(delta) <= tol * (1.0 + np.abs(x))):
+        delta = np.where(np.isfinite(delta) & ~converged, delta, 0.0)
+        x[active] = xa - delta
+        moving = np.abs(delta) > tol * (1.0 + np.abs(x[active]))
+        active = active[moving]
+        if not active.size:
             break
     return x
 
 
-def _newton_polish(p: Polynomial, z: complex) -> complex:
-    dp = p.derivative()
-    pv = p(z)
-    dv = dp(z)
-    if dv == 0:
-        return z
-    cand = z - pv / dv
-    return cand if _modulus(p(cand)) <= _modulus(pv) else z
+def _newton_polish(rc: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """One Newton step per root, kept only where |p| does not grow."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        pv = np.polyval(rc, z)
+        dv = np.polyval(np.polyder(rc), z)
+        cand = z - pv / np.where(dv == 0, 1.0, dv)
+        better = np.abs(np.polyval(rc, cand)) <= np.abs(pv)
+    return np.where((dv != 0) & np.isfinite(cand) & better, cand, z)
 
 
-def _single_linkage(points: Sequence[complex], radius_of) -> list[list[int]]:
+def _single_linkage(points: np.ndarray, scale: float) -> list[list[int]]:
+    """Groups of points chained by |z_i - z_j| <= scale * (1 + max(|z_i|, |z_j|)).
+
+    Groups are ordered by their smallest index, members ascending.
+    """
     n = len(points)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            r = max(radius_of(points[i]), radius_of(points[j]))
-            if abs(points[i] - points[j]) <= r:
-                parent[find(i)] = find(j)
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return list(groups.values())
+    radius = scale * (1.0 + np.abs(points))
+    adj = np.abs(points[:, None] - points[None, :]) <= np.maximum(radius[:, None], radius[None, :])
+    np.fill_diagonal(adj, True)
+    if np.count_nonzero(adj) == n:
+        return [[i] for i in range(n)]
+    # each point takes the smallest label among its neighbours until the
+    # labels settle: a label is then its component's smallest index
+    label = np.arange(n)
+    while True:
+        nxt = np.min(np.where(adj, label[None, :], n), axis=1)
+        if np.array_equal(nxt, label):
+            break
+        label = nxt
+    return [np.flatnonzero(label == g).tolist() for g in np.unique(label)]
 
 
-def _collapse_multiple(p: Polynomial, roots: list[complex], tol: float) -> list[complex]:
+def _collapse_multiple(p: Polynomial, rc: np.ndarray, roots: list[complex],
+                       tol: float) -> list[complex]:
     """Snap groups of approximations of one multiple root onto a single point.
 
     A size-m group is refined by Newton on the (m-1)-th derivative (simple
     zero there); the collapse is accepted only when the refined point is a
     residual-certified root of p and the group's spread is consistent with
-    an order-m zero at working precision.
+    an order-m zero at working precision. rc holds p's coefficients in
+    descending order.
     """
-    groups = _single_linkage(roots, lambda z: _GROUP_RADIUS * (1.0 + abs(z)))
     out = list(roots)
-    for g in groups:
+    for g in _single_linkage(np.asarray(roots), _GROUP_RADIUS):
         m = len(g)
         if m < 2:
             continue
@@ -151,7 +140,9 @@ def _collapse_multiple(p: Polynomial, roots: list[complex], tol: float) -> list[
                 break
         spread_cap = 10.0 * (1.0 + abs(z)) * (1e-13) ** (1.0 / m)
         spread = max(abs(roots[i] - z) for i in g)
-        if spread <= spread_cap and _scaled_residual(p, z) <= tol:
+        with np.errstate(over="ignore", invalid="ignore"):
+            certified = _scaled_residuals(rc, z, np.polyval(rc, z)) <= tol
+        if spread <= spread_cap and certified:
             for i in g:
                 out[i] = z
     return out
@@ -166,7 +157,7 @@ def find_roots(
     """All complex zeros with residuals and multiplicity clusters.
 
     Raises NonConvergence (carrying best-effort roots) when any scaled
-    residual exceeds tol after max_iter sweeps and polishing.
+    residual exceeds tol, or is NaN, after max_iter sweeps and polishing.
     """
     n = p.degree()
     if n < 1:
@@ -174,27 +165,22 @@ def find_roots(
     if tol <= 0:
         raise InvalidDegree("tol must be positive")
 
-    # exact zeros at the origin come off first
-    coeffs = list(p.coeffs)
-    zeros_at_origin = 0
-    while coeffs and coeffs[0] == 0:
-        coeffs.pop(0)
-        zeros_at_origin += 1
-
-    roots: list[complex] = [0j] * zeros_at_origin
-    d = len(coeffs) - 1
+    # exact zeros at the origin come off first: rc[:d + 1] has none
+    rc = np.asarray(p.coeffs[::-1], dtype=complex)
+    d = int(np.flatnonzero(rc)[-1])
+    approx = np.zeros(n, dtype=complex)
     if d == 1:
-        roots.append(-coeffs[0] / coeffs[1])
+        approx[-1] = -rc[1] / rc[0]
     elif d >= 2:
-        approx = _aberth(np.asarray(coeffs, dtype=complex), tol, max_iter)
-        roots.extend(complex(z) for z in approx)
+        approx[n - d:] = _aberth(rc[:d + 1], tol, max_iter)
 
-    roots = [_newton_polish(p, z) for z in roots]
-    roots = _collapse_multiple(p, roots, tol)
-    roots.sort(key=lambda z: (z.real, z.imag))
+    roots = _collapse_multiple(p, rc, _newton_polish(rc, approx).tolist(), tol)
+    roots.sort(key=lambda r: (r.real, r.imag))
 
-    residuals = [_scaled_residual(p, z) for z in roots]
-    if any(r > tol for r in residuals):
+    z = np.asarray(roots)
+    with np.errstate(over="ignore", invalid="ignore"):
+        residuals = _scaled_residuals(rc, z, np.polyval(rc, z)).tolist()
+    if not all(r <= tol for r in residuals):
         raise NonConvergence(
             f"residuals above tol={tol} after {max_iter} iterations",
             roots=roots,
@@ -202,7 +188,7 @@ def find_roots(
         )
 
     clusters = []
-    for g in _single_linkage(roots, lambda z: cluster_radius_scale * (1.0 + abs(z))):
+    for g in _single_linkage(z, cluster_radius_scale):
         rep = sum(roots[i] for i in g) / len(g)
         clusters.append((rep, len(g)))
     clusters.sort(key=lambda c: (c[0].real, c[0].imag))

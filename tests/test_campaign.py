@@ -66,16 +66,29 @@ class TestAllProperties:
         assert rep.errored == 0
 
 
-class TestOverflow:
-    def test_overflowing_newton_step_gets_a_verdict(self):
-        # trial 30 is a degree-38 instance whose Aberth start overflows;
-        # abs() of the polish residual used to raise OverflowError and
-        # lose the whole campaign
+class TestHighDegree:
+    def test_former_overflow_trial_passes_and_replays(self):
+        # trial 30 is a degree-38 instance whose old circle start overflowed
+        # into a NonConvergence error; the eigenvalue start certifies it.
+        # Overflow itself is covered in test_rootfind.TestCertificate.
         cfg = CampaignConfig(property="theorem1_convex", trials=200,
                              seed=(9203 << 20) | (1 << 4) | 2, n_min=25, n_max=60)
         rec = _run_trial(cfg, 30)
-        assert rec["status"] == "error"
-        assert rec["diagnostic"].startswith("root finding did not converge")
+        assert rec["status"] == "pass"
+        verdict = replay(rec["instance"], "theorem1_convex")
+        assert (verdict["status"], verdict["diagnostic"]) == (rec["status"], rec["diagnostic"])
+
+    @pytest.mark.parametrize("prop", ["theorem1_convex", "grace"])
+    def test_identical_reports_across_jobs(self, prop):
+        cfgs = [CampaignConfig(property=prop, trials=40, seed=11, n_min=25, n_max=60,
+                               jobs=jobs) for jobs in (1, 2)]
+        a, b = (jsonio.dumps(run_campaign(cfg).to_json()) for cfg in cfgs)
+        assert a == b
+
+    def test_apolarity_identity_above_degree_20(self):
+        rep = run_campaign(CampaignConfig(property="apolarity_identity", trials=20,
+                                          seed=3, n_min=25, n_max=60))
+        assert rep.passed == 20
 
 
 class TestReplay:

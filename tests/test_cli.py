@@ -278,3 +278,23 @@ class TestOptions:
         argv = subcommand_argv(tmp_path, AGREEMENT_CASES["theorem1-convex-pass"][0])
         with pytest.raises(SystemExit):
             main(["theorem1"] + argv[1:])
+
+
+class TestWrongShapeInput:
+    @pytest.mark.parametrize("key,doc", [("region", [1, 2]), ("a", [1, 2]),
+                                         ("b", {"coeffs": 5})])
+    def test_grace_input_of_wrong_shape(self, tmp_path, key, doc):
+        docs = {"a": _QUAD_A, "b": _QUAD_B, "region": _disk([1, 0], 0.1), key: doc}
+        argv = ["grace"] + [x for name, d in docs.items()
+                            for x in (f"--{name}", write(tmp_path, f"{name}.json", d))]
+        assert main(argv) == 2
+
+    def test_replay_of_an_array(self, tmp_path):
+        assert main(["replay", "--instance", write(tmp_path, "inst.json", [1, 2])]) == 2
+
+    def test_roots_of_non_list_coeffs(self, tmp_path):
+        assert main(["roots", "--poly", write(tmp_path, "p.json", {"coeffs": 5})]) == 2
+
+    def test_coincidence_multiaffine_of_wrong_shape(self, tmp_path):
+        inst = dict(AGREEMENT_CASES["theorem1-convex-pass"][0], multiaffine=[2, [0, 0]])
+        assert main(subcommand_argv(tmp_path, inst)) == 2

@@ -1,11 +1,13 @@
 import math
 import random
 
+import mpmath
+import numpy as np
 import pytest
 
 from polygeom.errors import InvalidDegree, NonConvergence
 from polygeom.poly import Polynomial, from_roots
-from polygeom.rootfind import cauchy_bound, find_roots
+from polygeom.rootfind import _scaled_residuals, _single_linkage, cauchy_bound, find_roots
 
 
 def match_multisets(found, expected, tol):
@@ -62,8 +64,9 @@ class TestFindRoots:
             find_roots(Polynomial([1]))
 
     def test_non_convergence_carries_best_effort(self):
+        # no double-precision root set meets tol=1e-30
         with pytest.raises(NonConvergence) as exc:
-            find_roots(Polynomial([-1, 0, 0, 0, 0, 1]), max_iter=1)
+            find_roots(Polynomial([-1, 0, 0, 0, 0, 1]), tol=1e-30, max_iter=1)
         assert len(exc.value.roots) == 5
         assert len(exc.value.residuals) == 5
 
@@ -112,3 +115,106 @@ class TestSoundness:
                     pts.append(z)
             rs = find_roots(from_roots(pts))
             match_multisets(rs.roots, pts, 1e-7)
+
+
+def random_unit_box(rng, deg):
+    """Coefficients in the unit box, leading |a_n| >= 0.1."""
+    cs = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(deg + 1)]
+    while abs(cs[-1]) < 0.1:
+        cs[-1] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+    return cs
+
+
+class TestCertificate:
+    def test_overflowing_residual_is_not_certified(self):
+        # a root near -1e6 puts max(1, |z|)**60 beyond float range: the
+        # scaled residual is NaN, which must not pass
+        with pytest.raises(NonConvergence) as exc:
+            find_roots(Polynomial([1e6] * 60 + [1]))
+        assert len(exc.value.roots) == 60
+
+    def test_small_leading_coefficient_certified(self):
+        rs = find_roots(Polynomial([1] + [0] * 59 + [1e-8]))
+        assert len(rs.roots) == 60
+        assert all(math.isfinite(r) and r <= 1e-12 for r in rs.residuals)
+
+    def test_returned_residuals_are_finite(self):
+        # root moduli from about 1e-3 to 1e3
+        rng = random.Random(41)
+        certified = 0
+        for deg in (2, 8, 25, 60):
+            for scale in (1e-3, 1.0, 1e3):
+                p = Polynomial([c * scale ** -k for k, c in enumerate(random_unit_box(rng, deg))])
+                try:
+                    rs = find_roots(p)
+                except NonConvergence:
+                    continue
+                certified += 1
+                assert len(rs.residuals) == p.degree()
+                assert all(math.isfinite(r) and r <= 1e-12 for r in rs.residuals)
+        assert certified >= 6
+
+
+class TestHighPrecisionOracle:
+    # relative to max(1, |root|); observed errors are near 1e-16
+    ORACLE_TOL = 1e-10
+
+    @pytest.mark.parametrize("deg,count", [(5, 3), (10, 3), (20, 3), (40, 1), (60, 1)])
+    def test_roots_match_mpmath(self, deg, count):
+        rng = random.Random(1000 + deg)
+        for _ in range(count):
+            cs = random_unit_box(rng, deg)
+            rs = find_roots(Polynomial(cs))
+            with mpmath.workdps(25):
+                ref = mpmath.polyroots([mpmath.mpc(c.real, c.imag) for c in reversed(cs)],
+                                       maxsteps=100, extraprec=30)
+                pool = [complex(w) for w in ref]
+            for r in rs.roots:
+                w = min(pool, key=lambda w: abs(w - r))
+                assert abs(w - r) <= self.ORACLE_TOL * max(1.0, abs(w)), (deg, r, w)
+                pool.remove(w)
+
+
+def union_find_groups(points, scale):
+    """Loop reference for _single_linkage: the same chaining rule and order."""
+    parent = list(range(len(points)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i in range(len(points)):
+        for j in range(i + 1, len(points)):
+            r = scale * (1.0 + max(abs(points[i]), abs(points[j])))
+            if abs(points[i] - points[j]) <= r:
+                parent[find(i)] = find(j)
+    groups = {}
+    for i in range(len(points)):
+        groups.setdefault(find(i), []).append(i)
+    return list(groups.values())
+
+
+class TestArrayHelpers:
+    def test_single_linkage_matches_loop_reference(self):
+        rng = random.Random(5)
+        for _ in range(100):
+            centers = [complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+                       for _ in range(rng.randint(1, 6))]
+            pts = [rng.choice(centers) + complex(rng.gauss(0, 1e-3), rng.gauss(0, 1e-3))
+                   for _ in range(rng.randint(1, 30))]
+            for scale in (1e-6, 1e-3, 1e-2):
+                assert _single_linkage(np.asarray(pts), scale) == union_find_groups(pts, scale)
+
+    def test_scaled_residuals_match_loop_reference(self):
+        # away from the roots there is no cancellation, so only the order
+        # of the scale's sum differs: a few ulps
+        rng = random.Random(9)
+        for deg in (1, 7, 30, 60):
+            p = Polynomial(random_unit_box(rng, deg))
+            zs = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(20)]
+            rc = np.asarray(p.coeffs[::-1])
+            got = _scaled_residuals(rc, np.asarray(zs), np.polyval(rc, np.asarray(zs)))
+            for z, r in zip(zs, got):
+                scale = sum(abs(c) * max(1.0, abs(z)) ** k for k, c in enumerate(p.coeffs))
+                assert r == pytest.approx(abs(p(z)) / scale, rel=1e-12)

@@ -30,7 +30,6 @@ from .poly import (
 )
 from .regions import (
     CircularRegion,
-    Disk,
     contains,
     convex_hull,
     disk,

@@ -435,14 +435,9 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
     for r in results:
         if r["status"] == PASS:
             report.passed += 1
-        elif r["status"] == FAIL:
-            report.failed += 1
-            report.failures.append(
-                {"trial_seed": r["trial_seed"], "instance": r["instance"],
-                 "diagnostic": r["diagnostic"]}
-            )
-        elif r["status"] == ERROR:
-            report.errored += 1
+        elif r["status"] in (FAIL, ERROR):
+            report.failed += r["status"] == FAIL
+            report.errored += r["status"] == ERROR
             report.failures.append(
                 {"trial_seed": r["trial_seed"], "instance": r["instance"],
                  "diagnostic": r["diagnostic"]}

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from .errors import InvalidInput, InvalidInstance
 from .poly import Polynomial, from_roots, mean_of_roots
-from .regions import Disk, convex_hull, hull_distance
+from .regions import CircularRegion, contains, convex_hull, disk, hull_distance
 from .rootfind import RootSet, find_roots
 
 _MEAN_RTOL = 1e-12
@@ -25,7 +25,7 @@ _COUNT_TOL = 1e-7
 class Theorem2Instance:
     inner_zeros: tuple[complex, ...]
     outer_zero: complex
-    disk: Disk
+    disk: CircularRegion
 
     def validate(self, membership_tol: float = _COUNT_TOL) -> None:
         m = len(self.inner_zeros)
@@ -38,7 +38,7 @@ class Theorem2Instance:
                 f"disk center {c} is not the mean of the inner zeros ({mean})"
             )
         for z in self.inner_zeros:
-            if abs(z - c) > self.disk.radius + membership_tol * (1.0 + abs(z)):
+            if not contains(self.disk, z, membership_tol):
                 raise InvalidInstance(f"inner zero {z} outside the closed disk")
 
 
@@ -120,12 +120,9 @@ def kth_derivative_identity(n: int, k: int, y: complex) -> float:
     t2 = fact * math.comb(n - 1, k - 1) * from_roots([y] * (n - k))
     rhs = t1 + t2
 
-    la, lb = list(lhs.coeffs), list(rhs.coeffs)
-    width = max(len(la), len(lb))
-    la += [0j] * (width - len(la))
-    lb += [0j] * (width - len(lb))
+    la, lb = lhs.coeffs, rhs.coeffs
     top = max(max(abs(c) for c in la), max(abs(c) for c in lb), 1e-300)
-    return max(abs(x - z) for x, z in zip(la, lb)) / top
+    return max(abs(x - z) for x, z in zip(la, lb, strict=True)) / top
 
 
 def factorization_roots(n: int, k: int, y: complex) -> list[complex]:
@@ -180,4 +177,4 @@ def generate_theorem2_instance(
 
     d = outer_distance * (1.0 + rng.random())
     outer = center + cmath.rect(d, rng.uniform(0.0, 2.0 * math.pi))
-    return Theorem2Instance(inner, outer, Disk(center, radius))
+    return Theorem2Instance(inner, outer, disk(center, radius))

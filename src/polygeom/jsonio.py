@@ -16,7 +16,6 @@ from .regions import (
     EXTERIOR,
     HALFPLANE,
     CircularRegion,
-    Disk,
     disk,
     exterior_disk,
     half_plane,
@@ -99,13 +98,14 @@ def region_from_json(d: dict) -> CircularRegion:
     raise InvalidInput(f"unknown region kind {kind!r}")
 
 
-def disk_to_json(d: Disk) -> dict:
+def disk_to_json(d: CircularRegion) -> dict:
+    """The theorem2 wire format of a closed disk: center and radius only."""
     return {"center": complex_to_json(d.center), "radius": d.radius}
 
 
-def disk_from_json(d: dict) -> Disk:
+def disk_from_json(d: dict) -> CircularRegion:
     _object(d, "disk")
-    return Disk(complex_from_json(d["center"]), _real(d["radius"]))
+    return disk(complex_from_json(d["center"]), _real(d["radius"]))
 
 
 def multiaffine_from_json(d: dict) -> SymmetricMultiaffine:

@@ -1,10 +1,9 @@
 """Dense complex polynomials, ascending coefficient order.
 
 A polynomial is stored as a tuple of complex coefficients where
-``coeffs[k]`` multiplies ``z**k``. Construction canonicalizes: trailing
-coefficients with magnitude below TRIM_REL times the largest magnitude
-are dropped, so ``degree()`` stays meaningful after cancellation-heavy
-arithmetic (derivatives, subtraction).
+``coeffs[k]`` multiplies ``z**k``. Construction canonicalizes by
+dropping trailing coefficients that are exactly zero, and nothing else,
+so ``degree()`` is the index of the last nonzero coefficient.
 """
 
 from __future__ import annotations
@@ -18,8 +17,6 @@ from .errors import DegreeTooLarge, InvalidDegree, InvalidIndex, InvalidInput
 # Degrees above N_MAX would overflow the exact-binomial guarantee the
 # apolarity functional relies on.
 N_MAX = 60
-
-TRIM_REL = 1e-14
 
 
 def _as_finite_complex(values: Iterable[complex]) -> tuple[complex, ...]:
@@ -38,10 +35,8 @@ class Polynomial:
 
     def __init__(self, coeffs: Sequence[complex]):
         cs = _as_finite_complex(coeffs)
-        top = max((abs(c) for c in cs), default=0.0)
-        cut = TRIM_REL * top
         n = len(cs)
-        while n > 0 and abs(cs[n - 1]) <= cut:
+        while n > 0 and cs[n - 1] == 0:
             n -= 1
         object.__setattr__(self, "coeffs", cs[:n])
 
@@ -125,7 +120,6 @@ def from_roots(roots: Sequence[complex]) -> Polynomial:
         for k in range(len(coeffs) - 1, 0, -1):
             coeffs[k] = coeffs[k - 1] - w * coeffs[k]
         coeffs[0] = -w * coeffs[0]
-    # exact construction: no trimming surprises, leading coeff is 1
     return Polynomial(coeffs)
 
 

@@ -23,12 +23,6 @@ EXTERIOR = "exterior"
 
 
 @dataclass(frozen=True)
-class Disk:
-    center: complex
-    radius: float
-
-
-@dataclass(frozen=True)
 class CircularRegion:
     kind: str
     closed: bool = True
@@ -98,12 +92,14 @@ def is_convex(region: CircularRegion) -> bool:
     return region.kind in (DISK, HALFPLANE)
 
 
-def _circle_two(a: complex, b: complex) -> Disk:
+# Welzl's candidate circles are plain (center, radius) pairs: a
+# near-collinear circumcentre may be non-finite, which CircularRegion rejects
+def _circle_two(a: complex, b: complex) -> tuple[complex, float]:
     c = (a + b) / 2.0
-    return Disk(c, max(abs(a - c), abs(b - c)))
+    return c, max(abs(a - c), abs(b - c))
 
 
-def _circle_three(a: complex, b: complex, c: complex) -> Disk | None:
+def _circle_three(a: complex, b: complex, c: complex) -> tuple[complex, float] | None:
     d = 2.0 * (a.real * (b.imag - c.imag) + b.real * (c.imag - a.imag) + c.real * (a.imag - b.imag))
     if d == 0:
         return None
@@ -118,14 +114,14 @@ def _circle_three(a: complex, b: complex, c: complex) -> Disk | None:
         + abs(c) ** 2 * (b.real - a.real)
     ) / d
     center = complex(ux, uy)
-    return Disk(center, max(abs(a - center), abs(b - center), abs(c - center)))
+    return center, max(abs(a - center), abs(b - center), abs(c - center))
 
 
-def _in_disk(d: Disk, z: complex, slack: float = 1e-12) -> bool:
-    return abs(z - d.center) <= d.radius + slack * (1.0 + abs(z))
+def _in_disk(d: tuple[complex, float], z: complex, slack: float = 1e-12) -> bool:
+    return abs(z - d[0]) <= d[1] + slack * (1.0 + abs(z))
 
 
-def smallest_enclosing_disk(points: Sequence[complex]) -> Disk:
+def smallest_enclosing_disk(points: Sequence[complex]) -> CircularRegion:
     """Minimal closed disk containing all points (Welzl, incremental)."""
     pts = [complex(p) for p in points]
     if not pts:
@@ -133,11 +129,11 @@ def smallest_enclosing_disk(points: Sequence[complex]) -> Disk:
     shuffled = list(pts)
     random.Random(0x5EED).shuffle(shuffled)
 
-    best = Disk(shuffled[0], 0.0)
+    best = (shuffled[0], 0.0)
     for i, p in enumerate(shuffled):
         if _in_disk(best, p):
             continue
-        best = Disk(p, 0.0)
+        best = (p, 0.0)
         for j in range(i):
             q = shuffled[j]
             if _in_disk(best, q):
@@ -152,15 +148,15 @@ def smallest_enclosing_disk(points: Sequence[complex]) -> Disk:
                     # collinear support set: fall back to the diameter pair
                     cand = max(
                         (_circle_two(p, r), _circle_two(q, r), _circle_two(p, q)),
-                        key=lambda d: d.radius,
+                        key=lambda d: d[1],
                     )
                 best = cand
 
-    # post-hoc certification: never report a disk missing an input point
-    worst = max(abs(p - best.center) for p in pts)
-    if worst > best.radius:
-        best = Disk(best.center, worst)
-    return best
+    # post-hoc certification: never report a disk missing an input point;
+    # a single point gives radius 0, which disk() would reject
+    center, radius = best
+    radius = max(radius, max(abs(p - center) for p in pts))
+    return CircularRegion(DISK, center=center, radius=radius)
 
 
 def _cross(o: complex, a: complex, b: complex) -> float:

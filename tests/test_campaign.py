@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from polygeom import jsonio
@@ -9,6 +11,7 @@ from polygeom.campaign import (
     run_campaign,
     trial_seed,
 )
+from polygeom.coincidence import diagonal
 from polygeom.errors import InvalidConfig, InvalidInput
 
 
@@ -89,6 +92,20 @@ class TestHighDegree:
         rep = run_campaign(CampaignConfig(property="apolarity_identity", trials=20,
                                           seed=3, n_min=25, n_max=60))
         assert rep.passed == 20
+
+    def test_grace_pairs_keep_degree_n(self):
+        rep = run_campaign(CampaignConfig(property="grace", trials=100,
+                                          seed=(8105 << 20) | 5, n_min=25, n_max=60))
+        assert not [f for f in rep.failures if "degree exactly" in f["diagnostic"]]
+
+    def test_walsh_classic_diagonal_has_degree_n(self):
+        cfg = CampaignConfig(property="walsh_classic", trials=200,
+                             seed=(8101 << 20) | 1, n_min=25, n_max=60)
+        gen, _ = PROPERTIES["walsh_classic"]
+        for i in range(cfg.trials):
+            inst = gen(random.Random(trial_seed(cfg.seed, i)), cfg)
+            P = jsonio.multiaffine_from_json(inst["multiaffine"])
+            assert diagonal(P).degree() == P.n
 
 
 class TestReplay:

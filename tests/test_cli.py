@@ -195,16 +195,21 @@ AGREEMENT_CASES = {
                        "inner_zeros": [[0.5, 0], [-0.5, 0], [0, 0.5], [0, -0.5]],
                        "outer_zero": [3, 0], "disk": {"center": [0, 0], "radius": 1}},
                       0, "pass"),
+    # a disk radius <= 0, inner zeros at its center: invalid input from both
+    **{f"theorem2-radius-{r}": ({"property": "theorem2", "k": 1,
+                                 "inner_zeros": [[0, 0], [0, 0]], "outer_zero": [3, 0],
+                                 "disk": {"center": [0, 0], "radius": r}}, 2, "error")
+       for r in (0, -1)},
     # b of degree n+1: invalid input from both
     "grace-degree-mismatch": ({"property": "grace", "n": 2, "a": _QUAD_A,
                                "b": {"coeffs": [[0, 0], [-1, 0], [1, 0], [1, 0]]},
                                "region": _disk([1, 0], 0.1)}, 2, "error"),
-    # q' = 2z - 2e15 trims to a constant: invalid input from both
+    # q' = 2z - 2e15: its zero 1e15 lies outside the unit disk
     "theorem1-constant-derivative": ({"property": "theorem1_convex",
                                       "multiaffine": _LINEAR_P,
                                       "points": [[1e15, 0], [1e15, 0]],
                                       "region": _disk([0, 0], 1), "classic": False},
-                                     2, "error"),
+                                     0, "hypothesis-violation"),
     # the paper's counterexample: a correctly rejected hypothesis
     "paper-exterior-counterexample": ({"property": "theorem1_convex",
                                        "multiaffine": _LINEAR_P,

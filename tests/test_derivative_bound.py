@@ -15,7 +15,7 @@ from polygeom.derivative_bound import (
 )
 from polygeom.errors import InvalidInput, InvalidInstance
 from polygeom.poly import Polynomial, from_roots
-from polygeom.regions import Disk
+from polygeom.regions import disk
 from polygeom.rootfind import find_roots
 
 
@@ -40,7 +40,7 @@ class TestCheckTheorem2:
     def test_worked_cubic(self):
         # p = (z^2 - 1)(z - 10); p' = 3z^2 - 20z - 1, roots from the
         # quadratic formula: (20 +- sqrt(412)) / 6
-        inst = Theorem2Instance((-1 + 0j, 1 + 0j), 10 + 0j, Disk(0j, 1.0))
+        inst = Theorem2Instance((-1 + 0j, 1 + 0j), 10 + 0j, disk(0j, 1.0))
         rep = check_theorem2(inst, 1)
         assert rep.n == 3 and rep.k == 1
         assert rep.bound == 1
@@ -70,7 +70,7 @@ class TestCheckTheorem2:
         assert rep.bound == 0 and rep.vacuous and rep.satisfied
 
     def test_invalid_instance_rejected(self):
-        bad = Theorem2Instance((0j, 1 + 0j), 5 + 0j, Disk(0j, 2.0))  # mean is 0.5
+        bad = Theorem2Instance((0j, 1 + 0j), 5 + 0j, disk(0j, 2.0))  # mean is 0.5
         with pytest.raises(InvalidInstance):
             check_theorem2(bad, 1)
 
@@ -88,7 +88,7 @@ class TestCheckTheorem2:
             moved = Theorem2Instance(
                 tuple(rot * z + shift for z in inst.inner_zeros),
                 rot * inst.outer_zero + shift,
-                Disk(rot * inst.disk.center + shift, inst.disk.radius),
+                disk(rot * inst.disk.center + shift, inst.disk.radius),
             )
             after = check_theorem2(moved, k)
             assert after.count_in_disk == base.count_in_disk

@@ -174,8 +174,14 @@ class TestMeanOfRoots:
 
 class TestCanonicalForm:
     def test_trailing_trim(self):
-        p = Polynomial([1, 2, 1e-20])
-        assert p.degree() == 1
+        # only exact zeros are dropped: a tiny leading coefficient is kept
+        assert Polynomial([1, 2, 1e-20]).degree() == 2
+        assert Polynomial([1, 2, 0]).degree() == 1
+
+    def test_high_degree_from_roots_keeps_its_leading_one(self):
+        p = from_roots(range(1, 21))
+        assert p.degree() == 20
+        assert p.coeffs[-1] == 1
 
     def test_zero_polynomial(self):
         assert Polynomial([0, 0]).is_zero

@@ -13,10 +13,11 @@ import random
 from .errors import HypothesisViolated, InvalidInput, TheoremViolation
 from .poly import Polynomial, binomial
 from .regions import CircularRegion, contains
-from .rootfind import find_roots
+from .rootfind import DEFAULT_TOL, find_roots
 
 DEFAULT_APOLARITY_RTOL = 1e-8
-DEFAULT_WITNESS_TOL = 1e-6
+# the band around a region within which a computed root counts as a witness
+WITNESS_TOL = 1e-6
 
 
 def _framed(p: Polynomial, n: int) -> list[complex]:
@@ -84,9 +85,7 @@ def grace_witness(
     b: Polynomial,
     n: int,
     region: CircularRegion,
-    membership_tol: float = 1e-9,
-    witness_tol: float = DEFAULT_WITNESS_TOL,
-    rtol: float = DEFAULT_APOLARITY_RTOL,
+    root_tol: float = DEFAULT_TOL,
 ) -> complex:
     """A root of b inside the region, as Grace's theorem guarantees.
 
@@ -99,23 +98,23 @@ def grace_witness(
             f"both polynomials must have degree exactly {n} "
             f"(got {a.degree()} and {b.degree()})"
         )
-    if not is_apolar(a, b, n, rtol):
+    if not is_apolar(a, b, n):
         value = apolarity_functional(a, b, n)
         raise HypothesisViolated(f"pair is not apolar: A(a,b) = {value}")
 
-    a_roots = find_roots(a)
+    a_roots = find_roots(a, tol=root_tol)
     for r in a_roots.roots:
-        if not contains(region, r, membership_tol):
+        if not contains(region, r):
             raise HypothesisViolated(
                 f"root {r} of a outside region (signed distance "
                 f"{region.signed_distance(r):.3e})"
             )
 
-    b_roots = find_roots(b)
+    b_roots = find_roots(b, tol=root_tol)
     inside = [
         (res, abs(r), r)
         for r, res in zip(b_roots.roots, b_roots.residuals)
-        if contains(region, r, witness_tol)
+        if contains(region, r, WITNESS_TOL)
     ]
     if not inside:
         raise TheoremViolation("no root of b found inside the region")

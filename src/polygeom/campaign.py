@@ -11,13 +11,12 @@ from __future__ import annotations
 import cmath
 import math
 import random
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from . import jsonio
-from .apolarity import apolarity_functional, grace_witness, make_apolar
+from .apolarity import WITNESS_TOL, apolarity_functional, grace_witness, make_apolar
 from .coincidence import SymmetricMultiaffine, coincidence_witness, theorem1_hypothesis
 from .derivative_bound import (
     Theorem2Instance,
@@ -35,8 +34,8 @@ from .errors import (
     TheoremViolation,
 )
 from .poly import N_MAX, Polynomial, from_roots
-from .regions import disk, exterior_disk, half_plane, smallest_enclosing_disk
-from .rootfind import find_roots
+from .regions import MEMBERSHIP_TOL, disk, exterior_disk, half_plane, smallest_enclosing_disk
+from .rootfind import DEFAULT_TOL, find_roots
 
 PASS = "pass"
 FAIL = "fail"
@@ -77,9 +76,7 @@ class CampaignConfig:
     seed: int = 0
     n_min: int = 2
     n_max: int = 12
-    root_tol: float = 1e-12
-    membership_tol: float = 1e-9
-    witness_tol: float = 1e-6
+    root_tol: float = DEFAULT_TOL
     jobs: int = 1
 
     def validate(self) -> None:
@@ -91,8 +88,8 @@ class CampaignConfig:
             raise InvalidConfig("trials must be >= 1")
         if not 1 <= self.n_min <= self.n_max <= N_MAX:
             raise InvalidConfig(f"need 1 <= n_min <= n_max <= {N_MAX}")
-        if not (self.root_tol > 0 and self.membership_tol >= 0 and self.witness_tol >= 0):
-            raise InvalidConfig("need root_tol > 0, membership_tol >= 0 and witness_tol >= 0")
+        if not self.root_tol > 0:
+            raise InvalidConfig("root_tol must be > 0")
         if self.jobs < 1:
             raise InvalidConfig("jobs must be >= 1")
 
@@ -104,8 +101,8 @@ class CampaignConfig:
             "n_min": self.n_min,
             "n_max": self.n_max,
             "root_tol": self.root_tol,
-            "membership_tol": self.membership_tol,
-            "witness_tol": self.witness_tol,
+            "membership_tol": MEMBERSHIP_TOL,
+            "witness_tol": WITNESS_TOL,
         }
 
 
@@ -117,11 +114,8 @@ class CampaignReport:
     errored: int = 0
     failures: list = field(default_factory=list)
     notes: list = field(default_factory=list)
-    wall_time: float = 0.0
 
     def to_json(self) -> dict:
-        # wall_time deliberately omitted: reports must be byte-identical
-        # across reruns and parallelism levels
         return {
             "schema": jsonio.SCHEMA,
             "config": self.config.to_json(),
@@ -182,10 +176,7 @@ def _check_grace(inst: dict, cfg: CampaignConfig) -> Verdict:
     a = jsonio.poly_from_json(inst["a"])
     b = jsonio.poly_from_json(inst["b"])
     region = jsonio.region_from_json(inst["region"])
-    w = grace_witness(
-        a, b, inst["n"], region,
-        membership_tol=cfg.membership_tol, witness_tol=cfg.witness_tol,
-    )
+    w = grace_witness(a, b, inst["n"], region, root_tol=cfg.root_tol)
     return Verdict(PASS, f"witness {w}", w)
 
 
@@ -193,7 +184,7 @@ def _random_multiaffine(rng: random.Random, n: int, m: int) -> SymmetricMultiaff
     E = [_unit_box(rng) for _ in range(m + 1)]
     while abs(E[m]) < 0.1:
         E[m] = _unit_box(rng)
-    return SymmetricMultiaffine(n, E, trim=False)
+    return SymmetricMultiaffine(n, E)
 
 
 def _gen_walsh_classic(rng: random.Random, cfg: CampaignConfig) -> dict:
@@ -216,7 +207,8 @@ def _gen_theorem1(rng: random.Random, cfg: CampaignConfig, exterior: bool) -> di
     m = rng.randint(1, n)
     P = _random_multiaffine(rng, n, m)
     w = [2.0 * _unit_box(rng) for _ in range(n)]
-    droots = find_roots(from_roots(w).derivative(n - m)).roots if m < n else tuple(w)
+    droots = (find_roots(from_roots(w).derivative(n - m), tol=cfg.root_tol).roots
+              if m < n else tuple(w))
 
     if exterior:
         while True:
@@ -249,16 +241,9 @@ def _check_coincidence(inst: dict, cfg: CampaignConfig) -> Verdict:
     # force (set by `polygeom coincidence --force`) solves despite a failed hypothesis
     classic, force = bool(inst.get("classic", False)), bool(inst.get("force", False))
     hyp = None if classic else theorem1_hypothesis(
-        w, max(P.total_degree, 1), region, cfg.membership_tol, cfg.root_tol)
-    z = coincidence_witness(
-        P, w, region,
-        membership_tol=cfg.membership_tol,
-        witness_tol=cfg.witness_tol,
-        root_tol=cfg.root_tol,
-        check_hypothesis=not force,
-        classic=classic,
-        hypothesis=hyp,
-    )
+        w, max(P.total_degree, 1), region, root_tol=cfg.root_tol)
+    z = coincidence_witness(P, w, region, root_tol=cfg.root_tol, check_hypothesis=not force,
+                            classic=classic, hypothesis=hyp)
     return Verdict(PASS, f"witness {z}", z, hyp)
 
 
@@ -366,7 +351,7 @@ def _gen_gauss_lucas(rng: random.Random, cfg: CampaignConfig) -> dict:
 
 def _check_gauss_lucas(inst: dict, cfg: CampaignConfig) -> Verdict:
     p = jsonio.poly_from_json(inst["poly"])
-    if gauss_lucas_check(p, tol=1e-7, root_tol=cfg.root_tol):
+    if gauss_lucas_check(p, root_tol=cfg.root_tol):
         return Verdict(PASS, "all critical points in the root hull")
     return Verdict(FAIL, "critical point outside the root hull")
 
@@ -421,8 +406,6 @@ def _run_trial(cfg: CampaignConfig, index: int) -> dict:
 
 def run_campaign(config: CampaignConfig) -> CampaignReport:
     config.validate()
-    start = time.monotonic()
-
     indices = range(config.trials)
     if config.jobs > 1:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
@@ -449,7 +432,6 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
                 {"trial_seed": r["trial_seed"], "status": r["status"],
                  "diagnostic": r["diagnostic"]}
             )
-    report.wall_time = time.monotonic() - start
     return report
 
 

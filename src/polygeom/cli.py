@@ -26,7 +26,7 @@ from .campaign import (
 from .coincidence import theorem1_apolarity_residual
 from .derivative_bound import generate_theorem2_instance
 from .errors import InvalidInput, NonConvergence, PolygeomError, TheoremViolation
-from .rootfind import find_roots
+from .rootfind import DEFAULT_MAX_ITER, DEFAULT_TOL, find_roots
 from .svgplot import emit_svg
 
 EXIT_OK = 0
@@ -188,8 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
     # each subcommand takes only the options it reads
     p = sub.add_parser("roots", help="all zeros of a polynomial")
     p.add_argument("--poly", required=True)
-    p.add_argument("--max-iter", type=int, default=200)
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.set_defaults(func=_cmd_roots)
 
     p = sub.add_parser("apolar", help="apolarity functional of two polynomials")
@@ -230,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--n-min", type=int, default=2)
     p.add_argument("--n-max", type=int, default=12)
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_fuzz)
@@ -257,7 +257,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidInput, FileNotFoundError) as e:
+    except InvalidInput as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID
     except PolygeomError as e:

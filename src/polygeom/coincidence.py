@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .apolarity import apolarity_functional, _apolarity_scale
+from .apolarity import WITNESS_TOL, apolarity_functional, _apolarity_scale
 from .errors import (
     DegenerateDiagonal,
     HypothesisViolated,
@@ -18,14 +18,17 @@ from .errors import (
 )
 from .poly import Polynomial, binomial, elementary_symmetric_all, from_roots
 from .regions import CircularRegion, contains
-from .rootfind import RootSet, find_roots
-
-_E_TRIM_REL = 1e-14
+from .rootfind import DEFAULT_TOL, RootSet, find_roots
 
 
 @dataclass(frozen=True)
 class SymmetricMultiaffine:
-    """p(z_1..z_n) = sum_k E_k * e_k, degree at most 1 in each variable."""
+    """p(z_1..z_n) = sum_k E_k * e_k, degree at most 1 in each variable.
+
+    Only trailing E_k that are exactly 0 are dropped, as in Polynomial, so
+    the total degree is the index of the last nonzero E_k. trim is ignored;
+    it is kept so that callers passing it keep working.
+    """
 
     n: int
     E: tuple[complex, ...]
@@ -36,13 +39,10 @@ class SymmetricMultiaffine:
         cs = tuple(complex(c) for c in E)
         if not cs:
             raise InvalidInput("E must be nonempty")
-        if trim:
-            top = max(abs(c) for c in cs)
-            cut = _E_TRIM_REL * top
-            k = len(cs)
-            while k > 1 and abs(cs[k - 1]) <= cut:
-                k -= 1
-            cs = cs[:k]
+        k = len(cs)
+        while k > 1 and cs[k - 1] == 0:
+            k -= 1
+        cs = cs[:k]
         if len(cs) - 1 > n:
             raise InvalidInput(f"total degree {len(cs) - 1} exceeds n={n}")
         object.__setattr__(self, "n", n)
@@ -76,8 +76,7 @@ def theorem1_hypothesis(
     points: Sequence[complex],
     m: int,
     region: CircularRegion,
-    membership_tol: float = 1e-9,
-    root_tol: float = 1e-12,
+    root_tol: float = DEFAULT_TOL,
 ) -> HypothesisReport:
     """Do all zeros of q^(n-m) lie in the region, q = prod (z - w_i)?
 
@@ -89,9 +88,7 @@ def theorem1_hypothesis(
     q = from_roots(points)
     d = q.derivative(n - m)
     droots = find_roots(d, tol=root_tol)
-    outside = tuple(
-        r for r in droots.roots if not contains(region, r, membership_tol)
-    )
+    outside = tuple(r for r in droots.roots if not contains(region, r))
     return HypothesisReport(not outside, droots, outside)
 
 
@@ -99,9 +96,7 @@ def coincidence_witness(
     P: SymmetricMultiaffine,
     points: Sequence[complex],
     region: CircularRegion,
-    membership_tol: float = 1e-9,
-    witness_tol: float = 1e-6,
-    root_tol: float = 1e-12,
+    root_tol: float = DEFAULT_TOL,
     check_hypothesis: bool = True,
     classic: bool = False,
     hypothesis: HypothesisReport | None = None,
@@ -119,12 +114,12 @@ def coincidence_witness(
 
     if check_hypothesis:
         if classic:
-            bad = [w for w in points if not contains(region, w, membership_tol)]
+            bad = [w for w in points if not contains(region, w)]
             if bad:
                 raise HypothesisViolated(f"points outside region: {bad}")
         else:
             hypothesis = hypothesis or theorem1_hypothesis(
-                points, max(m, 1), region, membership_tol, root_tol)
+                points, max(m, 1), region, root_tol)
             if not hypothesis.holds:
                 raise HypothesisViolated(
                     f"derivative zeros outside region: {list(hypothesis.outside)}",
@@ -146,7 +141,7 @@ def coincidence_witness(
     inside = [
         (res, abs(r), r)
         for r, res in zip(groots.roots, groots.residuals)
-        if contains(region, r, witness_tol)
+        if contains(region, r, WITNESS_TOL)
     ]
     if not inside:
         raise TheoremViolation(
@@ -175,7 +170,7 @@ def theorem1_apolarity_residual(
     c = evaluate_multiaffine(P, points)
     E = list(P.E)
     E[0] -= c
-    Pn = SymmetricMultiaffine(n, E, trim=False)
+    Pn = SymmetricMultiaffine(n, E)
 
     q = from_roots(points)
     d = q.derivative(n - m)

@@ -15,9 +15,11 @@ from dataclasses import dataclass
 from .errors import InvalidInput, InvalidInstance
 from .poly import Polynomial, from_roots, mean_of_roots
 from .regions import CircularRegion, contains, convex_hull, disk, hull_distance
-from .rootfind import RootSet, find_roots
+from .rootfind import DEFAULT_TOL, RootSet, find_roots
 
 _MEAN_RTOL = 1e-12
+# the band of the disk test of a zero count, of inner-zero membership and
+# of the Gauss-Lucas hull distance
 _COUNT_TOL = 1e-7
 
 
@@ -27,7 +29,7 @@ class Theorem2Instance:
     outer_zero: complex
     disk: CircularRegion
 
-    def validate(self, membership_tol: float = _COUNT_TOL) -> None:
+    def validate(self) -> None:
         m = len(self.inner_zeros)
         if m < 2:
             raise InvalidInstance("need at least two inner zeros (n >= 3)")
@@ -38,7 +40,7 @@ class Theorem2Instance:
                 f"disk center {c} is not the mean of the inner zeros ({mean})"
             )
         for z in self.inner_zeros:
-            if not contains(self.disk, z, membership_tol):
+            if not contains(self.disk, z, _COUNT_TOL):
                 raise InvalidInstance(f"inner zero {z} outside the closed disk")
 
 
@@ -61,7 +63,7 @@ def theorem2_bound(n: int, k: int) -> int:
     return max(0, (n - 2 * k + 1) // 2)
 
 
-def check_theorem2(inst: Theorem2Instance, k: int, root_tol: float = 1e-12) -> Theorem2Report:
+def check_theorem2(inst: Theorem2Instance, k: int, root_tol: float = DEFAULT_TOL) -> Theorem2Report:
     inst.validate()
     n = len(inst.inner_zeros) + 1
     bound = theorem2_bound(n, k)
@@ -133,13 +135,13 @@ def factorization_roots(n: int, k: int, y: complex) -> list[complex]:
     return [y] * (n - k - 1) + [(k / n) * y]
 
 
-def gauss_lucas_check(p: Polynomial, tol: float = 1e-7, root_tol: float = 1e-12) -> bool:
-    """Every critical point within tol of the convex hull of the zeros."""
+def gauss_lucas_check(p: Polynomial, root_tol: float = DEFAULT_TOL) -> bool:
+    """Every critical point within _COUNT_TOL of the convex hull of the zeros."""
     if p.degree() < 2:
         raise InvalidInput("gauss_lucas_check needs degree >= 2")
     hull = convex_hull(find_roots(p, tol=root_tol).roots)
     crit = find_roots(p.derivative(), tol=root_tol)
-    return all(hull_distance(hull, z) <= tol for z in crit.roots)
+    return all(hull_distance(hull, z) <= _COUNT_TOL for z in crit.roots)
 
 
 def generate_theorem2_instance(

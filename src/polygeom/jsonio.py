@@ -110,7 +110,7 @@ def disk_from_json(d: dict) -> CircularRegion:
 
 def multiaffine_from_json(d: dict) -> SymmetricMultiaffine:
     _object(d, "multiaffine")
-    return SymmetricMultiaffine(int(_real(d["n"])), points_from_json(d["E"]), trim=False)
+    return SymmetricMultiaffine(int(_real(d["n"])), points_from_json(d["E"]))
 
 
 def rootset_to_json(rs: RootSet) -> dict:
@@ -142,9 +142,12 @@ class _Object(dict):
 
 
 def load_file(path: str) -> Any:
-    """Parsed JSON; malformed JSON, NaN/Infinity and missing keys are InvalidInput."""
-    with open(path, "r", encoding="utf-8") as f:
-        try:
+    """Parsed JSON; an unreadable file, malformed JSON, NaN/Infinity and
+    missing keys are InvalidInput."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
             return json.load(f, object_hook=_Object, parse_constant=_reject_constant)
-        except ValueError as e:
-            raise InvalidInput(f"{path}: not valid JSON: {e}") from None
+    except OSError as e:
+        raise InvalidInput(f"cannot read {path}: {e.strerror}") from None
+    except ValueError as e:
+        raise InvalidInput(f"{path}: not valid JSON: {e}") from None

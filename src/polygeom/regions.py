@@ -15,7 +15,8 @@ from typing import Sequence
 
 from .errors import InvalidInput
 
-DEFAULT_MEMBERSHIP_TOL = 1e-9
+# the membership band of every hypothesis check
+MEMBERSHIP_TOL = 1e-9
 
 DISK = "disk"
 HALFPLANE = "halfplane"
@@ -75,7 +76,7 @@ def half_plane(direction: complex, offset: float, closed: bool = True) -> Circul
     )
 
 
-def contains(region: CircularRegion, z: complex, tol: float = DEFAULT_MEMBERSHIP_TOL) -> bool:
+def contains(region: CircularRegion, z: complex, tol: float = MEMBERSHIP_TOL) -> bool:
     """Tolerance-aware membership.
 
     Closed regions accept the boundary band, open regions reject it; the
@@ -117,8 +118,8 @@ def _circle_three(a: complex, b: complex, c: complex) -> tuple[complex, float] |
     return center, max(abs(a - center), abs(b - center), abs(c - center))
 
 
-def _in_disk(d: tuple[complex, float], z: complex, slack: float = 1e-12) -> bool:
-    return abs(z - d[0]) <= d[1] + slack * (1.0 + abs(z))
+def _in_disk(d: tuple[complex, float], z: complex) -> bool:
+    return abs(z - d[0]) <= d[1] + 1e-12 * (1.0 + abs(z))
 
 
 def smallest_enclosing_disk(points: Sequence[complex]) -> CircularRegion:

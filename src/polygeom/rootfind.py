@@ -26,6 +26,8 @@ DEFAULT_MAX_ITER = 200
 # single-linkage threshold for detecting a candidate multiple-root group,
 # well below the 1e-2 separation the round-trip contract assumes
 _GROUP_RADIUS = 1e-3
+# single-linkage threshold for the multiplicity clusters of a root set
+_CLUSTER_RADIUS = 1e-6
 
 
 @dataclass(frozen=True)
@@ -152,7 +154,6 @@ def find_roots(
     p: Polynomial,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    cluster_radius_scale: float = 1e-6,
 ) -> RootSet:
     """All complex zeros with residuals and multiplicity clusters.
 
@@ -188,7 +189,7 @@ def find_roots(
         )
 
     clusters = []
-    for g in _single_linkage(z, cluster_radius_scale):
+    for g in _single_linkage(z, _CLUSTER_RADIUS):
         rep = sum(roots[i] for i in g) / len(g)
         clusters.append((rep, len(g)))
     clusters.sort(key=lambda c: (c[0].real, c[0].imag))

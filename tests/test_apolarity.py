@@ -90,7 +90,7 @@ class TestGraceWitness:
         a = from_roots([c] * n)
         rng = random.Random(9)
         b = make_apolar(a, n, seed=5)
-        w = grace_witness(a, b, n, disk(c, 1e-6), witness_tol=1e-6)
+        w = grace_witness(a, b, n, disk(c, 1e-6))
         assert abs(w - c) <= 1e-5
 
     def test_enclosing_disk_of_roots(self):

@@ -28,7 +28,7 @@ class TestConfig:
         with pytest.raises(InvalidConfig):
             run_campaign(CampaignConfig(property="grace", trials=1, n_min=5, n_max=2))
 
-    @pytest.mark.parametrize("bad", [{"membership_tol": -1}, {"witness_tol": -1},
+    @pytest.mark.parametrize("bad", [{"root_tol": 0}, {"root_tol": -1e-12},
                                      {"jobs": -4}, {"jobs": 0}])
     def test_bad_tolerance_or_jobs(self, bad):
         with pytest.raises(InvalidConfig):
@@ -67,6 +67,13 @@ class TestAllProperties:
         assert rep.passed + rep.failed + rep.errored == 50
         assert rep.failed == 0
         assert rep.errored == 0
+
+
+class TestRootTolerance:
+    def test_grace_honours_root_tol(self):
+        # no root set is certified at 1e-30, so every trial errs
+        rep = run_campaign(CampaignConfig(property="grace", trials=20, seed=1, root_tol=1e-30))
+        assert rep.errored == 20
 
 
 class TestHighDegree:

@@ -40,6 +40,10 @@ class TestRoots:
     def test_missing_file(self, tmp_path):
         assert main(["roots", "--poly", str(tmp_path / "missing.json")]) == 2
 
+    def test_directory_is_invalid_input(self, tmp_path, capsys):
+        assert main(["roots", "--poly", str(tmp_path)]) == 2
+        assert "cannot read" in capsys.readouterr().err
+
 
 class TestApolar:
     def test_apolar_pair(self, tmp_path, capsys):
@@ -216,6 +220,11 @@ AGREEMENT_CASES = {
                                        "points": [[-1, 0], [1, 0]],
                                        "region": _disk([0, 0], 1, "exterior"),
                                        "classic": False}, 0, "hypothesis-violation"),
+    # the same, with a trailing E_2 = 0: the total degree is still 1
+    "paper-exterior-counterexample-trailing-zero": (
+        {"property": "theorem1_exterior", "multiaffine": {"n": 2, "E": [[0, 0], [1, 0], [0, 0]]},
+         "points": [[-1, 0], [1, 0]], "region": _disk([0, 0], 1, "exterior"),
+         "classic": False}, 0, "hypothesis-violation"),
 }
 
 

@@ -46,6 +46,14 @@ class TestEvaluateMultiaffine:
             evaluate_multiaffine(SymmetricMultiaffine(2, [0, 1]), [1, 2, 3])
 
 
+class TestTotalDegree:
+    def test_tiny_top_coefficient_counts(self):
+        assert SymmetricMultiaffine(30, [1] * 30 + [1e-15]).total_degree == 30
+
+    def test_trailing_exact_zero_dropped(self):
+        assert SymmetricMultiaffine(2, [0, 1, 0]).total_degree == 1
+
+
 class TestDiagonal:
     def test_e1_two_variables(self):
         assert diagonal(SymmetricMultiaffine(2, [0, 1])).coeffs == (0j, 2 + 0j)

@@ -179,7 +179,7 @@ class TestGaussLucas:
             cs = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(deg + 1)]
             while abs(cs[-1]) < 0.1:
                 cs[-1] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-            assert gauss_lucas_check(Polynomial(cs), tol=1e-7)
+            assert gauss_lucas_check(Polynomial(cs))
 
     def test_rejects_low_degree(self):
         with pytest.raises(InvalidInput):

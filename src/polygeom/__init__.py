@@ -39,6 +39,6 @@ from .regions import (
     is_convex,
     smallest_enclosing_disk,
 )
-from .rootfind import RootSet, cauchy_bound, find_roots
+from .rootfind import RootSet, cauchy_bound, find_roots, find_roots_many
 
 __version__ = "0.1.0"

@@ -13,7 +13,7 @@ import random
 from .errors import HypothesisViolated, InvalidInput, TheoremViolation
 from .poly import Polynomial, binomial
 from .regions import CircularRegion, contains
-from .rootfind import DEFAULT_TOL, find_roots
+from .rootfind import DEFAULT_TOL, drive
 
 DEFAULT_APOLARITY_RTOL = 1e-8
 # the band around a region within which a computed root counts as a witness
@@ -80,6 +80,36 @@ def make_apolar(a: Polynomial, n: int, seed: int) -> Polynomial:
     return Polynomial(bc)
 
 
+def _grace_core(a: Polynomial, b: Polynomial, n: int, region: CircularRegion):
+    """grace_witness as a core: yields a, then b, for their roots."""
+    if a.degree() != n or b.degree() != n:
+        raise InvalidInput(
+            f"both polynomials must have degree exactly {n} "
+            f"(got {a.degree()} and {b.degree()})"
+        )
+    if not is_apolar(a, b, n):
+        value = apolarity_functional(a, b, n)
+        raise HypothesisViolated(f"pair is not apolar: A(a,b) = {value}")
+
+    a_roots = yield a
+    for r in a_roots.roots:
+        if not contains(region, r):
+            raise HypothesisViolated(
+                f"root {r} of a outside region (signed distance "
+                f"{region.signed_distance(r):.3e})"
+            )
+
+    b_roots = yield b
+    inside = [
+        (res, abs(r), r)
+        for r, res in zip(b_roots.roots, b_roots.residuals)
+        if contains(region, r, WITNESS_TOL)
+    ]
+    if not inside:
+        raise TheoremViolation("no root of b found inside the region")
+    return min(inside)[2]
+
+
 def grace_witness(
     a: Polynomial,
     b: Polynomial,
@@ -93,29 +123,4 @@ def grace_witness(
     all roots of a in the region); returns the in-region root of b with
     the smallest residual, ties broken by modulus.
     """
-    if a.degree() != n or b.degree() != n:
-        raise InvalidInput(
-            f"both polynomials must have degree exactly {n} "
-            f"(got {a.degree()} and {b.degree()})"
-        )
-    if not is_apolar(a, b, n):
-        value = apolarity_functional(a, b, n)
-        raise HypothesisViolated(f"pair is not apolar: A(a,b) = {value}")
-
-    a_roots = find_roots(a, tol=root_tol)
-    for r in a_roots.roots:
-        if not contains(region, r):
-            raise HypothesisViolated(
-                f"root {r} of a outside region (signed distance "
-                f"{region.signed_distance(r):.3e})"
-            )
-
-    b_roots = find_roots(b, tol=root_tol)
-    inside = [
-        (res, abs(r), r)
-        for r, res in zip(b_roots.roots, b_roots.residuals)
-        if contains(region, r, WITNESS_TOL)
-    ]
-    if not inside:
-        raise TheoremViolation("no root of b found inside the region")
-    return min(inside)[2]
+    return drive(_grace_core(a, b, n, region), root_tol)

@@ -9,6 +9,7 @@ order and is byte-identical at any --jobs setting.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import random
 from concurrent.futures import ProcessPoolExecutor
@@ -16,12 +17,13 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from . import jsonio
-from .apolarity import WITNESS_TOL, apolarity_functional, grace_witness, make_apolar
-from .coincidence import SymmetricMultiaffine, coincidence_witness, theorem1_hypothesis
+from .apolarity import WITNESS_TOL, _grace_core, apolarity_functional, make_apolar
+from .coincidence import SymmetricMultiaffine, _coincidence_core, _hypothesis_core
 from .derivative_bound import (
+    MEAN_RESIDUAL_TOL,
     Theorem2Instance,
-    check_theorem2,
-    gauss_lucas_check,
+    _gauss_lucas_core,
+    _theorem2_core,
     generate_theorem2_instance,
     kth_derivative_identity,
 )
@@ -35,7 +37,7 @@ from .errors import (
 )
 from .poly import N_MAX, Polynomial, from_roots
 from .regions import MEMBERSHIP_TOL, disk, exterior_disk, half_plane, smallest_enclosing_disk
-from .rootfind import DEFAULT_TOL, find_roots
+from .rootfind import DEFAULT_TOL, _valid_tol, drive_many, find_roots
 
 PASS = "pass"
 FAIL = "fail"
@@ -88,8 +90,8 @@ class CampaignConfig:
             raise InvalidConfig("trials must be >= 1")
         if not 1 <= self.n_min <= self.n_max <= N_MAX:
             raise InvalidConfig(f"need 1 <= n_min <= n_max <= {N_MAX}")
-        if not self.root_tol > 0:
-            raise InvalidConfig("root_tol must be > 0")
+        if not _valid_tol(self.root_tol):
+            raise InvalidConfig(f"root_tol must be finite and > 0, got {self.root_tol!r}")
         if self.jobs < 1:
             raise InvalidConfig("jobs must be >= 1")
 
@@ -172,11 +174,11 @@ def _gen_grace(rng: random.Random, cfg: CampaignConfig) -> dict:
     }
 
 
-def _check_grace(inst: dict, cfg: CampaignConfig) -> Verdict:
+def _check_grace(inst: dict, cfg: CampaignConfig):
     a = jsonio.poly_from_json(inst["a"])
     b = jsonio.poly_from_json(inst["b"])
     region = jsonio.region_from_json(inst["region"])
-    w = grace_witness(a, b, inst["n"], region, root_tol=cfg.root_tol)
+    w = yield from _grace_core(a, b, inst["n"], region)
     return Verdict(PASS, f"witness {w}", w)
 
 
@@ -234,16 +236,16 @@ def _gen_theorem1(rng: random.Random, cfg: CampaignConfig, exterior: bool) -> di
     }
 
 
-def _check_coincidence(inst: dict, cfg: CampaignConfig) -> Verdict:
+def _check_coincidence(inst: dict, cfg: CampaignConfig):
     P = jsonio.multiaffine_from_json(inst["multiaffine"])
     w = jsonio.points_from_json(inst["points"])
     region = jsonio.region_from_json(inst["region"])
     # force (set by `polygeom coincidence --force`) solves despite a failed hypothesis
     classic, force = bool(inst.get("classic", False)), bool(inst.get("force", False))
-    hyp = None if classic else theorem1_hypothesis(
-        w, max(P.total_degree, 1), region, root_tol=cfg.root_tol)
-    z = coincidence_witness(P, w, region, root_tol=cfg.root_tol, check_hypothesis=not force,
-                            classic=classic, hypothesis=hyp)
+    hyp = None if classic else (
+        yield from _hypothesis_core(w, max(P.total_degree, 1), region))
+    z = yield from _coincidence_core(P, w, region, check_hypothesis=not force,
+                                     classic=classic, hypothesis=hyp)
     return Verdict(PASS, f"witness {z}", z, hyp)
 
 
@@ -268,21 +270,21 @@ def _gen_theorem2(rng: random.Random, cfg: CampaignConfig) -> dict:
     }
 
 
-def _check_theorem2(inst: dict, cfg: CampaignConfig) -> Verdict:
+def _check_theorem2(inst: dict, cfg: CampaignConfig):
     t2 = Theorem2Instance(
         tuple(jsonio.points_from_json(inst["inner_zeros"])),
         jsonio.complex_from_json(inst["outer_zero"]),
         jsonio.disk_from_json(inst["disk"]),
     )
-    report = check_theorem2(t2, inst["k"], root_tol=cfg.root_tol)
+    report = yield from _theorem2_core(t2, inst["k"])
     if not report.satisfied:
         return Verdict(FAIL, (
             f"count {report.count_in_disk} < bound {report.bound} "
             f"(n={report.n}, k={report.k})"
         ), report=report)
-    if report.mean_residual > 1e-12:
-        return Verdict(FAIL, f"mean residual {report.mean_residual:.3e} above 1e-12",
-                       report=report)
+    if report.mean_residual > MEAN_RESIDUAL_TOL:
+        return Verdict(FAIL, (f"mean residual {report.mean_residual:.3e} "
+                              f"above {MEAN_RESIDUAL_TOL:g}"), report=report)
     return Verdict(PASS, f"count {report.count_in_disk} >= bound {report.bound}",
                    report=report)
 
@@ -303,7 +305,8 @@ def _gen_apolarity_identity(rng: random.Random, cfg: CampaignConfig) -> dict:
     }
 
 
-def _check_apolarity_identity(inst: dict, cfg: CampaignConfig) -> Verdict:
+def _check_apolarity_identity(inst: dict, cfg: CampaignConfig):
+    yield from ()  # requests no roots
     n = inst["n"]
     a = Polynomial(jsonio.points_from_json(inst["a"]))
     a2 = Polynomial(jsonio.points_from_json(inst["a2"]))
@@ -334,7 +337,8 @@ def _gen_derivative_identity(rng: random.Random, cfg: CampaignConfig) -> dict:
     }
 
 
-def _check_derivative_identity(inst: dict, cfg: CampaignConfig) -> Verdict:
+def _check_derivative_identity(inst: dict, cfg: CampaignConfig):
+    yield from ()  # requests no roots
     res = kth_derivative_identity(inst["n"], inst["k"], jsonio.complex_from_json(inst["y"]))
     if res > 1e-11:
         return Verdict(FAIL, f"closed-form residual {res:.3e} above 1e-11")
@@ -349,13 +353,16 @@ def _gen_gauss_lucas(rng: random.Random, cfg: CampaignConfig) -> dict:
     return {"property": "gauss_lucas", "poly": jsonio.poly_to_json(Polynomial(coeffs))}
 
 
-def _check_gauss_lucas(inst: dict, cfg: CampaignConfig) -> Verdict:
+def _check_gauss_lucas(inst: dict, cfg: CampaignConfig):
     p = jsonio.poly_from_json(inst["poly"])
-    if gauss_lucas_check(p, root_tol=cfg.root_tol):
+    if (yield from _gauss_lucas_core(p)):
         return Verdict(PASS, "all critical points in the root hull")
     return Verdict(FAIL, "critical point outside the root hull")
 
 
+# property -> (instance generator, check); a check is a generator that
+# yields the polynomials whose roots it needs (see rootfind.drive_many)
+# and returns its Verdict
 PROPERTIES = {
     "grace": (_gen_grace, _check_grace),
     "walsh_classic": (_gen_walsh_classic, _check_coincidence),
@@ -374,55 +381,82 @@ PROPERTIES = {
 }
 
 
-def run_check(prop: str, inst: dict, cfg: CampaignConfig) -> Verdict:
-    """One verification; the only place a check's exceptions become a
-    status. No relaxed tolerance is retried: a pass rests on cfg.root_tol."""
-    _, check = PROPERTIES[prop]
-    try:
-        return check(inst, cfg)
-    except HypothesisViolated as e:
+def _error_verdict(e: PolygeomError) -> Verdict:
+    if isinstance(e, HypothesisViolated):
         return Verdict(HYPOTHESIS_VIOLATION, str(e), report=e.report, error=e)
-    except TheoremViolation as e:
+    if isinstance(e, TheoremViolation):
         return Verdict(FAIL, str(e), report=e.report, error=e)
-    except NonConvergence as e:
+    if isinstance(e, NonConvergence):
         return Verdict(ERROR, f"root finding did not converge: {e}", error=e)
-    except PolygeomError as e:
-        return Verdict(ERROR, f"{type(e).__name__}: {e}", error=e)
+    return Verdict(ERROR, f"{type(e).__name__}: {e}", error=e)
+
+
+def _run_checks(checks: list, root_tol: float) -> list[Verdict]:
+    """Run started checks in lockstep; the only place a check's exceptions
+    become a status. No relaxed tolerance is retried: a pass rests on
+    root_tol."""
+    return [v if isinstance(v, Verdict) else _error_verdict(v)
+            for v in drive_many(checks, root_tol)]
+
+
+def run_check(prop: str, inst: dict, cfg: CampaignConfig) -> Verdict:
+    """One verification."""
+    _, check = PROPERTIES[prop]
+    return _run_checks([check(inst, cfg)], cfg.root_tol)[0]
+
+
+def _run_chunk(cfg: CampaignConfig, start: int, stop: int) -> list[dict]:
+    """Trials start..stop-1: generate every instance, then advance all
+    their checks in lockstep, so that each round solves the chunk's
+    pending root requests in one batch."""
+    gen, check = PROPERTIES[cfg.property]
+    records, started = [], []
+    for index in range(start, stop):
+        ts = trial_seed(cfg.seed, index)
+        rec = {"trial": index, "trial_seed": ts, "instance": None}
+        try:
+            rec["instance"] = gen(random.Random(ts), cfg)
+        except PolygeomError as e:
+            rec.update(status=ERROR, diagnostic=f"generation failed: {e}")
+        else:
+            started.append((rec, check(rec["instance"], cfg)))
+        records.append(rec)
+    verdicts = _run_checks([c for _, c in started], cfg.root_tol)
+    for (rec, _), v in zip(started, verdicts):
+        rec.update(status=v.status, diagnostic=v.diagnostic)
+    return records
 
 
 def _run_trial(cfg: CampaignConfig, index: int) -> dict:
-    ts = trial_seed(cfg.seed, index)
-    rng = random.Random(ts)
-    gen, _ = PROPERTIES[cfg.property]
-    try:
-        inst = gen(rng, cfg)
-    except PolygeomError as e:
-        return {"trial": index, "trial_seed": ts, "status": ERROR,
-                "instance": None, "diagnostic": f"generation failed: {e}"}
-    v = run_check(cfg.property, inst, cfg)
-    return {"trial": index, "trial_seed": ts, "status": v.status,
-            "instance": inst, "diagnostic": v.diagnostic}
+    return _run_chunk(cfg, index, index + 1)[0]
 
 
 def run_campaign(config: CampaignConfig) -> CampaignReport:
     config.validate()
-    indices = range(config.trials)
+    # chunks of this many trials balance the pool's load; a chunk's checks
+    # run in lockstep, and the chunk bounds the root requests held at once
+    size = max(1, config.trials // (8 * config.jobs))
+    starts = range(0, config.trials, size)
+    stops = [min(s + size, config.trials) for s in starts]
+    cfgs = [config] * len(starts)
     if config.jobs > 1:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            results = list(pool.map(_run_trial, [config] * config.trials, indices,
-                                    chunksize=max(1, config.trials // (8 * config.jobs))))
+            chunks = list(pool.map(_run_chunk, cfgs, starts, stops))
     else:
-        results = [_run_trial(config, i) for i in indices]
+        chunks = list(map(_run_chunk, cfgs, starts, stops))
 
     report = CampaignReport(config=config)
-    for r in results:
+    for r in itertools.chain.from_iterable(chunks):
         if r["status"] == PASS:
             report.passed += 1
         elif r["status"] in (FAIL, ERROR):
             report.failed += r["status"] == FAIL
             report.errored += r["status"] == ERROR
+            # the instance carries the tolerance that replay re-runs it at
+            inst = (None if r["instance"] is None
+                    else {**r["instance"], "root_tol": config.root_tol})
             report.failures.append(
-                {"trial_seed": r["trial_seed"], "instance": r["instance"],
+                {"trial_seed": r["trial_seed"], "instance": inst,
                  "diagnostic": r["diagnostic"]}
             )
         else:
@@ -445,7 +479,10 @@ def replay_verdict(inst: dict, prop: str | None = None,
     if prop not in PROPERTIES:
         raise InvalidInput(f"unknown or missing property {prop!r}")
     if cfg is None:
-        cfg = CampaignConfig(property=prop, trials=1)
+        # a failure record's instance carries its campaign's root_tol
+        cfg = CampaignConfig(property=prop, trials=1,
+                             root_tol=inst.get("root_tol", DEFAULT_TOL))
+        cfg.validate()
     v = run_check(prop, inst, cfg)
     return {"schema": jsonio.SCHEMA, "property": prop, "status": v.status,
             "diagnostic": v.diagnostic}, v

@@ -18,7 +18,7 @@ from .errors import (
 )
 from .poly import Polynomial, binomial, elementary_symmetric_all, from_roots
 from .regions import CircularRegion, contains
-from .rootfind import DEFAULT_TOL, RootSet, find_roots
+from .rootfind import DEFAULT_TOL, RootSet, drive
 
 
 @dataclass(frozen=True)
@@ -72,6 +72,18 @@ def diagonal(P: SymmetricMultiaffine) -> Polynomial:
     return Polynomial([Ek * binomial(P.n, k) for k, Ek in enumerate(P.E)])
 
 
+def _hypothesis_core(points: Sequence[complex], m: int, region: CircularRegion):
+    """theorem1_hypothesis as a core: yields q^(n-m) for its roots."""
+    n = len(points)
+    if not 1 <= m <= n:
+        raise InvalidInput(f"need 1 <= m <= {n}, got m={m}")
+    q = from_roots(points)
+    d = q.derivative(n - m)
+    droots = yield d
+    outside = tuple(r for r in droots.roots if not contains(region, r))
+    return HypothesisReport(not outside, droots, outside)
+
+
 def theorem1_hypothesis(
     points: Sequence[complex],
     m: int,
@@ -82,14 +94,61 @@ def theorem1_hypothesis(
 
     m = n means the zeroth derivative: the points themselves.
     """
-    n = len(points)
-    if not 1 <= m <= n:
-        raise InvalidInput(f"need 1 <= m <= {n}, got m={m}")
-    q = from_roots(points)
-    d = q.derivative(n - m)
-    droots = find_roots(d, tol=root_tol)
-    outside = tuple(r for r in droots.roots if not contains(region, r))
-    return HypothesisReport(not outside, droots, outside)
+    return drive(_hypothesis_core(points, m, region), root_tol)
+
+
+def _coincidence_core(
+    P: SymmetricMultiaffine,
+    points: Sequence[complex],
+    region: CircularRegion,
+    check_hypothesis: bool = True,
+    classic: bool = False,
+    hypothesis: HypothesisReport | None = None,
+):
+    """coincidence_witness as a core: yields q^(n-m) (unless classic or
+    given its hypothesis), then the diagonal equation, for their roots."""
+    if len(points) != P.n:
+        raise InvalidInput(f"expected {P.n} points, got {len(points)}")
+    m = P.total_degree
+
+    if check_hypothesis:
+        if classic:
+            bad = [w for w in points if not contains(region, w)]
+            if bad:
+                raise HypothesisViolated(f"points outside region: {bad}")
+        else:
+            if hypothesis is None:
+                hypothesis = yield from _hypothesis_core(points, max(m, 1), region)
+            if not hypothesis.holds:
+                raise HypothesisViolated(
+                    f"derivative zeros outside region: {list(hypothesis.outside)}",
+                    report=hypothesis,
+                )
+
+    c = evaluate_multiaffine(P, points)
+    if m == 0:
+        # constant P: the equation is an identity; any member will do
+        return region.representative_point()
+
+    g = diagonal(P).shifted_constant(-c)
+    if g.degree() < 1:
+        if g.is_zero:
+            return region.representative_point()
+        raise DegenerateDiagonal("diagonal minus value is a nonzero constant")
+
+    groots = yield g
+    inside = [
+        (res, abs(r), r)
+        for r, res in zip(groots.roots, groots.residuals)
+        if contains(region, r, WITNESS_TOL)
+    ]
+    if not inside:
+        raise TheoremViolation(
+            f"no solution of the diagonal equation inside the region "
+            f"(roots {list(groots.roots)})",
+            report=hypothesis,
+        )
+    return min(inside)[2]
 
 
 def coincidence_witness(
@@ -108,48 +167,8 @@ def coincidence_witness(
     hypothesis is a theorem1_hypothesis report already computed for these
     points and region; it is used instead of computing one.
     """
-    if len(points) != P.n:
-        raise InvalidInput(f"expected {P.n} points, got {len(points)}")
-    m = P.total_degree
-
-    if check_hypothesis:
-        if classic:
-            bad = [w for w in points if not contains(region, w)]
-            if bad:
-                raise HypothesisViolated(f"points outside region: {bad}")
-        else:
-            hypothesis = hypothesis or theorem1_hypothesis(
-                points, max(m, 1), region, root_tol)
-            if not hypothesis.holds:
-                raise HypothesisViolated(
-                    f"derivative zeros outside region: {list(hypothesis.outside)}",
-                    report=hypothesis,
-                )
-
-    c = evaluate_multiaffine(P, points)
-    if m == 0:
-        # constant P: the equation is an identity; any member will do
-        return region.representative_point()
-
-    g = diagonal(P).shifted_constant(-c)
-    if g.degree() < 1:
-        if g.is_zero:
-            return region.representative_point()
-        raise DegenerateDiagonal("diagonal minus value is a nonzero constant")
-
-    groots = find_roots(g, tol=root_tol)
-    inside = [
-        (res, abs(r), r)
-        for r, res in zip(groots.roots, groots.residuals)
-        if contains(region, r, WITNESS_TOL)
-    ]
-    if not inside:
-        raise TheoremViolation(
-            f"no solution of the diagonal equation inside the region "
-            f"(roots {list(groots.roots)})",
-            report=hypothesis,
-        )
-    return min(inside)[2]
+    return drive(_coincidence_core(P, points, region, check_hypothesis, classic, hypothesis),
+                 root_tol)
 
 
 def theorem1_apolarity_residual(

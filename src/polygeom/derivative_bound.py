@@ -15,9 +15,12 @@ from dataclasses import dataclass
 from .errors import InvalidInput, InvalidInstance
 from .poly import Polynomial, from_roots, mean_of_roots
 from .regions import CircularRegion, contains, convex_hull, disk, hull_distance
-from .rootfind import DEFAULT_TOL, RootSet, find_roots
+from .rootfind import DEFAULT_TOL, RootSet, drive
 
 _MEAN_RTOL = 1e-12
+# the largest relative distance between the mean zero of p and of p^(k)
+# (equal in exact arithmetic) at which a theorem 2 check still passes
+MEAN_RESIDUAL_TOL = 1e-12
 # the band of the disk test of a zero count, of inner-zero membership and
 # of the Gauss-Lucas hull distance
 _COUNT_TOL = 1e-7
@@ -63,7 +66,8 @@ def theorem2_bound(n: int, k: int) -> int:
     return max(0, (n - 2 * k + 1) // 2)
 
 
-def check_theorem2(inst: Theorem2Instance, k: int, root_tol: float = DEFAULT_TOL) -> Theorem2Report:
+def _theorem2_core(inst: Theorem2Instance, k: int):
+    """check_theorem2 as a core: yields p^(k) for its roots."""
     inst.validate()
     n = len(inst.inner_zeros) + 1
     bound = theorem2_bound(n, k)
@@ -75,7 +79,7 @@ def check_theorem2(inst: Theorem2Instance, k: int, root_tol: float = DEFAULT_TOL
     zeros = [(z - c) / r for z in list(inst.inner_zeros) + [inst.outer_zero]]
     p = from_roots(zeros)
     d = p.derivative(k)
-    droots_n = find_roots(d, tol=root_tol)
+    droots_n = yield d
 
     count = 0
     for rep, mult in droots_n.clusters:
@@ -102,6 +106,10 @@ def check_theorem2(inst: Theorem2Instance, k: int, root_tol: float = DEFAULT_TOL
         mean_residual=mean_residual,
         vacuous=(bound == 0),
     )
+
+
+def check_theorem2(inst: Theorem2Instance, k: int, root_tol: float = DEFAULT_TOL) -> Theorem2Report:
+    return drive(_theorem2_core(inst, k), root_tol)
 
 
 def kth_derivative_identity(n: int, k: int, y: complex) -> float:
@@ -135,13 +143,18 @@ def factorization_roots(n: int, k: int, y: complex) -> list[complex]:
     return [y] * (n - k - 1) + [(k / n) * y]
 
 
-def gauss_lucas_check(p: Polynomial, root_tol: float = DEFAULT_TOL) -> bool:
-    """Every critical point within _COUNT_TOL of the convex hull of the zeros."""
+def _gauss_lucas_core(p: Polynomial):
+    """gauss_lucas_check as a core: yields p, then p', for their roots."""
     if p.degree() < 2:
         raise InvalidInput("gauss_lucas_check needs degree >= 2")
-    hull = convex_hull(find_roots(p, tol=root_tol).roots)
-    crit = find_roots(p.derivative(), tol=root_tol)
+    hull = convex_hull((yield p).roots)
+    crit = yield p.derivative()
     return all(hull_distance(hull, z) <= _COUNT_TOL for z in crit.roots)
+
+
+def gauss_lucas_check(p: Polynomial, root_tol: float = DEFAULT_TOL) -> bool:
+    """Every critical point within _COUNT_TOL of the convex hull of the zeros."""
+    return drive(_gauss_lucas_core(p), root_tol)
 
 
 def generate_theorem2_instance(

@@ -1,23 +1,34 @@
-"""All-roots solver: companion-matrix eigenvalues polished by Aberth-Ehrlich.
+"""All-roots solver: companion-matrix eigenvalues polished by Aberth-Ehrlich,
+for a batch of polynomials at once.
 
-The start is ``np.roots`` (eigenvalues of the balanced companion matrix,
-backward stable by Edelman & Murakami 1995). Aberth-Ehrlich sweeps then
-run over the roots that are still active; a root freezes once its step is
-negligible or its scaled residual is within tol (Bini 1996). Every root
-gets one vectorized Newton polish, and near-coincident approximations of
-a multiple root are collapsed onto a refined representative before
-multiplicity clustering. A root set is certified only when the scaled
-residual of every root under the original polynomial is within tol; a
-NaN or inf residual fails.
+The start is the eigenvalues of the companion matrix that ``np.roots``
+builds (backward stable by Edelman & Murakami 1995), one stacked
+``eigvals`` call per degree. Aberth-Ehrlich sweeps then run over the
+roots that are still active, across every polynomial of the batch; a root
+freezes once its step is negligible or its scaled residual is within tol
+(Bini 1996). Every root gets one vectorized Newton polish, and
+near-coincident approximations of a multiple root are collapsed onto a
+refined representative before multiplicity clustering. A root set is
+certified only when the scaled residual of every root under the original
+polynomial is within tol; a NaN or inf residual fails. Every operation
+is elementwise or per row, so a polynomial gets the same bits in any
+batch as alone.
+
+Checks that need roots are written as generators (cores): a core yields
+a Polynomial and is sent its RootSet, or has the root finder's error
+thrown in at the yield. ``drive`` runs one core, ``drive_many`` runs many
+in lockstep with one ``find_roots_many`` call per round.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidDegree, NonConvergence
+from .errors import InvalidDegree, InvalidInput, NonConvergence, PolygeomError
 from .poly import Polynomial
 
 DEFAULT_TOL = 1e-12
@@ -37,6 +48,11 @@ class RootSet:
     clusters: tuple[tuple[complex, int], ...]
 
 
+def _valid_tol(tol) -> bool:
+    """A root tolerance is a finite positive number."""
+    return isinstance(tol, numbers.Real) and not isinstance(tol, bool) and 0 < tol < math.inf
+
+
 def cauchy_bound(p: Polynomial) -> float:
     """1 + max |a_k/a_n|; every root has modulus below this."""
     n = p.degree()
@@ -46,6 +62,23 @@ def cauchy_bound(p: Polynomial) -> float:
     return 1.0 + max((abs(c) for c in p.coeffs[:n]), default=0.0) / an
 
 
+# Coefficient arrays are descending along their first axis: c[k] holds
+# the k-th coefficient of every polynomial, shaped like the points it is
+# evaluated at (or a scalar, for one polynomial). The evaluation is
+# np.polyval's, operation for operation, so it gives the same bits.
+
+
+def _polyval(c: np.ndarray, z: np.ndarray) -> np.ndarray:
+    y = np.zeros(np.shape(z), np.result_type(c, z))
+    for ck in c:
+        y = y * z + ck
+    return y
+
+
+def _polyder(c: np.ndarray) -> np.ndarray:
+    return c[:-1] * np.arange(len(c) - 1, 0, -1).reshape((-1,) + (1,) * (c.ndim - 1))
+
+
 def _scaled_residuals(rc: np.ndarray, z: np.ndarray, pz: np.ndarray) -> np.ndarray:
     """|p(z)| / sum_k |a_k| max(1, |z|)**k, given pz = p(z) and the
     coefficients rc of p in descending order.
@@ -53,42 +86,70 @@ def _scaled_residuals(rc: np.ndarray, z: np.ndarray, pz: np.ndarray) -> np.ndarr
     NaN or inf where the evaluation overflows; neither passes a
     ``<= tol`` test.
     """
-    return np.abs(pz) / np.polyval(np.abs(rc), np.maximum(1.0, np.abs(z)))
+    return np.abs(pz) / _polyval(np.abs(rc), np.maximum(1.0, np.abs(z)))
 
 
-def _aberth(rc: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
-    """Roots of descending coefficients rc (degree >= 2, no zero root)."""
-    drc = np.polyder(rc)
-    x = np.roots(rc).astype(complex)
-    active = np.arange(len(x))
-    for _ in range(max_iter):
-        xa = x[active]
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            p = np.polyval(rc, xa)
-            converged = _scaled_residuals(rc, xa, p) <= tol
-            dp = np.polyval(drc, xa)
-            w = np.where(p == 0, 0.0, p / np.where(dp == 0, 1e-300, dp))
-            diff = xa[:, None] - x[None, :]
-            diff[np.arange(len(active)), active] = np.inf
-            s = np.sum(1.0 / diff, axis=1)
-            delta = w / (1.0 - w * s)
-        delta = np.where(np.isfinite(delta) & ~converged, delta, 0.0)
-        x[active] = xa - delta
-        moving = np.abs(delta) > tol * (1.0 + np.abs(x[active]))
-        active = active[moving]
-        if not active.size:
-            break
+def _companion_eigvals(c: np.ndarray) -> np.ndarray:
+    """For each column of coefficients, the eigenvalues of the companion
+    matrix np.roots builds (one row each); NaN where that matrix is not
+    finite."""
+    d, rows = len(c) - 1, c.shape[1]
+    a = np.zeros((rows, d, d), dtype=complex)
+    a[:, 0, :] = (-c[1:] / c[0]).T
+    a[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+    bad = ~np.isfinite(a[:, 0, :]).all(axis=1)
+    a[bad, 0, :] = 0.0
+    x = np.linalg.eigvals(a)
+    x[bad] = np.nan
     return x
 
 
-def _newton_polish(rc: np.ndarray, z: np.ndarray) -> np.ndarray:
+def _aberth(c: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
+    """Roots (one row each) of the polynomials whose coefficients are the
+    columns of c (degree >= 2, no zero root). The active roots of all
+    polynomials form one flat set; each sweep gathers their coefficients
+    once."""
+    d = len(c) - 1
+    # the coefficients of p, then of p', so that a sweep gathers both at once
+    cd = np.concatenate([c, _polyder(c)])
+    x = _companion_eigvals(c)
+    flat = x.reshape(-1)
+    # the active roots: flat index, and its polynomial and position
+    active = np.arange(x.size)
+    row, col = np.divmod(active, d)
+    for _ in range(max_iter):
+        if not active.size:
+            break
+        xa, g = flat[active], cd[:, row]
+        p = _polyval(g[:d + 1], xa)
+        converged = _scaled_residuals(g[:d + 1], xa, p) <= tol
+        dp = _polyval(g[d + 1:], xa)
+        w = np.where(p == 0, 0.0, p / np.where(dp == 0, 1e-300, dp))
+        diff = xa[:, None] - x[row]
+        diff[np.arange(active.size), col] = np.inf
+        s = np.sum(1.0 / diff, axis=1)
+        delta = w / (1.0 - w * s)
+        delta = np.where(np.isfinite(delta) & ~converged, delta, 0.0)
+        flat[active] = xa = xa - delta
+        moving = np.abs(delta) > tol * (1.0 + np.abs(xa))
+        active, row, col = active[moving], row[moving], col[moving]
+    return x
+
+
+def _newton_polish(c: np.ndarray, z: np.ndarray) -> np.ndarray:
     """One Newton step per root, kept only where |p| does not grow."""
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        pv = np.polyval(rc, z)
-        dv = np.polyval(np.polyder(rc), z)
-        cand = z - pv / np.where(dv == 0, 1.0, dv)
-        better = np.abs(np.polyval(rc, cand)) <= np.abs(pv)
+    pv = _polyval(c, z)
+    dv = _polyval(_polyder(c), z)
+    cand = z - pv / np.where(dv == 0, 1.0, dv)
+    better = np.abs(_polyval(c, cand)) <= np.abs(pv)
     return np.where((dv != 0) & np.isfinite(cand) & better, cand, z)
+
+
+def _adjacency(z: np.ndarray, scale: float) -> np.ndarray:
+    """|z_i - z_j| <= scale * (1 + max(|z_i|, |z_j|)) over the last axis."""
+    radius = scale * (1.0 + np.abs(z))
+    return (np.abs(z[..., :, None] - z[..., None, :])
+            <= np.maximum(radius[..., :, None], radius[..., None, :]))
 
 
 def _single_linkage(points: np.ndarray, scale: float) -> list[list[int]]:
@@ -97,8 +158,7 @@ def _single_linkage(points: np.ndarray, scale: float) -> list[list[int]]:
     Groups are ordered by their smallest index, members ascending.
     """
     n = len(points)
-    radius = scale * (1.0 + np.abs(points))
-    adj = np.abs(points[:, None] - points[None, :]) <= np.maximum(radius[:, None], radius[None, :])
+    adj = _adjacency(points, scale)
     np.fill_diagonal(adj, True)
     if np.count_nonzero(adj) == n:
         return [[i] for i in range(n)]
@@ -142,11 +202,89 @@ def _collapse_multiple(p: Polynomial, rc: np.ndarray, roots: list[complex],
                 break
         spread_cap = 10.0 * (1.0 + abs(z)) * (1e-13) ** (1.0 / m)
         spread = max(abs(roots[i] - z) for i in g)
-        with np.errstate(over="ignore", invalid="ignore"):
-            certified = _scaled_residuals(rc, z, np.polyval(rc, z)) <= tol
+        certified = _scaled_residuals(rc, z, np.polyval(rc, z)) <= tol
         if spread <= spread_cap and certified:
             for i in g:
                 out[i] = z
+    return out
+
+
+def _solve_group(polys: list[Polynomial], c: np.ndarray, d: int, tol: float,
+                 max_iter: int) -> list[RootSet | PolygeomError]:
+    """Root sets of polynomials of one degree n whose coefficients are the
+    columns of c, each with n - d exact zeros at the origin (so c[:d + 1]
+    has none)."""
+    n = len(c) - 1
+    approx = np.zeros((len(polys), n), dtype=complex)
+    if d == 1:
+        approx[:, -1] = -c[1] / c[0]
+    elif d >= 2:
+        approx[:, n - d:] = _aberth(c[:d + 1], tol, max_iter)
+    # each root's coefficients, as the rows of z are flattened
+    cz = np.repeat(c, n, axis=1)
+    z = _newton_polish(cz, approx.ravel()).reshape(approx.shape)
+
+    # rows with a candidate multiple-root group, or a non-finite value (no
+    # longer adjacent to itself), take the per-root path; the others are
+    # sorted by (real, imag) here (a stable sort, as list.sort is), and
+    # their roots are also singleton clusters, _CLUSTER_RADIUS being the
+    # smaller radius
+    lone = _adjacency(z, _GROUP_RADIUS).sum(axis=(1, 2)) == n
+    z[lone] = np.sort(z[lone], axis=-1, kind="stable")
+    roots = z.tolist()
+    for r in (~lone).nonzero()[0]:
+        roots[r] = _collapse_multiple(polys[r], c[:, r], roots[r], tol)
+        roots[r].sort(key=lambda x: (x.real, x.imag))
+        z[r] = roots[r]
+
+    flat = z.ravel()
+    residuals = _scaled_residuals(cz, flat, _polyval(cz, flat)).reshape(z.shape)
+    certified = (residuals <= tol).all(axis=1)
+    out: list[RootSet | PolygeomError] = []
+    for r, rs in enumerate(roots):
+        res = residuals[r].tolist()
+        if not certified[r]:
+            out.append(NonConvergence(
+                f"residuals above tol={tol} after {max_iter} iterations",
+                roots=rs, residuals=res))
+            continue
+        groups = [[i] for i in range(n)] if lone[r] else _single_linkage(z[r], _CLUSTER_RADIUS)
+        clusters = sorted(((sum(rs[i] for i in g) / len(g), len(g)) for g in groups),
+                          key=lambda cl: (cl[0].real, cl[0].imag))
+        out.append(RootSet(tuple(rs), tuple(res), tuple(clusters)))
+    return out
+
+
+def find_roots_many(
+    polys: list[Polynomial],
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
+) -> list[RootSet | PolygeomError]:
+    """find_roots of every polynomial: its RootSet, or the error
+    find_roots would raise for it.
+
+    Rows are grouped by degree and by the degree left once exact zeros at
+    the origin come off, and each group is solved with stacked array
+    operations; every row gets the same bits as it would alone.
+    """
+    out: list[RootSet | PolygeomError | None] = [None] * len(polys)
+    groups: dict[tuple[int, int], list[int]] = {}
+    valid_tol = _valid_tol(tol)
+    for i, p in enumerate(polys):
+        n = p.degree()
+        if n < 1:
+            out[i] = InvalidDegree("find_roots needs degree >= 1")
+        elif not valid_tol:
+            out[i] = InvalidInput(f"tol must be finite and > 0, got {tol!r}")
+        else:
+            zeros = next(k for k, a in enumerate(p.coeffs) if a != 0)
+            groups.setdefault((n, n - zeros), []).append(i)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for (_, d), rows in groups.items():
+            c = np.array([polys[i].coeffs[::-1] for i in rows], dtype=complex).T.copy()
+            solved = _solve_group([polys[i] for i in rows], c, d, tol, max_iter)
+            for i, res in zip(rows, solved):
+                out[i] = res
     return out
 
 
@@ -158,40 +296,47 @@ def find_roots(
     """All complex zeros with residuals and multiplicity clusters.
 
     Raises NonConvergence (carrying best-effort roots) when any scaled
-    residual exceeds tol, or is NaN, after max_iter sweeps and polishing.
+    residual exceeds tol, or is NaN, after max_iter sweeps and polishing;
+    InvalidInput when tol is not finite and positive.
     """
-    n = p.degree()
-    if n < 1:
-        raise InvalidDegree("find_roots needs degree >= 1")
-    if tol <= 0:
-        raise InvalidDegree("tol must be positive")
+    out = find_roots_many([p], tol, max_iter)[0]
+    if isinstance(out, PolygeomError):
+        raise out
+    return out
 
-    # exact zeros at the origin come off first: rc[:d + 1] has none
-    rc = np.asarray(p.coeffs[::-1], dtype=complex)
-    d = int(np.flatnonzero(rc)[-1])
-    approx = np.zeros(n, dtype=complex)
-    if d == 1:
-        approx[-1] = -rc[1] / rc[0]
-    elif d >= 2:
-        approx[n - d:] = _aberth(rc[:d + 1], tol, max_iter)
 
-    roots = _collapse_multiple(p, rc, _newton_polish(rc, approx).tolist(), tol)
-    roots.sort(key=lambda r: (r.real, r.imag))
+def drive_many(cores: list, tol: float = DEFAULT_TOL) -> list:
+    """Run root-requesting generators in lockstep.
 
-    z = np.asarray(roots)
-    with np.errstate(over="ignore", invalid="ignore"):
-        residuals = _scaled_residuals(rc, z, np.polyval(rc, z)).tolist()
-    if not all(r <= tol for r in residuals):
-        raise NonConvergence(
-            f"residuals above tol={tol} after {max_iter} iterations",
-            roots=roots,
-            residuals=residuals,
-        )
+    A core yields a Polynomial and is sent its RootSet, or has the error
+    find_roots would raise thrown in at the yield. Each round solves every
+    pending request with one find_roots_many call. Returns what each core
+    returned, or the PolygeomError it raised.
+    """
+    out: list = [None] * len(cores)
+    pending: dict[int, Polynomial] = {}
 
-    clusters = []
-    for g in _single_linkage(z, _CLUSTER_RADIUS):
-        rep = sum(roots[i] for i in g) / len(g)
-        clusters.append((rep, len(g)))
-    clusters.sort(key=lambda c: (c[0].real, c[0].imag))
+    def advance(i, step, arg):
+        try:
+            pending[i] = step(arg)
+        except StopIteration as stop:
+            out[i] = stop.value
+        except PolygeomError as e:
+            out[i] = e
 
-    return RootSet(tuple(roots), tuple(residuals), tuple(clusters))
+    for i, core in enumerate(cores):
+        advance(i, core.send, None)
+    while pending:
+        idx = list(pending)
+        solved = find_roots_many([pending.pop(i) for i in idx], tol)
+        for i, res in zip(idx, solved):
+            advance(i, cores[i].throw if isinstance(res, PolygeomError) else cores[i].send, res)
+    return out
+
+
+def drive(core, tol: float = DEFAULT_TOL):
+    """Run one root-requesting generator to completion; raise what it raises."""
+    out, = drive_many([core], tol)
+    if isinstance(out, PolygeomError):
+        raise out
+    return out

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -6,8 +7,10 @@ from polygeom import jsonio
 from polygeom.campaign import (
     PROPERTIES,
     CampaignConfig,
+    _run_chunk,
     _run_trial,
     replay,
+    replay_verdict,
     run_campaign,
     trial_seed,
 )
@@ -34,6 +37,11 @@ class TestConfig:
         with pytest.raises(InvalidConfig):
             run_campaign(CampaignConfig(property="grace", trials=5, **bad))
 
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, "1e-12"])
+    def test_non_finite_tolerance(self, tol):
+        with pytest.raises(InvalidConfig):
+            run_campaign(CampaignConfig(property="grace", trials=5, root_tol=tol))
+
 
 class TestSeeding:
     def test_trial_seeds_distinct(self):
@@ -57,6 +65,21 @@ class TestDeterminism:
         assert jsonio.dumps(run_campaign(base).to_json()) == jsonio.dumps(
             run_campaign(par).to_json()
         )
+
+
+class TestChunks:
+    # 53 trials: chunks of 6, 3 and 2 at jobs 1, 2 and 3, none dividing 53
+    @pytest.mark.parametrize("prop", sorted(PROPERTIES))
+    def test_identical_reports_across_jobs(self, prop):
+        n_min = 3 if prop == "theorem2" else 2
+        a, b, c = (jsonio.dumps(run_campaign(CampaignConfig(
+            property=prop, trials=53, seed=21, n_min=n_min, n_max=12, jobs=jobs)).to_json())
+            for jobs in (1, 2, 3))
+        assert a == b == c
+
+    def test_chunk_equals_its_trials(self):
+        cfg = CampaignConfig(property="theorem1_convex", trials=10, seed=4)
+        assert _run_chunk(cfg, 2, 7) == [_run_trial(cfg, i) for i in range(2, 7)]
 
 
 class TestAllProperties:
@@ -140,3 +163,19 @@ class TestReplay:
     def test_unknown_property_rejected(self):
         with pytest.raises(InvalidInput):
             replay({"property": "bogus"})
+
+    def test_failure_replays_at_its_campaign_tolerance(self):
+        rep = run_campaign(CampaignConfig(property="grace", trials=2, seed=1, root_tol=1e-30))
+        inst = rep.failures[0]["instance"]
+        assert inst["root_tol"] == 1e-30
+        doc, _ = replay_verdict(inst)
+        assert (doc["status"], doc["diagnostic"]) == ("error", rep.failures[0]["diagnostic"])
+        # at the default tolerance the same instance passes
+        assert replay({k: x for k, x in inst.items() if k != "root_tol"})["status"] == "pass"
+
+    @pytest.mark.parametrize("tol", [0, math.inf, "1e-12", None])
+    def test_bad_recorded_tolerance_is_invalid_input(self, tol):
+        cfg = CampaignConfig(property="derivative_identity", trials=1)
+        inst = _run_trial(cfg, 0)["instance"]
+        with pytest.raises(InvalidInput):
+            replay({**inst, "root_tol": tol})

@@ -45,6 +45,31 @@ class TestRoots:
         assert "cannot read" in capsys.readouterr().err
 
 
+class TestTolerance:
+    @pytest.mark.parametrize("tol", ["inf", "1e400", "nan"])
+    def test_roots_rejects(self, tmp_path, capsys, tol):
+        poly = write(tmp_path, "p.json", {"coeffs": [[-1, 0], [0, 0], [1, 0]]})
+        assert main(["roots", "--poly", poly, "--tol", tol]) == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("tol", ["inf", "1e400", "nan"])
+    def test_fuzz_rejects(self, tmp_path, capsys, tol):
+        out = tmp_path / "r.json"
+        assert main(["fuzz", "--property", "grace", "--trials", "2", "--tol", tol,
+                     "--json-out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_replay_at_the_campaign_tolerance(self, tmp_path, capsys):
+        report = tmp_path / "r.json"
+        assert main(["fuzz", "--property", "grace", "--trials", "2", "--seed", "1",
+                     "--tol", "1e-30", "--json-out", str(report)]) == 3
+        failure = read_json(report)["failures"][0]
+        inst = write(tmp_path, "inst.json", failure["instance"])
+        assert main(["replay", "--instance", inst]) == 3
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["status"], doc["diagnostic"]) == ("error", failure["diagnostic"])
+
+
 class TestApolar:
     def test_apolar_pair(self, tmp_path, capsys):
         a = write(tmp_path, "a.json", {"coeffs": [[1, 0], [-2, 0], [1, 0]]})

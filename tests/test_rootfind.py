@@ -4,10 +4,20 @@ import random
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from polygeom.errors import InvalidDegree, NonConvergence
+from polygeom.errors import InvalidDegree, InvalidInput, NonConvergence, PolygeomError
 from polygeom.poly import Polynomial, from_roots
-from polygeom.rootfind import _scaled_residuals, _single_linkage, cauchy_bound, find_roots
+from polygeom.rootfind import (
+    _scaled_residuals,
+    _single_linkage,
+    cauchy_bound,
+    drive,
+    drive_many,
+    find_roots,
+    find_roots_many,
+)
 
 
 def match_multisets(found, expected, tol):
@@ -218,3 +228,110 @@ class TestArrayHelpers:
             for z, r in zip(zs, got):
                 scale = sum(abs(c) * max(1.0, abs(z)) ** k for k, c in enumerate(p.coeffs))
                 assert r == pytest.approx(abs(p(z)) / scale, rel=1e-12)
+
+
+class TestTolerance:
+    @pytest.mark.parametrize("tol", [0, -1e-12, math.inf, math.nan, "1e-12", True])
+    def test_rejected(self, tol):
+        with pytest.raises(InvalidInput):
+            find_roots(Polynomial([-1, 0, 1]), tol=tol)
+
+    def test_degree_error_comes_first(self):
+        with pytest.raises(InvalidDegree):
+            find_roots(Polynomial([1]), tol=math.inf)
+
+
+def outcome(x):
+    """A find_roots result or error as comparable text; repr keeps the
+    sign of a zero and prints NaN."""
+    if isinstance(x, PolygeomError):
+        return (type(x).__name__, str(x), tuple(map(repr, getattr(x, "roots", ()))),
+                tuple(map(repr, getattr(x, "residuals", ()))))
+    return ("ok", tuple(map(repr, x.roots)), tuple(map(repr, x.residuals)),
+            tuple(map(repr, x.clusters)))
+
+
+def alone(p, tol=1e-12):
+    try:
+        return find_roots(p, tol=tol)
+    except PolygeomError as e:
+        return e
+
+
+unit = st.builds(complex, st.floats(-1, 1), st.floats(-1, 1))
+
+
+@st.composite
+def polynomials(draw):
+    kind = draw(st.sampled_from(["random", "origin", "repeated", "overflow", "constant"]))
+    # a few degrees, so that rows often share a group
+    deg = draw(st.sampled_from([1, 2, 5, 12, 33, 60]))
+    if kind == "overflow":
+        # NaN residuals: a NonConvergence row
+        return Polynomial([1e6] * 60 + [1])
+    if kind == "constant":
+        return Polynomial([draw(unit) + 1])
+    if kind == "repeated":
+        # multiple roots: the rows that take the per-root collapse path
+        pts = draw(st.lists(unit, min_size=1, max_size=3))
+        return from_roots([pts[draw(st.integers(0, len(pts) - 1))]
+                           for _ in range(min(deg, 12))])
+    cs = draw(st.lists(unit, min_size=deg + 1, max_size=deg + 1))
+    cs[-1] += 1.5
+    if kind == "origin":
+        zeros = draw(st.integers(1, deg))
+        cs[:zeros] = [0j] * zeros
+    return Polynomial(cs)
+
+
+class TestBatch:
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(polynomials(), min_size=1, max_size=8),
+           st.sampled_from([1e-12, 1e-30]))
+    def test_rows_equal_single_calls(self, ps, tol):
+        many = find_roots_many(ps, tol=tol)
+        assert [outcome(m) for m in many] == [outcome(alone(p, tol)) for p in ps]
+
+    def test_batch_of_one_degree(self):
+        rng = random.Random(8)
+        ps = [Polynomial(random_unit_box(rng, 7)) for _ in range(30)]
+        assert [outcome(m) for m in find_roots_many(ps)] == [outcome(alone(p)) for p in ps]
+
+    def test_non_finite_companion_is_non_convergence(self):
+        # -a_0/a_2 overflows, so there is no finite companion matrix
+        with pytest.raises(NonConvergence) as exc:
+            find_roots(Polynomial([1e10, 0, 1e-300]))
+        assert len(exc.value.roots) == 2
+
+
+class TestDrive:
+    @staticmethod
+    def core(p, q):
+        a = yield p
+        b = yield q
+        return len(a.roots) + len(b.roots)
+
+    def test_sends_root_sets(self):
+        assert drive(self.core(Polynomial([-1, 0, 1]), Polynomial([0, 0, 0, 1]))) == 5
+
+    def test_error_thrown_in_at_the_yield(self):
+        seen = []
+
+        def core():
+            try:
+                yield Polynomial([1])
+            except InvalidDegree:
+                seen.append("thrown")
+                raise
+
+        with pytest.raises(InvalidDegree):
+            drive(core())
+        assert seen == ["thrown"]
+
+    def test_lockstep_keeps_order_and_errors(self):
+        cores = [self.core(Polynomial([-1, 0, 1]), Polynomial([1, 1])),
+                 self.core(Polynomial([1]), Polynomial([1, 1])),
+                 self.core(Polynomial([1, 1]), Polynomial([2, 0, 0, 1]))]
+        out = drive_many(cores)
+        assert out[0] == 3 and out[2] == 4
+        assert isinstance(out[1], InvalidDegree)

@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import random
 
-from .errors import HypothesisViolated, InvalidInput, TheoremViolation
+from .errors import InvalidInput
 from .poly import Polynomial, binomial
-from .regions import CircularRegion, contains
+from .regions import CircularRegion
 from .rootfind import DEFAULT_TOL, drive
 
-DEFAULT_APOLARITY_RTOL = 1e-8
-# the band around a region within which a computed root counts as a witness
-WITNESS_TOL = 1e-6
+# the relative band of the apolarity test
+APOLARITY_RTOL = 1e-8
 
 
 def _framed(p: Polynomial, n: int) -> list[complex]:
@@ -40,19 +39,19 @@ def apolarity_functional(a: Polynomial, b: Polynomial, n: int) -> complex:
     return total
 
 
-def _apolarity_scale(a: Polynomial, b: Polynomial, n: int) -> float:
+def apolarity_residual(a: Polynomial, b: Polynomial, n: int) -> float:
+    """|A(a, b)| relative to its magnitude scale sum |a_k b_{n-k}| / C(n,k)
+    (0 when that scale is 0)."""
+    value = abs(apolarity_functional(a, b, n))
     ac = _framed(a, n)
     bc = _framed(b, n)
-    return sum(abs(ac[k]) * abs(bc[n - k]) / binomial(n, k) for k in range(n + 1))
+    scale = sum(abs(ac[k]) * abs(bc[n - k]) / binomial(n, k) for k in range(n + 1))
+    return value / scale if scale > 0 else value
 
 
-def is_apolar(
-    a: Polynomial, b: Polynomial, n: int, rtol: float = DEFAULT_APOLARITY_RTOL
-) -> bool:
+def is_apolar(a: Polynomial, b: Polynomial, n: int) -> bool:
     """True iff the pairing vanishes relative to its own magnitude scale."""
-    value = abs(apolarity_functional(a, b, n))
-    scale = _apolarity_scale(a, b, n)
-    return value <= rtol * scale if scale > 0 else value == 0
+    return apolarity_residual(a, b, n) <= APOLARITY_RTOL
 
 
 def make_apolar(a: Polynomial, n: int, seed: int) -> Polynomial:
@@ -80,36 +79,6 @@ def make_apolar(a: Polynomial, n: int, seed: int) -> Polynomial:
     return Polynomial(bc)
 
 
-def _grace_core(a: Polynomial, b: Polynomial, n: int, region: CircularRegion):
-    """grace_witness as a core: yields a, then b, for their roots."""
-    if a.degree() != n or b.degree() != n:
-        raise InvalidInput(
-            f"both polynomials must have degree exactly {n} "
-            f"(got {a.degree()} and {b.degree()})"
-        )
-    if not is_apolar(a, b, n):
-        value = apolarity_functional(a, b, n)
-        raise HypothesisViolated(f"pair is not apolar: A(a,b) = {value}")
-
-    a_roots = yield a
-    for r in a_roots.roots:
-        if not contains(region, r):
-            raise HypothesisViolated(
-                f"root {r} of a outside region (signed distance "
-                f"{region.signed_distance(r):.3e})"
-            )
-
-    b_roots = yield b
-    inside = [
-        (res, abs(r), r)
-        for r, res in zip(b_roots.roots, b_roots.residuals)
-        if contains(region, r, WITNESS_TOL)
-    ]
-    if not inside:
-        raise TheoremViolation("no root of b found inside the region")
-    return min(inside)[2]
-
-
 def grace_witness(
     a: Polynomial,
     b: Polynomial,
@@ -120,7 +89,10 @@ def grace_witness(
     """A root of b inside the region, as Grace's theorem guarantees.
 
     Checks the hypotheses first (full degree n on both sides, apolarity,
-    all roots of a in the region); returns the in-region root of b with
-    the smallest residual, ties broken by modulus.
+    all roots of a in the region), then solves b(z) = P_b(alpha) with
+    Walsh's coincidence theorem (see coincidence._grace_core); returns the
+    in-region solution with the smallest residual, ties broken by modulus.
     """
+    # coincidence builds on this module's pairing, so it is imported here
+    from .coincidence import _grace_core
     return drive(_grace_core(a, b, n, region), root_tol)

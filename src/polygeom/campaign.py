@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from . import jsonio
-from .apolarity import WITNESS_TOL, _grace_core, apolarity_functional, make_apolar
-from .coincidence import SymmetricMultiaffine, _coincidence_core, _hypothesis_core
+from .apolarity import apolarity_functional, make_apolar
+from .coincidence import WITNESS_TOL, SymmetricMultiaffine, _coincidence_core, _grace_core
 from .derivative_bound import (
     MEAN_RESIDUAL_TOL,
     Theorem2Instance,
@@ -169,6 +169,8 @@ def _gen_grace(rng: random.Random, cfg: CampaignConfig) -> dict:
         "property": "grace",
         "n": n,
         "a": jsonio.poly_to_json(a),
+        # a is built from these roots, so the check needs no root find on a
+        "a_roots": jsonio.points_to_json(roots),
         "b": jsonio.poly_to_json(b),
         "region": jsonio.region_to_json(region),
     }
@@ -178,7 +180,8 @@ def _check_grace(inst: dict, cfg: CampaignConfig):
     a = jsonio.poly_from_json(inst["a"])
     b = jsonio.poly_from_json(inst["b"])
     region = jsonio.region_from_json(inst["region"])
-    w = yield from _grace_core(a, b, inst["n"], region)
+    a_roots = jsonio.points_from_json(inst["a_roots"]) if "a_roots" in inst else None
+    w = yield from _grace_core(a, b, jsonio.integer_from_json(inst["n"]), region, a_roots)
     return Verdict(PASS, f"witness {w}", w)
 
 
@@ -242,10 +245,8 @@ def _check_coincidence(inst: dict, cfg: CampaignConfig):
     region = jsonio.region_from_json(inst["region"])
     # force (set by `polygeom coincidence --force`) solves despite a failed hypothesis
     classic, force = bool(inst.get("classic", False)), bool(inst.get("force", False))
-    hyp = None if classic else (
-        yield from _hypothesis_core(w, max(P.total_degree, 1), region))
-    z = yield from _coincidence_core(P, w, region, check_hypothesis=not force,
-                                     classic=classic, hypothesis=hyp)
+    z, hyp = yield from _coincidence_core(P, w, region, check_hypothesis=not force,
+                                          classic=classic)
     return Verdict(PASS, f"witness {z}", z, hyp)
 
 
@@ -276,7 +277,7 @@ def _check_theorem2(inst: dict, cfg: CampaignConfig):
         jsonio.complex_from_json(inst["outer_zero"]),
         jsonio.disk_from_json(inst["disk"]),
     )
-    report = yield from _theorem2_core(t2, inst["k"])
+    report = yield from _theorem2_core(t2, jsonio.integer_from_json(inst["k"]))
     if not report.satisfied:
         return Verdict(FAIL, (
             f"count {report.count_in_disk} < bound {report.bound} "
@@ -307,7 +308,7 @@ def _gen_apolarity_identity(rng: random.Random, cfg: CampaignConfig) -> dict:
 
 def _check_apolarity_identity(inst: dict, cfg: CampaignConfig):
     yield from ()  # requests no roots
-    n = inst["n"]
+    n = jsonio.integer_from_json(inst["n"])
     a = Polynomial(jsonio.points_from_json(inst["a"]))
     a2 = Polynomial(jsonio.points_from_json(inst["a2"]))
     b = Polynomial(jsonio.points_from_json(inst["b"]))
@@ -339,7 +340,8 @@ def _gen_derivative_identity(rng: random.Random, cfg: CampaignConfig) -> dict:
 
 def _check_derivative_identity(inst: dict, cfg: CampaignConfig):
     yield from ()  # requests no roots
-    res = kth_derivative_identity(inst["n"], inst["k"], jsonio.complex_from_json(inst["y"]))
+    n, k = jsonio.integer_from_json(inst["n"]), jsonio.integer_from_json(inst["k"])
+    res = kth_derivative_identity(n, k, jsonio.complex_from_json(inst["y"]))
     if res > 1e-11:
         return Verdict(FAIL, f"closed-form residual {res:.3e} above 1e-11")
     return Verdict(PASS, f"residual {res:.3e}")

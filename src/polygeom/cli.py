@@ -26,7 +26,7 @@ from .campaign import (
 from .coincidence import theorem1_apolarity_residual
 from .derivative_bound import generate_theorem2_instance
 from .errors import InvalidInput, NonConvergence, PolygeomError, TheoremViolation
-from .rootfind import DEFAULT_MAX_ITER, DEFAULT_TOL, find_roots
+from .rootfind import DEFAULT_TOL, find_roots
 from .svgplot import emit_svg
 
 EXIT_OK = 0
@@ -70,7 +70,7 @@ def _verdict(args, prop: str, inst: dict, fields=None) -> int:
 def _cmd_roots(args) -> int:
     p = jsonio.poly_from_json(jsonio.load_file(args.poly))
     try:
-        rs = find_roots(p, tol=args.tol, max_iter=args.max_iter)
+        rs = find_roots(p, tol=args.tol)
     except NonConvergence as e:
         _emit({"schema": jsonio.SCHEMA, "error": "non-convergence",
                "roots": jsonio.points_to_json(e.roots),
@@ -188,7 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
     # each subcommand takes only the options it reads
     p = sub.add_parser("roots", help="all zeros of a polynomial")
     p.add_argument("--poly", required=True)
-    p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.set_defaults(func=_cmd_roots)
 

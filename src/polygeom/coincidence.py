@@ -2,6 +2,10 @@
 the classical Walsh coincidence solver, and its extension to total degree
 m <= n over circular regions (hypothesis on the zeros of the (n-m)-th
 derivative of the root polynomial).
+
+Grace's theorem is the classical case with P the polar form of b: for a
+monic a with roots alpha, A(a, b) = (-1)^n P_b(alpha), and the diagonal
+of P_b is b, so a Grace witness is a coincidence witness at alpha.
 """
 
 from __future__ import annotations
@@ -9,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .apolarity import WITNESS_TOL, apolarity_functional, _apolarity_scale
+from .apolarity import apolarity_functional, apolarity_residual, is_apolar
 from .errors import (
     DegenerateDiagonal,
     HypothesisViolated,
@@ -19,6 +23,9 @@ from .errors import (
 from .poly import Polynomial, binomial, elementary_symmetric_all, from_roots
 from .regions import CircularRegion, contains
 from .rootfind import DEFAULT_TOL, RootSet, drive
+
+# the band around a region within which a computed root counts as a witness
+WITNESS_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -72,6 +79,12 @@ def diagonal(P: SymmetricMultiaffine) -> Polynomial:
     return Polynomial([Ek * binomial(P.n, k) for k, Ek in enumerate(P.E)])
 
 
+def polar(b: Polynomial, n: int) -> SymmetricMultiaffine:
+    """The polar form of b in the degree-n frame: E_k = b_k / C(n,k), so
+    that its diagonal is b."""
+    return SymmetricMultiaffine(n, [bk / binomial(n, k) for k, bk in enumerate(b.coeffs)])
+
+
 def _hypothesis_core(points: Sequence[complex], m: int, region: CircularRegion):
     """theorem1_hypothesis as a core: yields q^(n-m) for its roots."""
     n = len(points)
@@ -103,37 +116,32 @@ def _coincidence_core(
     region: CircularRegion,
     check_hypothesis: bool = True,
     classic: bool = False,
-    hypothesis: HypothesisReport | None = None,
 ):
-    """coincidence_witness as a core: yields q^(n-m) (unless classic or
-    given its hypothesis), then the diagonal equation, for their roots."""
+    """coincidence_witness as a core, and the one place a hypothesis is
+    checked and a witness picked: yields q^(n-m) (unless classic), then
+    the diagonal equation, for their roots. Returns the witness and the
+    theorem 1 hypothesis report (None when classic)."""
     if len(points) != P.n:
         raise InvalidInput(f"expected {P.n} points, got {len(points)}")
-    m = P.total_degree
 
-    if check_hypothesis:
-        if classic:
-            bad = [w for w in points if not contains(region, w)]
-            if bad:
-                raise HypothesisViolated(f"points outside region: {bad}")
-        else:
-            if hypothesis is None:
-                hypothesis = yield from _hypothesis_core(points, max(m, 1), region)
-            if not hypothesis.holds:
-                raise HypothesisViolated(
-                    f"derivative zeros outside region: {list(hypothesis.outside)}",
-                    report=hypothesis,
-                )
+    hypothesis = None
+    if classic:
+        bad = [w for w in points if not contains(region, w)]
+        if bad and check_hypothesis:
+            raise HypothesisViolated(f"points outside region: {bad}")
+    else:
+        hypothesis = yield from _hypothesis_core(points, max(P.total_degree, 1), region)
+        if not hypothesis.holds and check_hypothesis:
+            raise HypothesisViolated(
+                f"derivative zeros outside region: {list(hypothesis.outside)}",
+                report=hypothesis,
+            )
 
-    c = evaluate_multiaffine(P, points)
-    if m == 0:
-        # constant P: the equation is an identity; any member will do
-        return region.representative_point()
-
-    g = diagonal(P).shifted_constant(-c)
+    g = diagonal(P).shifted_constant(-evaluate_multiaffine(P, points))
     if g.degree() < 1:
         if g.is_zero:
-            return region.representative_point()
+            # a constant P, say: the equation is an identity
+            return region.representative_point(), hypothesis
         raise DegenerateDiagonal("diagonal minus value is a nonzero constant")
 
     groots = yield g
@@ -148,7 +156,7 @@ def _coincidence_core(
             f"(roots {list(groots.roots)})",
             report=hypothesis,
         )
-    return min(inside)[2]
+    return min(inside)[2], hypothesis
 
 
 def coincidence_witness(
@@ -158,17 +166,33 @@ def coincidence_witness(
     root_tol: float = DEFAULT_TOL,
     check_hypothesis: bool = True,
     classic: bool = False,
-    hypothesis: HypothesisReport | None = None,
 ) -> complex:
     """A point z in the region with p(w_1..w_n) = p(z,...,z).
 
     classic=True checks the original Walsh hypothesis (the points
     themselves in the region) instead of the derivative-zero hypothesis.
-    hypothesis is a theorem1_hypothesis report already computed for these
-    points and region; it is used instead of computing one.
     """
-    return drive(_coincidence_core(P, points, region, check_hypothesis, classic, hypothesis),
-                 root_tol)
+    return drive(_coincidence_core(P, points, region, check_hypothesis, classic), root_tol)[0]
+
+
+def _grace_core(a: Polynomial, b: Polynomial, n: int, region: CircularRegion,
+                a_roots: Sequence[complex] | None = None):
+    """grace_witness as a core: checks the degrees and apolarity, then runs
+    the classical coincidence core on the polar form of b at the roots of
+    a. Yields a (unless a_roots, which must rebuild a exactly, are given),
+    then b(z) = P_b(alpha), for their roots."""
+    if a.degree() != n or b.degree() != n:
+        raise InvalidInput(f"both polynomials must have degree exactly {n} "
+                           f"(got {a.degree()} and {b.degree()})")
+    if a_roots is not None and from_roots(a_roots) != a:
+        raise InvalidInput("a_roots do not rebuild a")
+    if not is_apolar(a, b, n):
+        raise HypothesisViolated(
+            f"pair is not apolar: A(a,b) = {apolarity_functional(a, b, n)}")
+    if a_roots is None:
+        a_roots = (yield a).roots
+    w, _ = yield from _coincidence_core(polar(b, n), a_roots, region, classic=True)
+    return w
 
 
 def theorem1_apolarity_residual(
@@ -179,21 +203,8 @@ def theorem1_apolarity_residual(
     The extension theorem's proof asserts this pairing vanishes
     identically; the returned residual is its numerical size.
     """
-    if len(points) != P.n:
-        raise InvalidInput(f"expected {P.n} points, got {len(points)}")
     m = P.total_degree
     if m < 1:
         raise InvalidInput("need total degree >= 1")
-    n = P.n
-
-    c = evaluate_multiaffine(P, points)
-    E = list(P.E)
-    E[0] -= c
-    Pn = SymmetricMultiaffine(n, E)
-
-    q = from_roots(points)
-    d = q.derivative(n - m)
-    r = diagonal(Pn)
-    value = abs(apolarity_functional(d, r, m))
-    scale = _apolarity_scale(d, r, m)
-    return value / scale if scale > 0 else value
+    r = diagonal(P).shifted_constant(-evaluate_multiaffine(P, points))
+    return apolarity_residual(from_roots(points).derivative(P.n - m), r, m)

@@ -35,7 +35,7 @@ class InvalidConfig(InvalidInput):
 
 
 class NonConvergence(PolygeomError):
-    """Root iteration hit max_iter with residuals above tolerance.
+    """Root iteration hit MAX_ITER sweeps with residuals above tolerance.
 
     Carries the best-effort roots and their scaled residuals so callers
     can retry with relaxed settings or report diagnostics.

@@ -35,6 +35,14 @@ def _real(v: Any) -> float:
     return x
 
 
+def integer_from_json(v: Any) -> int:
+    """An integral JSON number; a fraction, a string or a boolean is invalid input."""
+    integral = isinstance(v, int) or (isinstance(v, float) and v.is_integer())
+    if isinstance(v, bool) or not integral:
+        raise InvalidInput(f"expected an integer, got {v!r}")
+    return int(v)
+
+
 def _object(v: Any, what: str) -> dict:
     if not isinstance(v, dict):
         raise InvalidInput(f"{what} JSON must be an object, got {v!r}")
@@ -110,7 +118,7 @@ def disk_from_json(d: dict) -> CircularRegion:
 
 def multiaffine_from_json(d: dict) -> SymmetricMultiaffine:
     _object(d, "multiaffine")
-    return SymmetricMultiaffine(int(_real(d["n"])), points_from_json(d["E"]))
+    return SymmetricMultiaffine(integer_from_json(d["n"]), points_from_json(d["E"]))
 
 
 def rootset_to_json(rs: RootSet) -> dict:

@@ -32,7 +32,8 @@ from .errors import InvalidDegree, InvalidInput, NonConvergence, PolygeomError
 from .poly import Polynomial
 
 DEFAULT_TOL = 1e-12
-DEFAULT_MAX_ITER = 200
+# Aberth sweeps before a root set is certified or given up
+MAX_ITER = 200
 
 # single-linkage threshold for detecting a candidate multiple-root group,
 # well below the 1e-2 separation the round-trip contract assumes
@@ -104,7 +105,7 @@ def _companion_eigvals(c: np.ndarray) -> np.ndarray:
     return x
 
 
-def _aberth(c: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
+def _aberth(c: np.ndarray, tol: float) -> np.ndarray:
     """Roots (one row each) of the polynomials whose coefficients are the
     columns of c (degree >= 2, no zero root). The active roots of all
     polynomials form one flat set; each sweep gathers their coefficients
@@ -117,7 +118,7 @@ def _aberth(c: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
     # the active roots: flat index, and its polynomial and position
     active = np.arange(x.size)
     row, col = np.divmod(active, d)
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         if not active.size:
             break
         xa, g = flat[active], cd[:, row]
@@ -209,8 +210,8 @@ def _collapse_multiple(p: Polynomial, rc: np.ndarray, roots: list[complex],
     return out
 
 
-def _solve_group(polys: list[Polynomial], c: np.ndarray, d: int, tol: float,
-                 max_iter: int) -> list[RootSet | PolygeomError]:
+def _solve_group(polys: list[Polynomial], c: np.ndarray, d: int,
+                 tol: float) -> list[RootSet | PolygeomError]:
     """Root sets of polynomials of one degree n whose coefficients are the
     columns of c, each with n - d exact zeros at the origin (so c[:d + 1]
     has none)."""
@@ -219,7 +220,7 @@ def _solve_group(polys: list[Polynomial], c: np.ndarray, d: int, tol: float,
     if d == 1:
         approx[:, -1] = -c[1] / c[0]
     elif d >= 2:
-        approx[:, n - d:] = _aberth(c[:d + 1], tol, max_iter)
+        approx[:, n - d:] = _aberth(c[:d + 1], tol)
     # each root's coefficients, as the rows of z are flattened
     cz = np.repeat(c, n, axis=1)
     z = _newton_polish(cz, approx.ravel()).reshape(approx.shape)
@@ -245,7 +246,7 @@ def _solve_group(polys: list[Polynomial], c: np.ndarray, d: int, tol: float,
         res = residuals[r].tolist()
         if not certified[r]:
             out.append(NonConvergence(
-                f"residuals above tol={tol} after {max_iter} iterations",
+                f"residuals above tol={tol} after {MAX_ITER} iterations",
                 roots=rs, residuals=res))
             continue
         groups = [[i] for i in range(n)] if lone[r] else _single_linkage(z[r], _CLUSTER_RADIUS)
@@ -256,9 +257,7 @@ def _solve_group(polys: list[Polynomial], c: np.ndarray, d: int, tol: float,
 
 
 def find_roots_many(
-    polys: list[Polynomial],
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
+    polys: list[Polynomial], tol: float = DEFAULT_TOL
 ) -> list[RootSet | PolygeomError]:
     """find_roots of every polynomial: its RootSet, or the error
     find_roots would raise for it.
@@ -282,24 +281,20 @@ def find_roots_many(
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for (_, d), rows in groups.items():
             c = np.array([polys[i].coeffs[::-1] for i in rows], dtype=complex).T.copy()
-            solved = _solve_group([polys[i] for i in rows], c, d, tol, max_iter)
+            solved = _solve_group([polys[i] for i in rows], c, d, tol)
             for i, res in zip(rows, solved):
                 out[i] = res
     return out
 
 
-def find_roots(
-    p: Polynomial,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> RootSet:
+def find_roots(p: Polynomial, tol: float = DEFAULT_TOL) -> RootSet:
     """All complex zeros with residuals and multiplicity clusters.
 
     Raises NonConvergence (carrying best-effort roots) when any scaled
-    residual exceeds tol, or is NaN, after max_iter sweeps and polishing;
+    residual exceeds tol, or is NaN, after MAX_ITER sweeps and polishing;
     InvalidInput when tol is not finite and positive.
     """
-    out = find_roots_many([p], tol, max_iter)[0]
+    out = find_roots_many([p], tol)[0]
     if isinstance(out, PolygeomError):
         raise out
     return out

@@ -4,13 +4,16 @@ import pytest
 
 from polygeom.apolarity import (
     apolarity_functional,
+    apolarity_residual,
     grace_witness,
     is_apolar,
     make_apolar,
 )
+from polygeom.coincidence import _grace_core, diagonal, evaluate_multiaffine, polar
 from polygeom.errors import HypothesisViolated, InvalidInput
 from polygeom.poly import Polynomial, from_roots
 from polygeom.regions import disk, smallest_enclosing_disk
+from polygeom.rootfind import find_roots
 
 
 class TestFunctional:
@@ -58,7 +61,7 @@ class TestMakeApolar:
             b = make_apolar(a, 2, seed)
             total = sum(list(b.coeffs) + [0j] * (3 - len(b.coeffs)))
             assert abs(total) <= 1e-13 * (1 + sum(abs(c) for c in b.coeffs))
-            assert is_apolar(a, b, 2, rtol=1e-13)
+            assert apolarity_residual(a, b, 2) <= 1e-13
 
     def test_pure_power_forces_constant_term(self):
         n = 5
@@ -115,6 +118,37 @@ class TestGraceWitness:
         with pytest.raises(InvalidInput):
             grace_witness(Polynomial([1, -2, 1]), Polynomial([1, 1]), 2, disk(0, 2))
 
+    @staticmethod
+    def run_core(core):
+        """The polynomials a core requests, and what it returns."""
+        requests, roots = [], None
+        try:
+            while True:
+                requests.append(core.send(roots))
+                roots = find_roots(requests[-1])
+        except StopIteration as stop:
+            return requests, stop.value
+
+    def test_core_given_the_roots_of_a_yields_one_polynomial(self):
+        roots = [0.9 + 0.1j, 1.1 - 0.2j, 1.0 + 0.3j, 0.8 - 0.1j]
+        n, region = len(roots), disk(1, 0.5)
+        a = from_roots(roots)
+        b = make_apolar(a, n, seed=4)
+        requests, w = self.run_core(_grace_core(a, b, n, region, roots))
+        # only the diagonal equation b(z) = P_b(alpha); no root find on a
+        c = evaluate_multiaffine(polar(b, n), roots)
+        assert requests == [diagonal(polar(b, n)).shifted_constant(-c)]
+        assert abs(c) <= 1e-14
+        # without the roots, the core finds them first and reaches the same witness
+        requests, w_found = self.run_core(_grace_core(a, b, n, region))
+        assert len(requests) == 2 and requests[0] == a
+        assert abs(w - w_found) <= 1e-9
+
+    def test_core_rejects_roots_that_do_not_rebuild_a(self):
+        a = Polynomial([1, -2, 1])
+        with pytest.raises(InvalidInput):
+            next(_grace_core(a, Polynomial([0, -1, 1]), 2, disk(1, 2), [1, 1 + 1e-15]))
+
 
 class TestAlgebraicIdentities:
     def test_bilinearity_and_transposition(self):
@@ -146,6 +180,12 @@ class TestAlgebraicIdentities:
             value = apolarity_functional(from_roots([c] * n), b, n)
             expected = (-1) ** n * b(c)
             assert abs(value - expected) <= 1e-10 * (1 + abs(expected))
+
+            # distinct roots: A(a, b) = (-1)^n P_b(alpha), P_b the polar form of b
+            alpha = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n)]
+            value = apolarity_functional(from_roots(alpha), b, n)
+            expected = (-1) ** n * evaluate_multiaffine(polar(b, n), alpha)
+            assert abs(value - expected) <= 1e-12 * (1 + abs(expected))
 
     def test_grace_never_violated_on_constructed_pairs(self):
         rng = random.Random(31)

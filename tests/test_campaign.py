@@ -128,6 +128,13 @@ class TestHighDegree:
                                           seed=(8105 << 20) | 5, n_min=25, n_max=60))
         assert not [f for f in rep.failures if "degree exactly" in f["diagnostic"]]
 
+    def test_grace_checks_the_roots_a_was_built_from(self):
+        # found again from the rounded coefficients of a, the roots of a
+        # left the region in 111 of these trials
+        rep = run_campaign(CampaignConfig(property="grace", trials=200,
+                                          seed=(8105 << 20) | 0, n_min=25, n_max=60))
+        assert (rep.passed, rep.failed, rep.errored, rep.notes) == (200, 0, 0, [])
+
     def test_walsh_classic_diagonal_has_degree_n(self):
         cfg = CampaignConfig(property="walsh_classic", trials=200,
                              seed=(8101 << 20) | 1, n_min=25, n_max=60)

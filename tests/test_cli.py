@@ -229,6 +229,23 @@ AGREEMENT_CASES = {
                                  "inner_zeros": [[0, 0], [0, 0]], "outer_zero": [3, 0],
                                  "disk": {"center": [0, 0], "radius": r}}, 2, "error")
        for r in (0, -1)},
+    # a = (z - 1)^2 with the roots it was built from
+    "grace-a-roots-pass": ({"property": "grace", "n": 2, "a": _QUAD_A,
+                            "a_roots": [[1, 0], [1, 0]], "b": _QUAD_B,
+                            "region": _disk([1, 0], 0.1)}, 0, "pass"),
+    "grace-a-roots-outside": ({"property": "grace", "n": 2, "a": _QUAD_A,
+                               "a_roots": [[1, 0], [1, 0]], "b": _QUAD_B,
+                               "region": _disk([5, 0], 0.5)}, 0, "hypothesis-violation"),
+    # a_roots that do not rebuild a: invalid input
+    "grace-a-roots-mismatch": ({"property": "grace", "n": 2, "a": _QUAD_A,
+                                "a_roots": [[1, 0], [2, 0]], "b": _QUAD_B,
+                                "region": _disk([1, 0], 0.1)}, 2, "error"),
+    # a multiaffine n that is not an integer: invalid input from both
+    **{f"coincidence-n-{n!r}": ({"property": "theorem1_convex",
+                                 "multiaffine": {"n": n, "E": [[0, 0], [1, 0]]},
+                                 "points": [[-1, 0], [1, 0]], "region": _disk([0, 0], 1),
+                                 "classic": False}, 2, "error")
+       for n in (2.7, "2", True)},
     # b of degree n+1: invalid input from both
     "grace-degree-mismatch": ({"property": "grace", "n": 2, "a": _QUAD_A,
                                "b": {"coeffs": [[0, 0], [-1, 0], [1, 0], [1, 0]]},
@@ -253,6 +270,11 @@ AGREEMENT_CASES = {
 }
 
 
+# the grace subcommand reads the coefficients of a, not a_roots, so it
+# cannot state a mismatch between them
+REPLAY_ONLY = {"grace-a-roots-mismatch"}
+
+
 def subcommand_argv(tmp_path, inst):
     prop = inst["property"]
     if prop == "grace":
@@ -274,11 +296,13 @@ class TestSubcommandAgreesWithReplay:
     @pytest.mark.parametrize("case", sorted(AGREEMENT_CASES))
     def test_same_exit_code_and_status(self, tmp_path, capsys, case):
         inst, code, status = AGREEMENT_CASES[case]
-        assert main(subcommand_argv(tmp_path, inst)) == code
-        direct = json.loads(capsys.readouterr().out)
+        if case not in REPLAY_ONLY:
+            assert main(subcommand_argv(tmp_path, inst)) == code
+            direct = json.loads(capsys.readouterr().out)
+            assert direct["status"] == status
         assert main(["replay", "--instance", write(tmp_path, "inst.json", inst)]) == code
         replayed = json.loads(capsys.readouterr().out)
-        assert direct["status"] == replayed["status"] == status
+        assert replayed["status"] == status
 
     def test_missing_key_is_invalid_input(self, tmp_path, capsys):
         inst = dict(AGREEMENT_CASES["theorem1-convex-pass"][0])
@@ -313,6 +337,12 @@ class TestOptions:
             main(argv + flag)
         assert exc.value.code == 2
 
+    def test_roots_has_no_iteration_limit_option(self, tmp_path):
+        poly = write(tmp_path, "p.json", {"coeffs": [[-1, 0], [0, 0], [1, 0]]})
+        with pytest.raises(SystemExit) as exc:
+            main(["roots", "--poly", poly, "--max-iter", "-3"])
+        assert exc.value.code == 2
+
     def test_theorem1_alias_removed(self, tmp_path):
         argv = subcommand_argv(tmp_path, AGREEMENT_CASES["theorem1-convex-pass"][0])
         with pytest.raises(SystemExit):
@@ -327,6 +357,25 @@ class TestWrongShapeInput:
         argv = ["grace"] + [x for name, d in docs.items()
                             for x in (f"--{name}", write(tmp_path, f"{name}.json", d))]
         assert main(argv) == 2
+
+    # integer fields: an integral number is read as an integer; a fraction,
+    # a string or a boolean is invalid input
+    @pytest.mark.parametrize("inst,code", [
+        ({**AGREEMENT_CASES["grace-pass"][0], "n": 2.0}, 0),
+        ({**AGREEMENT_CASES["grace-pass"][0], "n": True}, 2),
+        ({**AGREEMENT_CASES["theorem2-pass"][0], "k": 1.0}, 0),
+        ({**AGREEMENT_CASES["theorem2-pass"][0], "k": 1.5}, 2),
+        ({**AGREEMENT_CASES["theorem2-pass"][0], "k": "1"}, 2),
+        ({"property": "derivative_identity", "n": 3.5, "k": 1, "y": [0.5, 0]}, 2),
+        ({"property": "derivative_identity", "n": 4, "k": False, "y": [0.5, 0]}, 2),
+        ({"property": "apolarity_identity", "n": "3", "a": [[1, 0]], "a2": [[1, 0]],
+          "b": [[1, 0]], "alpha": [1, 0], "c": [1, 0]}, 2),
+    ], ids=["grace-n-2.0", "grace-n-true", "theorem2-k-1.0", "theorem2-k-1.5",
+            "theorem2-k-string", "derivative-n-3.5", "derivative-k-false",
+            "apolarity-n-string"])
+    def test_replay_reads_integer_fields(self, tmp_path, capsys, inst, code):
+        assert main(["replay", "--instance", write(tmp_path, "inst.json", inst)]) == code
+        assert json.loads(capsys.readouterr().out)["status"] == ("pass" if code == 0 else "error")
 
     def test_replay_of_an_array(self, tmp_path):
         assert main(["replay", "--instance", write(tmp_path, "inst.json", [1, 2])]) == 2

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import random
 
-from .errors import InvalidInput
-from .poly import Polynomial, binomial
+from .errors import DegreeTooLarge, InvalidInput
+from .poly import N_MAX, Polynomial, binomial
 from .regions import CircularRegion
-from .rootfind import DEFAULT_TOL, drive
+from .rootfind import drive
 
 # the relative band of the apolarity test
 APOLARITY_RTOL = 1e-8
@@ -22,6 +22,8 @@ APOLARITY_RTOL = 1e-8
 def _framed(p: Polynomial, n: int) -> list[complex]:
     if n < 1:
         raise InvalidInput("frame degree must be >= 1")
+    if n > N_MAX:
+        raise DegreeTooLarge(f"frame degree {n} exceeds N_MAX={N_MAX}")
     if p.degree() > n:
         raise InvalidInput(f"degree {p.degree()} exceeds frame {n}")
     cs = list(p.coeffs) + [0j] * (n + 1 - len(p.coeffs))
@@ -79,13 +81,7 @@ def make_apolar(a: Polynomial, n: int, seed: int) -> Polynomial:
     return Polynomial(bc)
 
 
-def grace_witness(
-    a: Polynomial,
-    b: Polynomial,
-    n: int,
-    region: CircularRegion,
-    root_tol: float = DEFAULT_TOL,
-) -> complex:
+def grace_witness(a: Polynomial, b: Polynomial, n: int, region: CircularRegion) -> complex:
     """A root of b inside the region, as Grace's theorem guarantees.
 
     Checks the hypotheses first (full degree n on both sides, apolarity,
@@ -95,4 +91,4 @@ def grace_witness(
     """
     # coincidence builds on this module's pairing, so it is imported here
     from .coincidence import _grace_core
-    return drive(_grace_core(a, b, n, region), root_tol)
+    return drive(_grace_core(a, b, n, region))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -176,7 +177,7 @@ def _gen_grace(rng: random.Random, cfg: CampaignConfig) -> dict:
     }
 
 
-def _check_grace(inst: dict, cfg: CampaignConfig):
+def _check_grace(inst: dict):
     a = jsonio.poly_from_json(inst["a"])
     b = jsonio.poly_from_json(inst["b"])
     region = jsonio.region_from_json(inst["region"])
@@ -239,12 +240,13 @@ def _gen_theorem1(rng: random.Random, cfg: CampaignConfig, exterior: bool) -> di
     }
 
 
-def _check_coincidence(inst: dict, cfg: CampaignConfig):
+def _check_coincidence(inst: dict):
     P = jsonio.multiaffine_from_json(inst["multiaffine"])
     w = jsonio.points_from_json(inst["points"])
     region = jsonio.region_from_json(inst["region"])
     # force (set by `polygeom coincidence --force`) solves despite a failed hypothesis
-    classic, force = bool(inst.get("classic", False)), bool(inst.get("force", False))
+    classic = jsonio.boolean_from_json(inst.get("classic", False))
+    force = jsonio.boolean_from_json(inst.get("force", False))
     z, hyp = yield from _coincidence_core(P, w, region, check_hypothesis=not force,
                                           classic=classic)
     return Verdict(PASS, f"witness {z}", z, hyp)
@@ -271,7 +273,7 @@ def _gen_theorem2(rng: random.Random, cfg: CampaignConfig) -> dict:
     }
 
 
-def _check_theorem2(inst: dict, cfg: CampaignConfig):
+def _check_theorem2(inst: dict):
     t2 = Theorem2Instance(
         tuple(jsonio.points_from_json(inst["inner_zeros"])),
         jsonio.complex_from_json(inst["outer_zero"]),
@@ -306,7 +308,7 @@ def _gen_apolarity_identity(rng: random.Random, cfg: CampaignConfig) -> dict:
     }
 
 
-def _check_apolarity_identity(inst: dict, cfg: CampaignConfig):
+def _check_apolarity_identity(inst: dict):
     yield from ()  # requests no roots
     n = jsonio.integer_from_json(inst["n"])
     a = Polynomial(jsonio.points_from_json(inst["a"]))
@@ -338,7 +340,7 @@ def _gen_derivative_identity(rng: random.Random, cfg: CampaignConfig) -> dict:
     }
 
 
-def _check_derivative_identity(inst: dict, cfg: CampaignConfig):
+def _check_derivative_identity(inst: dict):
     yield from ()  # requests no roots
     n, k = jsonio.integer_from_json(inst["n"]), jsonio.integer_from_json(inst["k"])
     res = kth_derivative_identity(n, k, jsonio.complex_from_json(inst["y"]))
@@ -355,7 +357,7 @@ def _gen_gauss_lucas(rng: random.Random, cfg: CampaignConfig) -> dict:
     return {"property": "gauss_lucas", "poly": jsonio.poly_to_json(Polynomial(coeffs))}
 
 
-def _check_gauss_lucas(inst: dict, cfg: CampaignConfig):
+def _check_gauss_lucas(inst: dict):
     p = jsonio.poly_from_json(inst["poly"])
     if (yield from _gauss_lucas_core(p)):
         return Verdict(PASS, "all critical points in the root hull")
@@ -383,7 +385,13 @@ PROPERTIES = {
 }
 
 
-def _error_verdict(e: PolygeomError) -> Verdict:
+def _as_verdict(outcome: Verdict | PolygeomError) -> Verdict:
+    """What a check returned, or the status of the error it raised: the
+    only place a check's exceptions become a status. No relaxed tolerance
+    is retried, so a pass rests on the tolerance its roots were found at."""
+    if isinstance(outcome, Verdict):
+        return outcome
+    e = outcome
     if isinstance(e, HypothesisViolated):
         return Verdict(HYPOTHESIS_VIOLATION, str(e), report=e.report, error=e)
     if isinstance(e, TheoremViolation):
@@ -393,18 +401,10 @@ def _error_verdict(e: PolygeomError) -> Verdict:
     return Verdict(ERROR, f"{type(e).__name__}: {e}", error=e)
 
 
-def _run_checks(checks: list, root_tol: float) -> list[Verdict]:
-    """Run started checks in lockstep; the only place a check's exceptions
-    become a status. No relaxed tolerance is retried: a pass rests on
-    root_tol."""
-    return [v if isinstance(v, Verdict) else _error_verdict(v)
-            for v in drive_many(checks, root_tol)]
-
-
-def run_check(prop: str, inst: dict, cfg: CampaignConfig) -> Verdict:
-    """One verification."""
+def run_check(prop: str, inst: dict, root_tol: float) -> Verdict:
+    """One verification, its roots found at root_tol."""
     _, check = PROPERTIES[prop]
-    return _run_checks([check(inst, cfg)], cfg.root_tol)[0]
+    return _as_verdict(drive_many([check(inst)], root_tol)[0])
 
 
 def _run_chunk(cfg: CampaignConfig, start: int, stop: int) -> list[dict]:
@@ -415,22 +415,19 @@ def _run_chunk(cfg: CampaignConfig, start: int, stop: int) -> list[dict]:
     records, started = [], []
     for index in range(start, stop):
         ts = trial_seed(cfg.seed, index)
-        rec = {"trial": index, "trial_seed": ts, "instance": None}
+        rec = {"trial_seed": ts, "instance": None}
         try:
             rec["instance"] = gen(random.Random(ts), cfg)
         except PolygeomError as e:
             rec.update(status=ERROR, diagnostic=f"generation failed: {e}")
         else:
-            started.append((rec, check(rec["instance"], cfg)))
+            started.append((rec, check(rec["instance"])))
         records.append(rec)
-    verdicts = _run_checks([c for _, c in started], cfg.root_tol)
-    for (rec, _), v in zip(started, verdicts):
+    outcomes = drive_many([c for _, c in started], cfg.root_tol)
+    for (rec, _), out in zip(started, outcomes):
+        v = _as_verdict(out)
         rec.update(status=v.status, diagnostic=v.diagnostic)
     return records
-
-
-def _run_trial(cfg: CampaignConfig, index: int) -> dict:
-    return _run_chunk(cfg, index, index + 1)[0]
 
 
 def run_campaign(config: CampaignConfig) -> CampaignReport:
@@ -441,8 +438,11 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
     starts = range(0, config.trials, size)
     stops = [min(s + size, config.trials) for s in starts]
     cfgs = [config] * len(starts)
-    if config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+    # the pool forks all its workers at the first submit: no more than
+    # there are chunks to run or CPUs to run them on
+    workers = min(config.jobs, len(starts), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_run_chunk, cfgs, starts, stops))
     else:
         chunks = list(map(_run_chunk, cfgs, starts, stops))
@@ -480,12 +480,11 @@ def replay_verdict(inst: dict, prop: str | None = None,
     prop = prop or inst.get("property")
     if prop not in PROPERTIES:
         raise InvalidInput(f"unknown or missing property {prop!r}")
-    if cfg is None:
-        # a failure record's instance carries its campaign's root_tol
-        cfg = CampaignConfig(property=prop, trials=1,
-                             root_tol=inst.get("root_tol", DEFAULT_TOL))
-        cfg.validate()
-    v = run_check(prop, inst, cfg)
+    # a failure record's instance carries its campaign's root_tol
+    root_tol = cfg.root_tol if cfg is not None else inst.get("root_tol", DEFAULT_TOL)
+    if not _valid_tol(root_tol):
+        raise InvalidConfig(f"root_tol must be finite and > 0, got {root_tol!r}")
+    v = run_check(prop, inst, root_tol)
     return {"schema": jsonio.SCHEMA, "property": prop, "status": v.status,
             "diagnostic": v.diagnostic}, v
 

@@ -22,7 +22,7 @@ from .errors import (
 )
 from .poly import Polynomial, binomial, elementary_symmetric_all, from_roots
 from .regions import CircularRegion, contains
-from .rootfind import DEFAULT_TOL, RootSet, drive
+from .rootfind import RootSet, drive
 
 # the band around a region within which a computed root counts as a witness
 WITNESS_TOL = 1e-6
@@ -97,17 +97,13 @@ def _hypothesis_core(points: Sequence[complex], m: int, region: CircularRegion):
     return HypothesisReport(not outside, droots, outside)
 
 
-def theorem1_hypothesis(
-    points: Sequence[complex],
-    m: int,
-    region: CircularRegion,
-    root_tol: float = DEFAULT_TOL,
-) -> HypothesisReport:
+def theorem1_hypothesis(points: Sequence[complex], m: int,
+                        region: CircularRegion) -> HypothesisReport:
     """Do all zeros of q^(n-m) lie in the region, q = prod (z - w_i)?
 
     m = n means the zeroth derivative: the points themselves.
     """
-    return drive(_hypothesis_core(points, m, region), root_tol)
+    return drive(_hypothesis_core(points, m, region))
 
 
 def _coincidence_core(
@@ -163,7 +159,6 @@ def coincidence_witness(
     P: SymmetricMultiaffine,
     points: Sequence[complex],
     region: CircularRegion,
-    root_tol: float = DEFAULT_TOL,
     check_hypothesis: bool = True,
     classic: bool = False,
 ) -> complex:
@@ -172,7 +167,7 @@ def coincidence_witness(
     classic=True checks the original Walsh hypothesis (the points
     themselves in the region) instead of the derivative-zero hypothesis.
     """
-    return drive(_coincidence_core(P, points, region, check_hypothesis, classic), root_tol)[0]
+    return drive(_coincidence_core(P, points, region, check_hypothesis, classic))[0]
 
 
 def _grace_core(a: Polynomial, b: Polynomial, n: int, region: CircularRegion,

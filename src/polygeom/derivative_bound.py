@@ -12,10 +12,10 @@ import cmath
 import math
 import random
 from dataclasses import dataclass
-from .errors import InvalidInput, InvalidInstance
-from .poly import Polynomial, from_roots, mean_of_roots
+from .errors import DegreeTooLarge, InvalidInput, InvalidInstance
+from .poly import N_MAX, Polynomial, from_roots, mean_of_roots
 from .regions import CircularRegion, contains, convex_hull, disk, hull_distance
-from .rootfind import DEFAULT_TOL, RootSet, drive
+from .rootfind import RootSet, drive
 
 _MEAN_RTOL = 1e-12
 # the largest relative distance between the mean zero of p and of p^(k)
@@ -108,8 +108,8 @@ def _theorem2_core(inst: Theorem2Instance, k: int):
     )
 
 
-def check_theorem2(inst: Theorem2Instance, k: int, root_tol: float = DEFAULT_TOL) -> Theorem2Report:
-    return drive(_theorem2_core(inst, k), root_tol)
+def check_theorem2(inst: Theorem2Instance, k: int) -> Theorem2Report:
+    return drive(_theorem2_core(inst, k))
 
 
 def kth_derivative_identity(n: int, k: int, y: complex) -> float:
@@ -121,6 +121,8 @@ def kth_derivative_identity(n: int, k: int, y: complex) -> float:
     """
     if not 1 <= k <= n - 1:
         raise InvalidInput(f"need 1 <= k <= n-1, got n={n}, k={k}")
+    if n > N_MAX:
+        raise DegreeTooLarge(f"n={n} exceeds N_MAX={N_MAX}")
     y = complex(y)
     lhs = from_roots([0j] + [y] * (n - 1)).derivative(k)
 
@@ -152,9 +154,9 @@ def _gauss_lucas_core(p: Polynomial):
     return all(hull_distance(hull, z) <= _COUNT_TOL for z in crit.roots)
 
 
-def gauss_lucas_check(p: Polynomial, root_tol: float = DEFAULT_TOL) -> bool:
+def gauss_lucas_check(p: Polynomial) -> bool:
     """Every critical point within _COUNT_TOL of the convex hull of the zeros."""
-    return drive(_gauss_lucas_core(p), root_tol)
+    return drive(_gauss_lucas_core(p))
 
 
 def generate_theorem2_instance(
@@ -172,8 +174,8 @@ def generate_theorem2_instance(
     """
     if n < 3:
         raise InvalidInput("need n >= 3")
-    if radius <= 0 or outer_distance <= 0:
-        raise InvalidInput("radius and outer_distance must be positive")
+    if not (0 < radius < math.inf and 0 < outer_distance < math.inf):
+        raise InvalidInput("radius and outer_distance must be finite and positive")
     rng = random.Random(seed)
     center = complex(center)
 
@@ -192,4 +194,6 @@ def generate_theorem2_instance(
 
     d = outer_distance * (1.0 + rng.random())
     outer = center + cmath.rect(d, rng.uniform(0.0, 2.0 * math.pi))
+    if not cmath.isfinite(outer):
+        raise InvalidInput(f"the outer zero overflows at outer_distance={outer_distance}")
     return Theorem2Instance(inner, outer, disk(center, radius))

@@ -43,6 +43,13 @@ def integer_from_json(v: Any) -> int:
     return int(v)
 
 
+def boolean_from_json(v: Any) -> bool:
+    """A JSON boolean; a string or a number is invalid input."""
+    if not isinstance(v, bool):
+        raise InvalidInput(f"expected true or false, got {v!r}")
+    return v
+
+
 def _object(v: Any, what: str) -> dict:
     if not isinstance(v, dict):
         raise InvalidInput(f"{what} JSON must be an object, got {v!r}")
@@ -96,7 +103,7 @@ def region_to_json(r: CircularRegion) -> dict:
 def region_from_json(d: dict) -> CircularRegion:
     _object(d, "region")
     kind = d.get("kind")
-    closed = bool(d.get("closed", True))
+    closed = boolean_from_json(d.get("closed", True))
     if kind == DISK:
         return disk(complex_from_json(d["center"]), _real(d["radius"]), closed)
     if kind == EXTERIOR:

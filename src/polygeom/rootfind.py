@@ -174,8 +174,7 @@ def _single_linkage(points: np.ndarray, scale: float) -> list[list[int]]:
     return [np.flatnonzero(label == g).tolist() for g in np.unique(label)]
 
 
-def _collapse_multiple(p: Polynomial, rc: np.ndarray, roots: list[complex],
-                       tol: float) -> list[complex]:
+def _collapse_multiple(rc: np.ndarray, roots: list[complex], tol: float) -> list[complex]:
     """Snap groups of approximations of one multiple root onto a single point.
 
     A size-m group is refined by Newton on the (m-1)-th derivative (simple
@@ -184,6 +183,7 @@ def _collapse_multiple(p: Polynomial, rc: np.ndarray, roots: list[complex],
     an order-m zero at working precision. rc holds p's coefficients in
     descending order.
     """
+    p = Polynomial(rc[::-1].tolist())
     out = list(roots)
     for g in _single_linkage(np.asarray(roots), _GROUP_RADIUS):
         m = len(g)
@@ -210,13 +210,12 @@ def _collapse_multiple(p: Polynomial, rc: np.ndarray, roots: list[complex],
     return out
 
 
-def _solve_group(polys: list[Polynomial], c: np.ndarray, d: int,
-                 tol: float) -> list[RootSet | PolygeomError]:
+def _solve_group(c: np.ndarray, d: int, tol: float) -> list[RootSet | PolygeomError]:
     """Root sets of polynomials of one degree n whose coefficients are the
     columns of c, each with n - d exact zeros at the origin (so c[:d + 1]
     has none)."""
     n = len(c) - 1
-    approx = np.zeros((len(polys), n), dtype=complex)
+    approx = np.zeros((c.shape[1], n), dtype=complex)
     if d == 1:
         approx[:, -1] = -c[1] / c[0]
     elif d >= 2:
@@ -234,7 +233,7 @@ def _solve_group(polys: list[Polynomial], c: np.ndarray, d: int,
     z[lone] = np.sort(z[lone], axis=-1, kind="stable")
     roots = z.tolist()
     for r in (~lone).nonzero()[0]:
-        roots[r] = _collapse_multiple(polys[r], c[:, r], roots[r], tol)
+        roots[r] = _collapse_multiple(c[:, r], roots[r], tol)
         roots[r].sort(key=lambda x: (x.real, x.imag))
         z[r] = roots[r]
 
@@ -281,7 +280,7 @@ def find_roots_many(
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for (_, d), rows in groups.items():
             c = np.array([polys[i].coeffs[::-1] for i in rows], dtype=complex).T.copy()
-            solved = _solve_group([polys[i] for i in rows], c, d, tol)
+            solved = _solve_group(c, d, tol)
             for i, res in zip(rows, solved):
                 out[i] = res
     return out
@@ -329,9 +328,10 @@ def drive_many(cores: list, tol: float = DEFAULT_TOL) -> list:
     return out
 
 
-def drive(core, tol: float = DEFAULT_TOL):
-    """Run one root-requesting generator to completion; raise what it raises."""
-    out, = drive_many([core], tol)
+def drive(core):
+    """Run one root-requesting generator to completion at DEFAULT_TOL;
+    raise what it raises."""
+    out, = drive_many([core])
     if isinstance(out, PolygeomError):
         raise out
     return out

@@ -3,12 +3,11 @@ import random
 
 import pytest
 
-from polygeom import jsonio
+from polygeom import campaign, jsonio, rootfind
 from polygeom.campaign import (
     PROPERTIES,
     CampaignConfig,
     _run_chunk,
-    _run_trial,
     replay,
     replay_verdict,
     run_campaign,
@@ -77,9 +76,38 @@ class TestChunks:
             for jobs in (1, 2, 3))
         assert a == b == c
 
+    @pytest.mark.parametrize("jobs,trials,cpus,workers", [
+        (64, 2, 4, 2),    # no more workers than chunks
+        (64, 1000, 4, 4),  # nor than CPUs
+        (3, 1000, 4, 3),
+        (8, 1000, None, None),  # an unknown CPU count runs in the process
+        (2, 1, 4, None),  # as does a single chunk
+    ])
+    def test_pool_size_is_bounded(self, monkeypatch, jobs, trials, cpus, workers):
+        started = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(campaign, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(campaign.os, "cpu_count", lambda: cpus)
+        cfg = CampaignConfig(property="derivative_identity", trials=trials, jobs=jobs)
+        assert run_campaign(cfg).passed == trials
+        assert started == ([] if workers is None else [workers])
+
     def test_chunk_equals_its_trials(self):
         cfg = CampaignConfig(property="theorem1_convex", trials=10, seed=4)
-        assert _run_chunk(cfg, 2, 7) == [_run_trial(cfg, i) for i in range(2, 7)]
+        assert _run_chunk(cfg, 2, 7) == [_run_chunk(cfg, i, i + 1)[0] for i in range(2, 7)]
 
 
 class TestAllProperties:
@@ -93,10 +121,28 @@ class TestAllProperties:
 
 
 class TestRootTolerance:
-    def test_grace_honours_root_tol(self):
-        # no root set is certified at 1e-30, so every trial errs
-        rep = run_campaign(CampaignConfig(property="grace", trials=20, seed=1, root_tol=1e-30))
-        assert rep.errored == 20
+    # every root find of a campaign runs at its root_tol. At 1e-30 no root
+    # set is certified but the exact root of a linear polynomial (residual
+    # 0; theorem 1 at total degree 1, theorem 2 at k = n - 1), so a trial
+    # errs unless every root it needed was such a root
+    @pytest.mark.parametrize("prop", ["grace", "walsh_classic", "theorem1_convex",
+                                      "theorem1_exterior", "theorem2", "gauss_lucas"])
+    def test_root_finds_honour_root_tol(self, monkeypatch, prop):
+        requests = []
+        find_roots_many = rootfind.find_roots_many
+
+        def recording(polys, tol):
+            requests.extend((p.degree(), tol) for p in polys)
+            return find_roots_many(polys, tol)
+
+        monkeypatch.setattr(rootfind, "find_roots_many", recording)
+        cfg = CampaignConfig(property=prop, trials=20, seed=1,
+                             n_min=3 if prop == "theorem2" else 2, root_tol=1e-30)
+        for i in range(cfg.trials):
+            requests.clear()
+            rec = _run_chunk(cfg, i, i + 1)[0]
+            assert requests and {tol for _, tol in requests} == {1e-30}
+            assert rec["status"] == "error" or max(d for d, _ in requests) == 1
 
 
 class TestHighDegree:
@@ -106,7 +152,7 @@ class TestHighDegree:
         # Overflow itself is covered in test_rootfind.TestCertificate.
         cfg = CampaignConfig(property="theorem1_convex", trials=200,
                              seed=(9203 << 20) | (1 << 4) | 2, n_min=25, n_max=60)
-        rec = _run_trial(cfg, 30)
+        rec = _run_chunk(cfg, 30, 31)[0]
         assert rec["status"] == "pass"
         verdict = replay(rec["instance"], "theorem1_convex")
         assert (verdict["status"], verdict["diagnostic"]) == (rec["status"], rec["diagnostic"])
@@ -148,10 +194,8 @@ class TestHighDegree:
 class TestReplay:
     def test_replays_recorded_pass(self):
         cfg = CampaignConfig(property="derivative_identity", trials=5, seed=9)
-        from polygeom.campaign import _run_trial
-
         for i in range(5):
-            rec = _run_trial(cfg, i)
+            rec = _run_chunk(cfg, i, i + 1)[0]
             verdict = replay(rec["instance"], "derivative_identity")
             assert verdict["status"] == rec["status"]
 
@@ -183,6 +227,6 @@ class TestReplay:
     @pytest.mark.parametrize("tol", [0, math.inf, "1e-12", None])
     def test_bad_recorded_tolerance_is_invalid_input(self, tol):
         cfg = CampaignConfig(property="derivative_identity", trials=1)
-        inst = _run_trial(cfg, 0)["instance"]
+        inst = _run_chunk(cfg, 0, 1)[0]["instance"]
         with pytest.raises(InvalidInput):
             replay({**inst, "root_tol": tol})

@@ -148,6 +148,14 @@ class TestTheorem2:
         main(args + ["--json-out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    # JSON has no NaN or Infinity, and 1.5e308 puts the outer zero past the
+    # largest float
+    @pytest.mark.parametrize("distance", ["nan", "inf", "1.5e308"])
+    def test_generate_rejects_a_non_finite_outer_zero(self, capsys, distance):
+        assert main(["theorem2", "--generate", "--n", "5",
+                     "--outer-distance", distance]) == 2
+        assert capsys.readouterr().out == ""
+
 
 class TestFuzzAndReplay:
     def test_fuzz_report(self, tmp_path):
@@ -267,12 +275,23 @@ AGREEMENT_CASES = {
         {"property": "theorem1_exterior", "multiaffine": {"n": 2, "E": [[0, 0], [1, 0], [0, 0]]},
          "points": [[-1, 0], [1, 0]], "region": _disk([0, 0], 1, "exterior"),
          "classic": False}, 0, "hypothesis-violation"),
+    # a boolean field given as a string or a number: invalid input
+    **{f"closed-{v!r}": ({"property": "theorem1_convex", "multiaffine": _LINEAR_P,
+                          "points": [[-1, 0], [1, 0]],
+                          "region": {**_disk([0, 0], 1), "closed": v}, "classic": False},
+                         2, "error") for v in ("false", 0)},
+    **{f"{key}-{v!r}": ({"property": "walsh_classic", "multiaffine": _LINEAR_P,
+                         "points": [[-1, 0], [1, 0]], "region": _disk([0, 0], 1),
+                         "classic": True, key: v}, 2, "error")
+       for key in ("classic", "force") for v in ("false", 1)},
 }
 
 
 # the grace subcommand reads the coefficients of a, not a_roots, so it
-# cannot state a mismatch between them
-REPLAY_ONLY = {"grace-a-roots-mismatch"}
+# cannot state a mismatch between them; the coincidence subcommand sets
+# classic and force from flags, so it cannot give them a wrong type
+REPLAY_ONLY = {"grace-a-roots-mismatch",
+               *(f"{key}-{v!r}" for key in ("classic", "force") for v in ("false", 1))}
 
 
 def subcommand_argv(tmp_path, inst):
@@ -370,9 +389,16 @@ class TestWrongShapeInput:
         ({"property": "derivative_identity", "n": 4, "k": False, "y": [0.5, 0]}, 2),
         ({"property": "apolarity_identity", "n": "3", "a": [[1, 0]], "a2": [[1, 0]],
           "b": [[1, 0]], "alpha": [1, 0], "c": [1, 0]}, 2),
+        # a degree above N_MAX = 60 is invalid input, rejected before any
+        # polynomial of that degree is built
+        ({"property": "derivative_identity", "n": 61, "k": 1, "y": [0.5, 0.5]}, 2),
+        ({"property": "derivative_identity", "n": 300, "k": 1, "y": [0.5, 0.5]}, 2),
+        ({"property": "apolarity_identity", "n": 10 ** 6, "a": [[1, 0]], "a2": [[1, 0]],
+          "b": [[1, 0]], "alpha": [1, 0], "c": [1, 0]}, 2),
     ], ids=["grace-n-2.0", "grace-n-true", "theorem2-k-1.0", "theorem2-k-1.5",
             "theorem2-k-string", "derivative-n-3.5", "derivative-k-false",
-            "apolarity-n-string"])
+            "apolarity-n-string", "derivative-n-61", "derivative-n-300",
+            "apolarity-n-1e6"])
     def test_replay_reads_integer_fields(self, tmp_path, capsys, inst, code):
         assert main(["replay", "--instance", write(tmp_path, "inst.json", inst)]) == code
         assert json.loads(capsys.readouterr().out)["status"] == ("pass" if code == 0 else "error")

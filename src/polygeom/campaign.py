@@ -38,7 +38,7 @@ from .errors import (
 )
 from .poly import N_MAX, Polynomial, from_roots
 from .regions import MEMBERSHIP_TOL, disk, exterior_disk, half_plane, smallest_enclosing_disk
-from .rootfind import DEFAULT_TOL, _valid_tol, drive_many, find_roots
+from .rootfind import DEFAULT_TOL, _reuse_scope, _valid_tol, drive_many, find_roots
 
 PASS = "pass"
 FAIL = "fail"
@@ -410,20 +410,23 @@ def run_check(prop: str, inst: dict, root_tol: float) -> Verdict:
 def _run_chunk(cfg: CampaignConfig, start: int, stop: int) -> list[dict]:
     """Trials start..stop-1: generate every instance, then advance all
     their checks in lockstep, so that each round solves the chunk's
-    pending root requests in one batch."""
+    pending root requests in one batch. Within the chunk, a polynomial is
+    solved once: a check that requests the roots its generator found (the
+    q^(n-m) of theorem 1) gets the same RootSet back."""
     gen, check = PROPERTIES[cfg.property]
     records, started = [], []
-    for index in range(start, stop):
-        ts = trial_seed(cfg.seed, index)
-        rec = {"trial_seed": ts, "instance": None}
-        try:
-            rec["instance"] = gen(random.Random(ts), cfg)
-        except PolygeomError as e:
-            rec.update(status=ERROR, diagnostic=f"generation failed: {e}")
-        else:
-            started.append((rec, check(rec["instance"])))
-        records.append(rec)
-    outcomes = drive_many([c for _, c in started], cfg.root_tol)
+    with _reuse_scope():
+        for index in range(start, stop):
+            ts = trial_seed(cfg.seed, index)
+            rec = {"trial_seed": ts, "instance": None}
+            try:
+                rec["instance"] = gen(random.Random(ts), cfg)
+            except PolygeomError as e:
+                rec.update(status=ERROR, diagnostic=f"generation failed: {e}")
+            else:
+                started.append((rec, check(rec["instance"])))
+            records.append(rec)
+        outcomes = drive_many([c for _, c in started], cfg.root_tol)
     for (rec, _), out in zip(started, outcomes):
         v = _as_verdict(out)
         rec.update(status=v.status, diagnostic=v.diagnostic)
@@ -432,15 +435,17 @@ def _run_chunk(cfg: CampaignConfig, start: int, stop: int) -> list[dict]:
 
 def run_campaign(config: CampaignConfig) -> CampaignReport:
     config.validate()
-    # chunks of this many trials balance the pool's load; a chunk's checks
-    # run in lockstep, and the chunk bounds the root requests held at once
-    size = max(1, config.trials // (8 * config.jobs))
+    # chunks of this many trials balance the load of the workers that can
+    # run at once (no more than there are CPUs); a chunk's checks run in
+    # lockstep, and the chunk bounds the root requests held at once
+    cpus = min(config.jobs, os.cpu_count() or 1)
+    size = max(1, config.trials // (8 * cpus))
     starts = range(0, config.trials, size)
     stops = [min(s + size, config.trials) for s in starts]
     cfgs = [config] * len(starts)
     # the pool forks all its workers at the first submit: no more than
     # there are chunks to run or CPUs to run them on
-    workers = min(config.jobs, len(starts), os.cpu_count() or 1)
+    workers = min(cpus, len(starts))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_run_chunk, cfgs, starts, stops))

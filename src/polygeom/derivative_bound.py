@@ -66,6 +66,13 @@ def theorem2_bound(n: int, k: int) -> int:
     return max(0, (n - 2 * k + 1) // 2)
 
 
+def _disk_frame_polynomial(inst: Theorem2Instance) -> Polynomial:
+    """p in the disk's own frame (center 0, radius 1): the monic polynomial
+    with zeros (z - c) / r. InvalidInput when a coefficient is not finite."""
+    c, r = inst.disk.center, inst.disk.radius
+    return from_roots([(z - c) / r for z in list(inst.inner_zeros) + [inst.outer_zero]])
+
+
 def _theorem2_core(inst: Theorem2Instance, k: int):
     """check_theorem2 as a core: yields p^(k) for its roots."""
     inst.validate()
@@ -76,8 +83,7 @@ def _theorem2_core(inst: Theorem2Instance, k: int):
     # frame (center 0, radius 1); this keeps tightly clustered instances
     # well-conditioned without changing any count
     c, r = inst.disk.center, inst.disk.radius
-    zeros = [(z - c) / r for z in list(inst.inner_zeros) + [inst.outer_zero]]
-    p = from_roots(zeros)
+    p = _disk_frame_polynomial(inst)
     d = p.derivative(k)
     droots_n = yield d
 
@@ -196,4 +202,14 @@ def generate_theorem2_instance(
     outer = center + cmath.rect(d, rng.uniform(0.0, 2.0 * math.pi))
     if not cmath.isfinite(outer):
         raise InvalidInput(f"the outer zero overflows at outer_distance={outer_distance}")
-    return Theorem2Instance(inner, outer, disk(center, radius))
+    inst = Theorem2Instance(inner, outer, disk(center, radius))
+    try:
+        # p^(k) multiplies a_j by j!/(j-k)! <= j!: when every a_j * j! is
+        # finite, so is every derivative a check can ask for
+        p = _disk_frame_polynomial(inst)
+        Polynomial([a * math.factorial(j) for j, a in enumerate(p.coeffs)])
+    except InvalidInput:
+        raise InvalidInput(
+            f"the disk-frame polynomial or a derivative overflows at radius={radius}, "
+            f"outer_distance={outer_distance}") from None
+    return inst

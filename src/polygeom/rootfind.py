@@ -1,5 +1,5 @@
 """All-roots solver: companion-matrix eigenvalues polished by Aberth-Ehrlich,
-for a batch of polynomials at once.
+for a batch of polynomials in one pass.
 
 The start is the eigenvalues of the companion matrix that ``np.roots``
 builds (backward stable by Edelman & Murakami 1995), one stacked
@@ -10,9 +10,15 @@ freezes once its step is negligible or its scaled residual is within tol
 near-coincident approximations of a multiple root are collapsed onto a
 refined representative before multiplicity clustering. A root set is
 certified only when the scaled residual of every root under the original
-polynomial is within tol; a NaN or inf residual fails. Every operation
-is elementwise or per row, so a polynomial gets the same bits in any
-batch as alone.
+polynomial is within tol; a NaN or inf residual fails.
+
+A batch of many degrees is one pass, not one pass per degree: each row's
+coefficients are padded with leading zeros to the batch's largest degree,
+which Horner's rule passes through unchanged, and each row's roots are
+followed by NaN pads, which no test counts. Every operation is
+elementwise or per row, and each sum over a row's roots has that row's
+own length, so a polynomial gets the same bits in any batch as alone.
+Within a ``_reuse_scope`` (a campaign chunk) a polynomial is solved once.
 
 Checks that need roots are written as generators (cores): a core yields
 a Polynomial and is sent its RootSet, or has the root finder's error
@@ -22,8 +28,11 @@ in lockstep with one ``find_roots_many`` call per round.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import numbers
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +49,9 @@ MAX_ITER = 200
 _GROUP_RADIUS = 1e-3
 # single-linkage threshold for the multiplicity clusters of a root set
 _CLUSTER_RADIUS = 1e-6
+
+# RootSets by (coefficient bytes, tol) while a _reuse_scope is open
+_reuse: dict[tuple[bytes, float], "RootSet"] | None = None
 
 
 @dataclass(frozen=True)
@@ -80,14 +92,14 @@ def _polyder(c: np.ndarray) -> np.ndarray:
     return c[:-1] * np.arange(len(c) - 1, 0, -1).reshape((-1,) + (1,) * (c.ndim - 1))
 
 
-def _scaled_residuals(rc: np.ndarray, z: np.ndarray, pz: np.ndarray) -> np.ndarray:
+def _scaled_residuals(ac: np.ndarray, z: np.ndarray, pz: np.ndarray) -> np.ndarray:
     """|p(z)| / sum_k |a_k| max(1, |z|)**k, given pz = p(z) and the
-    coefficients rc of p in descending order.
+    moduli ac of p's coefficients in descending order.
 
     NaN or inf where the evaluation overflows; neither passes a
     ``<= tol`` test.
     """
-    return np.abs(pz) / _polyval(np.abs(rc), np.maximum(1.0, np.abs(z)))
+    return np.abs(pz) / _polyval(ac, np.maximum(1.0, np.abs(z)))
 
 
 def _companion_eigvals(c: np.ndarray) -> np.ndarray:
@@ -105,44 +117,69 @@ def _companion_eigvals(c: np.ndarray) -> np.ndarray:
     return x
 
 
-def _aberth(c: np.ndarray, tol: float) -> np.ndarray:
-    """Roots (one row each) of the polynomials whose coefficients are the
-    columns of c (degree >= 2, no zero root). The active roots of all
-    polynomials form one flat set; each sweep gathers their coefficients
-    once."""
-    d = len(c) - 1
-    # the coefficients of p, then of p', so that a sweep gathers both at once
-    cd = np.concatenate([c, _polyder(c)])
-    x = _companion_eigvals(c)
+def _aberth(cs: list[np.ndarray], tol: float) -> np.ndarray:
+    """Roots of the polynomials whose coefficients, in descending order,
+    are cs (degree >= 2, no zero root, sorted by degree): row r holds the
+    roots of cs[r], then NaN pads.
+
+    The coefficients are padded with leading zeros to the largest degree.
+    The active roots of all polynomials form one flat set, ordered by
+    degree; each sweep gathers their coefficients, and sums
+    1/(x_i - x_j) over the roots of each degree's rows, so that every sum
+    has its row's own length.
+    """
+    rows, deg = len(cs), [len(cr) - 1 for cr in cs]
+    dmax = deg[-1]
+    c = np.zeros((dmax + 1, rows), dtype=complex)
+    for r, cr in enumerate(cs):
+        c[dmax - deg[r]:, r] = cr
+    ac, dc = np.abs(c), _polyder(c)
+    x = np.full((rows, dmax), complex(np.nan, np.nan))
     flat = x.reshape(-1)
-    # the active roots: flat index, and its polynomial and position
-    active = np.arange(x.size)
-    row, col = np.divmod(active, d)
+    # each degree's rows are one run
+    bounds = [r for r in range(rows) if r == 0 or deg[r] != deg[r - 1]] + [rows]
+    degs = [deg[r] for r in bounds[:-1]]
+    for d, lo, hi in zip(degs, bounds[:-1], bounds[1:]):
+        x[lo:hi, :d] = _companion_eigvals(c[dmax - d:, lo:hi])
+    # the active roots: flat index, and its polynomial, position and degree
+    active = np.flatnonzero(np.arange(dmax) < np.array(deg)[:, None])
+    row, col = np.divmod(active, dmax)
+    rdeg = np.take(deg, row)
     for _ in range(MAX_ITER):
         if not active.size:
             break
-        xa, g = flat[active], cd[:, row]
-        p = _polyval(g[:d + 1], xa)
-        converged = _scaled_residuals(g[:d + 1], xa, p) <= tol
-        dp = _polyval(g[d + 1:], xa)
+        xa = flat[active]
+        # the coefficients are gathered one array at a time, which bounds
+        # the memory a sweep holds
+        p = _polyval(c[:, row], xa)
+        converged = _scaled_residuals(ac[:, row], xa, p) <= tol
+        dp = _polyval(dc[:, row], xa)
         w = np.where(p == 0, 0.0, p / np.where(dp == 0, 1e-300, dp))
-        diff = xa[:, None] - x[row]
-        diff[np.arange(active.size), col] = np.inf
-        s = np.sum(1.0 / diff, axis=1)
+        # each degree's roots are one run of the active set
+        s = np.empty_like(xa)
+        cuts = [0, *np.searchsorted(rdeg, degs[1:]).tolist(), active.size]
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            if lo < hi:
+                diff = xa[lo:hi, None] - x[row[lo:hi], :rdeg[lo]]
+                diff[np.arange(hi - lo), col[lo:hi]] = np.inf
+                s[lo:hi] = np.sum(1.0 / diff, axis=1)
         delta = w / (1.0 - w * s)
         delta = np.where(np.isfinite(delta) & ~converged, delta, 0.0)
         flat[active] = xa = xa - delta
         moving = np.abs(delta) > tol * (1.0 + np.abs(xa))
-        active, row, col = active[moving], row[moving], col[moving]
+        active, row, col, rdeg = active[moving], row[moving], col[moving], rdeg[moving]
     return x
 
 
-def _newton_polish(c: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """One Newton step per root, kept only where |p| does not grow."""
-    pv = _polyval(c, z)
-    dv = _polyval(_polyder(c), z)
+def _newton_polish(c: np.ndarray, row: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """One Newton step per root z[i] of the polynomial with coefficients
+    c[:, row[i]], kept only where |p| does not grow. The coefficients of
+    p' and of p are gathered one after the other."""
+    dv = _polyval(_polyder(c)[:, row], z)
+    g = c[:, row]
+    pv = _polyval(g, z)
     cand = z - pv / np.where(dv == 0, 1.0, dv)
-    better = np.abs(_polyval(c, cand)) <= np.abs(pv)
+    better = np.abs(_polyval(g, cand)) <= np.abs(pv)
     return np.where((dv != 0) & np.isfinite(cand) & better, cand, z)
 
 
@@ -151,6 +188,34 @@ def _adjacency(z: np.ndarray, scale: float) -> np.ndarray:
     radius = scale * (1.0 + np.abs(z))
     return (np.abs(z[..., :, None] - z[..., None, :])
             <= np.maximum(radius[..., :, None], radius[..., None, :]))
+
+
+@functools.cache
+def _pairs(d: int) -> tuple[np.ndarray, ...]:
+    """The index pairs i < j of d points, read-only, as int16 (d is at
+    most N_MAX), so that the cache of every width stays small."""
+    pairs = tuple(k.astype(np.int16) for k in np.triu_indices(d, 1))
+    for k in pairs:
+        k.flags.writeable = False
+    return pairs
+
+
+def _lone(z: np.ndarray, n: list[int]) -> np.ndarray:
+    """The rows r of z for which _adjacency(z[r], _GROUP_RADIUS) holds
+    n[r] true entries: in practice, rows whose own roots are finite and
+    each adjacent only to itself.
+
+    Each pair is taken once, so the differences fill half of a (rows, D,
+    D) array. A root is adjacent to itself when it is finite; a NaN pad
+    is adjacent to nothing.
+    """
+    i, j = _pairs(z.shape[1])
+    gap = z[:, i]
+    gap -= z[:, j]
+    gap = np.abs(gap)
+    radius = _GROUP_RADIUS * (1.0 + np.abs(z))
+    near = gap <= np.maximum(radius[:, i], radius[:, j])
+    return np.isfinite(z).sum(axis=1) + 2 * near.sum(axis=1) == n
 
 
 def _single_linkage(points: np.ndarray, scale: float) -> list[list[int]]:
@@ -203,55 +268,79 @@ def _collapse_multiple(rc: np.ndarray, roots: list[complex], tol: float) -> list
                 break
         spread_cap = 10.0 * (1.0 + abs(z)) * (1e-13) ** (1.0 / m)
         spread = max(abs(roots[i] - z) for i in g)
-        certified = _scaled_residuals(rc, z, np.polyval(rc, z)) <= tol
+        certified = _scaled_residuals(np.abs(rc), z, np.polyval(rc, z)) <= tol
         if spread <= spread_cap and certified:
             for i in g:
                 out[i] = z
     return out
 
 
-def _solve_group(c: np.ndarray, d: int, tol: float) -> list[RootSet | PolygeomError]:
-    """Root sets of polynomials of one degree n whose coefficients are the
-    columns of c, each with n - d exact zeros at the origin (so c[:d + 1]
-    has none)."""
-    n = len(c) - 1
-    approx = np.zeros((c.shape[1], n), dtype=complex)
-    if d == 1:
-        approx[:, -1] = -c[1] / c[0]
-    elif d >= 2:
-        approx[:, n - d:] = _aberth(c[:d + 1], tol)
-    # each root's coefficients, as the rows of z are flattened
-    cz = np.repeat(c, n, axis=1)
-    z = _newton_polish(cz, approx.ravel()).reshape(approx.shape)
+def _solve(cs: list[np.ndarray], tol: float) -> list[RootSet | PolygeomError]:
+    """Root sets of the polynomials whose coefficients, in descending
+    order, are cs (degree >= 1), in one padded pass.
+
+    Each row's coefficients get leading zeros up to the largest degree;
+    Horner's rule passes them through bit for bit (0*z + 0 = 0 for finite
+    z). Each row's roots get NaN pads, which no test counts: a NaN is
+    adjacent to nothing and sorts last.
+    """
+    rows = len(cs)
+    n = [len(c) - 1 for c in cs]
+    nmax = max(n)
+    c = np.zeros((nmax + 1, rows), dtype=complex)
+    z = np.full((rows, nmax), complex(np.nan, np.nan))
+    # the rows left with degree d >= 2 once their exact zeros at the
+    # origin come off, as (d, row)
+    big = []
+    for r, cr in enumerate(cs):
+        c[nmax - n[r]:, r] = cr
+        z[r, :n[r]] = 0.0
+        d = int(np.flatnonzero(cr)[-1])
+        if d == 1:
+            z[r, n[r] - 1] = -cr[1] / cr[0]
+        elif d >= 2:
+            big.append((d, r))
+    if big:
+        big.sort()
+        for (d, r), xr in zip(big, _aberth([cs[r][:d + 1] for d, r in big], tol)):
+            z[r, n[r] - d:n[r]] = xr[:d]
+
+    # each row's own roots, flattened, and the row each belongs to
+    own = np.arange(nmax) < np.array(n)[:, None]
+    row = np.repeat(np.arange(rows), n)
+    z[own] = _newton_polish(c, row, z[own])
 
     # rows with a candidate multiple-root group, or a non-finite value (no
     # longer adjacent to itself), take the per-root path; the others are
     # sorted by (real, imag) here (a stable sort, as list.sort is), and
     # their roots are also singleton clusters, _CLUSTER_RADIUS being the
     # smaller radius
-    lone = _adjacency(z, _GROUP_RADIUS).sum(axis=(1, 2)) == n
+    lone = _lone(z, n)
     z[lone] = np.sort(z[lone], axis=-1, kind="stable")
-    roots = z.tolist()
-    for r in (~lone).nonzero()[0]:
-        roots[r] = _collapse_multiple(c[:, r], roots[r], tol)
-        roots[r].sort(key=lambda x: (x.real, x.imag))
-        z[r] = roots[r]
+    for r in (~lone).nonzero()[0].tolist():
+        roots = _collapse_multiple(cs[r], z[r, :n[r]].tolist(), tol)
+        roots.sort(key=lambda x: (x.real, x.imag))
+        z[r, :n[r]] = roots
 
-    flat = z.ravel()
-    residuals = _scaled_residuals(cz, flat, _polyval(cz, flat)).reshape(z.shape)
-    certified = (residuals <= tol).all(axis=1)
+    flat = z[own]
+    pz = _polyval(c[:, row], flat)
+    residuals = _scaled_residuals(np.abs(c)[:, row], flat, pz)
+    ends = list(itertools.accumulate(n))
+    certified = np.logical_and.reduceat(residuals <= tol, [0, *ends[:-1]])
+    all_roots, all_res = flat.tolist(), residuals.tolist()
     out: list[RootSet | PolygeomError] = []
-    for r, rs in enumerate(roots):
-        res = residuals[r].tolist()
+    for r, (lo, hi) in enumerate(zip([0, *ends], ends)):
+        roots, res = all_roots[lo:hi], all_res[lo:hi]
         if not certified[r]:
             out.append(NonConvergence(
                 f"residuals above tol={tol} after {MAX_ITER} iterations",
-                roots=rs, residuals=res))
+                roots=roots, residuals=res))
             continue
-        groups = [[i] for i in range(n)] if lone[r] else _single_linkage(z[r], _CLUSTER_RADIUS)
-        clusters = sorted(((sum(rs[i] for i in g) / len(g), len(g)) for g in groups),
+        groups = ([[i] for i in range(n[r])] if lone[r]
+                  else _single_linkage(flat[lo:hi], _CLUSTER_RADIUS))
+        clusters = sorted(((sum(roots[i] for i in g) / len(g), len(g)) for g in groups),
                           key=lambda cl: (cl[0].real, cl[0].imag))
-        out.append(RootSet(tuple(rs), tuple(res), tuple(clusters)))
+        out.append(RootSet(tuple(roots), tuple(res), tuple(clusters)))
     return out
 
 
@@ -261,29 +350,51 @@ def find_roots_many(
     """find_roots of every polynomial: its RootSet, or the error
     find_roots would raise for it.
 
-    Rows are grouped by degree and by the degree left once exact zeros at
-    the origin come off, and each group is solved with stacked array
-    operations; every row gets the same bits as it would alone.
+    All rows are solved in one pass: their coefficients are padded with
+    leading zeros to the largest degree, the companion eigenvalues are
+    stacked per degree, and sweeps, polish, sort and residuals run over
+    every row at once. Every row gets the same bits as it would alone.
+    Within a _reuse_scope, a RootSet already found for the same
+    coefficients and tol is returned again, not recomputed.
     """
     out: list[RootSet | PolygeomError | None] = [None] * len(polys)
-    groups: dict[tuple[int, int], list[int]] = {}
+    todo: dict[int, tuple[bytes, float]] = {}
+    cs = []
     valid_tol = _valid_tol(tol)
     for i, p in enumerate(polys):
-        n = p.degree()
-        if n < 1:
+        if p.degree() < 1:
             out[i] = InvalidDegree("find_roots needs degree >= 1")
         elif not valid_tol:
             out[i] = InvalidInput(f"tol must be finite and > 0, got {tol!r}")
         else:
-            zeros = next(k for k, a in enumerate(p.coeffs) if a != 0)
-            groups.setdefault((n, n - zeros), []).append(i)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for (_, d), rows in groups.items():
-            c = np.array([polys[i].coeffs[::-1] for i in rows], dtype=complex).T.copy()
-            solved = _solve_group(c, d, tol)
-            for i, res in zip(rows, solved):
-                out[i] = res
+            c = np.array(p.coeffs[::-1], dtype=complex)
+            key = (c.tobytes(), tol)
+            if _reuse is not None and key in _reuse:
+                out[i] = _reuse[key]
+            else:
+                todo[i] = key
+                cs.append(c)
+    if cs:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            solved = _solve(cs, tol)
+        for (i, key), res in zip(todo.items(), solved):
+            out[i] = res
+            if _reuse is not None and isinstance(res, RootSet):
+                _reuse[key] = res
     return out
+
+
+@contextmanager
+def _reuse_scope():
+    """Within this block, find_roots_many returns a RootSet it found
+    before for the same coefficient bytes and tol; errors are solved
+    again. The RootSets are dropped when the block ends."""
+    global _reuse
+    outer, _reuse = _reuse, {}
+    try:
+        yield
+    finally:
+        _reuse = outer
 
 
 def find_roots(p: Polynomial, tol: float = DEFAULT_TOL) -> RootSet:

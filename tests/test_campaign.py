@@ -15,6 +15,7 @@ from polygeom.campaign import (
 )
 from polygeom.coincidence import diagonal
 from polygeom.errors import InvalidConfig, InvalidInput
+from polygeom.poly import Polynomial
 
 
 class TestConfig:
@@ -66,8 +67,32 @@ class TestDeterminism:
         )
 
 
+def fake_pool(monkeypatch, cpus):
+    """Run the pool's chunks in this process on `cpus` CPUs; returns the
+    list of worker counts the pools were started with."""
+    started = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(campaign, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(campaign.os, "cpu_count", lambda: cpus)
+    return started
+
+
 class TestChunks:
-    # 53 trials: chunks of 6, 3 and 2 at jobs 1, 2 and 3, none dividing 53
+    # 53 trials: chunks of 6, 3 and 2 at jobs 1, 2 and 3 (3 at jobs 3 on two
+    # CPUs), none dividing 53
     @pytest.mark.parametrize("prop", sorted(PROPERTIES))
     def test_identical_reports_across_jobs(self, prop):
         n_min = 3 if prop == "theorem2" else 2
@@ -84,30 +109,82 @@ class TestChunks:
         (2, 1, 4, None),  # as does a single chunk
     ])
     def test_pool_size_is_bounded(self, monkeypatch, jobs, trials, cpus, workers):
-        started = []
-
-        class FakePool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(campaign, "ProcessPoolExecutor", FakePool)
-        monkeypatch.setattr(campaign.os, "cpu_count", lambda: cpus)
+        started = fake_pool(monkeypatch, cpus)
         cfg = CampaignConfig(property="derivative_identity", trials=trials, jobs=jobs)
         assert run_campaign(cfg).passed == trials
         assert started == ([] if workers is None else [workers])
 
+    @pytest.mark.parametrize("jobs", [2, 64])
+    def test_chunks_are_sized_from_the_cpus(self, monkeypatch, jobs):
+        # on 2 CPUs, jobs=64 cuts 2000 trials as jobs=2 does: 16 chunks of
+        # 125, not single-trial chunks
+        fake_pool(monkeypatch, 2)
+        sizes = []
+        run_chunk = campaign._run_chunk
+
+        def recording(cfg, start, stop):
+            sizes.append(stop - start)
+            return run_chunk(cfg, start, stop)
+
+        monkeypatch.setattr(campaign, "_run_chunk", recording)
+        cfg = CampaignConfig(property="derivative_identity", trials=2000, jobs=jobs)
+        assert run_campaign(cfg).passed == 2000
+        assert sizes == [125] * 16
+
     def test_chunk_equals_its_trials(self):
         cfg = CampaignConfig(property="theorem1_convex", trials=10, seed=4)
         assert _run_chunk(cfg, 2, 7) == [_run_chunk(cfg, i, i + 1)[0] for i in range(2, 7)]
+
+
+class TestSolveOnce:
+    @staticmethod
+    def count_rows(monkeypatch):
+        """The polynomials asked of find_roots_many, and the coefficient
+        rows its solver ran."""
+        asked, solved = [], []
+        find_roots_many, solve = rootfind.find_roots_many, rootfind._solve
+
+        def asking(polys, tol=rootfind.DEFAULT_TOL):
+            asked.extend(polys)
+            return find_roots_many(polys, tol)
+
+        def solving(cs, tol):
+            solved.extend(cs)
+            return solve(cs, tol)
+
+        monkeypatch.setattr(rootfind, "find_roots_many", asking)
+        monkeypatch.setattr(rootfind, "_solve", solving)
+        return asked, solved
+
+    def test_theorem1_chunk_solves_q_once(self, monkeypatch):
+        # the generator finds the zeros of q^(n-m) to shape the region, and
+        # the check asks for them again; only that second request is spared
+        generated = []
+        find_roots = campaign.find_roots
+
+        def generating(p, tol):
+            out = find_roots(p, tol=tol)
+            generated.append(p)
+            return out
+
+        monkeypatch.setattr(campaign, "find_roots", generating)
+        asked, solved = self.count_rows(monkeypatch)
+        cfg = CampaignConfig(property="theorem1_convex", trials=40, seed=2, n_min=2, n_max=12)
+        records = _run_chunk(cfg, 0, cfg.trials)
+        assert all(r["instance"] is not None for r in records)
+        assert generated and len(asked) - len(solved) == len(generated)
+
+    def test_nothing_is_reused_outside_a_chunk(self, monkeypatch):
+        asked, solved = self.count_rows(monkeypatch)
+        cfg = CampaignConfig(property="theorem1_convex", trials=3, seed=2)
+        _run_chunk(cfg, 0, cfg.trials)
+        assert rootfind._reuse is None
+        asked.clear()
+        solved.clear()
+        p = Polynomial([2, -3, 1])
+        rootfind.find_roots(p)
+        rootfind.find_roots(p)
+        assert len(asked) == len(solved) == 2
 
 
 class TestAllProperties:

@@ -156,6 +156,15 @@ class TestTheorem2:
                      "--outer-distance", distance]) == 2
         assert capsys.readouterr().out == ""
 
+    # finite zeros whose disk-frame polynomial (zeros (z - c) / r), or one
+    # of its derivatives, overflows: the check could not run them
+    @pytest.mark.parametrize("scale", [["--radius", "1e-300", "--outer-distance", "1e300"],
+                                       ["--outer-distance", "1e308"]])
+    def test_generate_rejects_an_overflowing_disk_frame(self, capsys, scale):
+        assert main(["theorem2", "--generate", "--n", "5", *scale]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "overflows" in err
+
 
 class TestFuzzAndReplay:
     def test_fuzz_report(self, tmp_path):

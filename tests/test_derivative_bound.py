@@ -13,7 +13,7 @@ from polygeom.derivative_bound import (
     kth_derivative_identity,
     theorem2_bound,
 )
-from polygeom.errors import InvalidInput, InvalidInstance
+from polygeom.errors import InvalidInput, InvalidInstance, NonConvergence
 from polygeom.poly import Polynomial, from_roots
 from polygeom.regions import disk
 from polygeom.rootfind import find_roots
@@ -206,6 +206,26 @@ class TestGenerator:
         a = generate_theorem2_instance(6, seed=123, radius=1.5, outer_distance=4.0)
         b = generate_theorem2_instance(6, seed=123, radius=1.5, outer_distance=4.0)
         assert a == b
+
+    @pytest.mark.parametrize("radius,distance", [(1e-300, 1e300), (1.0, 1e308),
+                                                 (1.0, 1e300), (1e-150, 1e150)])
+    def test_a_generated_instance_can_be_checked_at_every_k(self, radius, distance):
+        # near the end of the float range the generator rejects the
+        # instance, or every k gets a verdict (a non-convergence at worst)
+        try:
+            inst = generate_theorem2_instance(6, seed=0, radius=radius,
+                                              outer_distance=distance)
+        except InvalidInput:
+            return
+        for k in range(1, 6):
+            try:
+                check_theorem2(inst, k)
+            except NonConvergence:
+                pass
+
+    def test_rejects_an_overflowing_disk_frame(self):
+        with pytest.raises(InvalidInput, match="overflows"):
+            generate_theorem2_instance(5, seed=0, radius=1e-300, outer_distance=1e300)
 
     def test_rejects_small_n(self):
         with pytest.raises(InvalidInput):

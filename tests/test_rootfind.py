@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polygeom import rootfind
 from polygeom.errors import InvalidDegree, InvalidInput, NonConvergence, PolygeomError
 from polygeom.poly import Polynomial, from_roots
 from polygeom.rootfind import (
@@ -224,7 +225,7 @@ class TestArrayHelpers:
             p = Polynomial(random_unit_box(rng, deg))
             zs = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(20)]
             rc = np.asarray(p.coeffs[::-1])
-            got = _scaled_residuals(rc, np.asarray(zs), np.polyval(rc, np.asarray(zs)))
+            got = _scaled_residuals(np.abs(rc), np.asarray(zs), np.polyval(rc, np.asarray(zs)))
             for z, r in zip(zs, got):
                 scale = sum(abs(c) * max(1.0, abs(z)) ** k for k, c in enumerate(p.coeffs))
                 assert r == pytest.approx(abs(p(z)) / scale, rel=1e-12)
@@ -263,9 +264,10 @@ unit = st.builds(complex, st.floats(-1, 1), st.floats(-1, 1))
 
 @st.composite
 def polynomials(draw):
-    kind = draw(st.sampled_from(["random", "origin", "repeated", "overflow", "constant"]))
-    # a few degrees, so that rows often share a group
-    deg = draw(st.sampled_from([1, 2, 5, 12, 33, 60]))
+    kind = draw(st.sampled_from(["random", "origin", "signed", "repeated", "overflow",
+                                 "constant"]))
+    # any degree, so that a batch mixes many and pads most of its rows
+    deg = draw(st.integers(1, 60))
     if kind == "overflow":
         # NaN residuals: a NonConvergence row
         return Polynomial([1e6] * 60 + [1])
@@ -281,12 +283,18 @@ def polynomials(draw):
     if kind == "origin":
         zeros = draw(st.integers(1, deg))
         cs[:zeros] = [0j] * zeros
+    if kind == "signed":
+        # signed zeros: a -0.0 part counts as zero, a lowest one as a zero
+        # at the origin
+        signed_zero = st.sampled_from([0.0, -0.0])
+        for k in draw(st.lists(st.integers(0, deg - 1), max_size=deg)):
+            cs[k] = complex(draw(signed_zero), draw(signed_zero))
     return Polynomial(cs)
 
 
 class TestBatch:
     @settings(max_examples=40, deadline=None)
-    @given(st.lists(polynomials(), min_size=1, max_size=8),
+    @given(st.lists(polynomials(), min_size=1, max_size=12),
            st.sampled_from([1e-12, 1e-30]))
     def test_rows_equal_single_calls(self, ps, tol):
         many = find_roots_many(ps, tol=tol)
@@ -296,6 +304,41 @@ class TestBatch:
         rng = random.Random(8)
         ps = [Polynomial(random_unit_box(rng, 7)) for _ in range(30)]
         assert [outcome(m) for m in find_roots_many(ps)] == [outcome(alone(p)) for p in ps]
+
+    def test_mixed_degree_batch(self):
+        # one padded pass over 30 rows of many degrees, a third of them
+        # with zeros at the origin
+        rng = random.Random(30)
+        ps = []
+        for i in range(30):
+            cs = random_unit_box(rng, rng.randint(1, 60))
+            if i % 3 == 0:
+                zeros = rng.randint(1, len(cs) - 1)
+                cs[:zeros] = [0j] * zeros
+            ps.append(Polynomial(cs))
+        assert len({p.degree() for p in ps}) >= 20
+        assert [outcome(m) for m in find_roots_many(ps)] == [outcome(alone(p)) for p in ps]
+
+    def test_reuse_scope_returns_root_sets_and_solves_errors_again(self, monkeypatch):
+        solved = []
+        solve = rootfind._solve
+
+        def counting(cs, tol):
+            solved.extend(cs)
+            return solve(cs, tol)
+
+        monkeypatch.setattr(rootfind, "_solve", counting)
+        bad, good = Polynomial([1e6] * 60 + [1]), from_roots([1, 2j, -3])
+        with rootfind._reuse_scope():
+            first = find_roots_many([bad, good])
+            again = find_roots_many([bad, good])
+            other_tol = find_roots_many([good], tol=1e-10)
+        assert isinstance(first[0], NonConvergence) and isinstance(again[0], NonConvergence)
+        assert again[1] is first[1] and other_tol[0] is not first[1]
+        # bad twice, good once at each tolerance
+        assert len(solved) == 4
+        find_roots_many([good])
+        assert len(solved) == 5 and rootfind._reuse is None
 
     def test_non_finite_companion_is_non_convergence(self):
         # -a_0/a_2 overflows, so there is no finite companion matrix

@@ -13,11 +13,10 @@ import itertools
 import math
 import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from . import jsonio
+from . import jsonio, rootfind
 from .apolarity import apolarity_functional, make_apolar
 from .coincidence import WITNESS_TOL, SymmetricMultiaffine, _coincidence_core, _grace_core
 from .derivative_bound import (
@@ -208,13 +207,20 @@ def _gen_walsh_classic(rng: random.Random, cfg: CampaignConfig) -> dict:
     }
 
 
-def _gen_theorem1(rng: random.Random, cfg: CampaignConfig, exterior: bool) -> dict:
+def _theorem1_draw(rng: random.Random, cfg: CampaignConfig) -> tuple:
+    """The draws a theorem 1 instance starts from: (n, m, P, w, q), where
+    q is the (n-m)-th derivative of the polynomial with zeros w, or None
+    when m = n."""
     n = rng.randint(max(2, cfg.n_min), cfg.n_max)
     m = rng.randint(1, n)
     P = _random_multiaffine(rng, n, m)
     w = [2.0 * _unit_box(rng) for _ in range(n)]
-    droots = (find_roots(from_roots(w).derivative(n - m), tol=cfg.root_tol).roots
-              if m < n else tuple(w))
+    return n, m, P, w, from_roots(w).derivative(n - m) if m < n else None
+
+
+def _gen_theorem1(rng: random.Random, cfg: CampaignConfig, exterior: bool) -> dict:
+    n, m, P, w, q = _theorem1_draw(rng, cfg)
+    droots = find_roots(q, tol=cfg.root_tol).roots if q is not None else tuple(w)
 
     if exterior:
         while True:
@@ -384,6 +390,14 @@ PROPERTIES = {
     "gauss_lucas": (_gen_gauss_lucas, _check_gauss_lucas),
 }
 
+# property -> the polynomial whose roots its generator will ask for (or
+# None), drawn as the generator draws it; _run_chunk solves these ahead, in
+# one batch. Delete once the generators are cores that drive_many can run.
+_GENERATOR_REQUESTS = {
+    prop: lambda rng, cfg: _theorem1_draw(rng, cfg)[4]
+    for prop in ("theorem1_convex", "theorem1_exterior")
+}
+
 
 def _as_verdict(outcome: Verdict | PolygeomError) -> Verdict:
     """What a check returned, or the status of the error it raised: the
@@ -408,14 +422,22 @@ def run_check(prop: str, inst: dict, root_tol: float) -> Verdict:
 
 
 def _run_chunk(cfg: CampaignConfig, start: int, stop: int) -> list[dict]:
-    """Trials start..stop-1: generate every instance, then advance all
-    their checks in lockstep, so that each round solves the chunk's
-    pending root requests in one batch. Within the chunk, a polynomial is
-    solved once: a check that requests the roots its generator found (the
-    q^(n-m) of theorem 1) gets the same RootSet back."""
+    """Trials start..stop-1: solve the roots their generators will ask for
+    in one batch, generate every instance, then advance all their checks
+    in lockstep, so that each round solves the chunk's pending root
+    requests in one batch. Within the chunk, a polynomial is solved once:
+    a generator, or a check that requests the roots its generator found
+    (the q^(n-m) of theorem 1), gets the same RootSet back. A root set
+    that is not certified is not kept, so its generator fails as it would
+    alone."""
     gen, check = PROPERTIES[cfg.property]
+    request = _GENERATOR_REQUESTS.get(cfg.property)
     records, started = [], []
     with _reuse_scope():
+        if request is not None:
+            polys = (request(random.Random(trial_seed(cfg.seed, i)), cfg)
+                     for i in range(start, stop))
+            rootfind.find_roots_many([p for p in polys if p is not None], cfg.root_tol)
         for index in range(start, stop):
             ts = trial_seed(cfg.seed, index)
             rec = {"trial_seed": ts, "instance": None}
@@ -447,6 +469,10 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
     # there are chunks to run or CPUs to run them on
     workers = min(cpus, len(starts))
     if workers > 1:
+        # imported here, so that importing the package, as every CLI start
+        # does, loads no pool modules
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_run_chunk, cfgs, starts, stops))
     else:

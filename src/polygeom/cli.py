@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 
 from . import jsonio
 from .apolarity import apolarity_functional, is_apolar
@@ -38,10 +39,21 @@ EXIT_NUMERICAL = 3
 def _emit(doc: dict, args) -> None:
     text = jsonio.dumps(doc)
     if getattr(args, "json_out", None):
-        with open(args.json_out, "w", encoding="utf-8", newline="\n") as f:
-            f.write(text + "\n")
+        with _writable(args.json_out):
+            with open(args.json_out, "w", encoding="utf-8", newline="\n") as f:
+                f.write(text + "\n")
     else:
         print(text)
+
+
+@contextmanager
+def _writable(path: str):
+    """An output file that cannot be written is invalid input (exit 2),
+    as jsonio.load_file makes an unreadable input file."""
+    try:
+        yield
+    except OSError as e:
+        raise InvalidInput(f"cannot write {path}: {e.strerror}") from None
 
 
 def _exit_code(v: Verdict) -> int:
@@ -177,7 +189,8 @@ def _cmd_plot(args) -> int:
     regions = []
     if args.region:
         regions.append(jsonio.region_from_json(jsonio.load_file(args.region)))
-    emit_svg(point_sets, regions, args.svg_out)
+    with _writable(args.svg_out):
+        emit_svg(point_sets, regions, args.svg_out)
     return EXIT_OK
 
 

@@ -180,6 +180,8 @@ def generate_theorem2_instance(
     """
     if n < 3:
         raise InvalidInput("need n >= 3")
+    if n > N_MAX:
+        raise DegreeTooLarge(f"n={n} exceeds N_MAX={N_MAX}")
     if not (0 < radius < math.inf and 0 < outer_distance < math.inf):
         raise InvalidInput("radius and outer_distance must be finite and positive")
     rng = random.Random(seed)

@@ -1,6 +1,8 @@
+import concurrent.futures
 import math
 import random
 
+import numpy as np
 import pytest
 
 from polygeom import campaign, jsonio, rootfind
@@ -85,7 +87,7 @@ def fake_pool(monkeypatch, cpus):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(campaign, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(campaign.os, "cpu_count", lambda: cpus)
     return started
 
@@ -136,6 +138,11 @@ class TestChunks:
         assert _run_chunk(cfg, 2, 7) == [_run_chunk(cfg, i, i + 1)[0] for i in range(2, 7)]
 
 
+def coeff_row(p: Polynomial) -> bytes:
+    """The key rootfind solves p under: its coefficients, descending."""
+    return np.array(p.coeffs[::-1], dtype=complex).tobytes()
+
+
 class TestSolveOnce:
     @staticmethod
     def count_rows(monkeypatch):
@@ -156,23 +163,51 @@ class TestSolveOnce:
         monkeypatch.setattr(rootfind, "_solve", solving)
         return asked, solved
 
-    def test_theorem1_chunk_solves_q_once(self, monkeypatch):
-        # the generator finds the zeros of q^(n-m) to shape the region, and
-        # the check asks for them again; only that second request is spared
+    @staticmethod
+    def generated_q(monkeypatch):
+        """The coefficient rows of the q^(n-m) whose roots theorem 1
+        generators find."""
         generated = []
         find_roots = campaign.find_roots
 
         def generating(p, tol):
-            out = find_roots(p, tol=tol)
-            generated.append(p)
-            return out
+            generated.append(coeff_row(p))
+            return find_roots(p, tol=tol)
 
         monkeypatch.setattr(campaign, "find_roots", generating)
+        return generated
+
+    def test_theorem1_chunk_solves_q_once(self, monkeypatch):
+        # the chunk solves each q ahead; the generator's request and the
+        # check's request for the same roots are both served from the chunk
+        generated = self.generated_q(monkeypatch)
         asked, solved = self.count_rows(monkeypatch)
         cfg = CampaignConfig(property="theorem1_convex", trials=40, seed=2, n_min=2, n_max=12)
         records = _run_chunk(cfg, 0, cfg.trials)
         assert all(r["instance"] is not None for r in records)
-        assert generated and len(asked) - len(solved) == len(generated)
+        asked = [coeff_row(p) for p in asked]
+        solved = [c.tobytes() for c in solved]
+        assert generated
+        for q in generated:
+            # asked ahead, by the generator and by the check; solved once
+            assert solved.count(q) == 1 and asked.count(q) == 3
+
+    def test_theorem1_generators_are_solved_in_one_batch(self, monkeypatch):
+        generated = self.generated_q(monkeypatch)
+        batches = []
+        solve = rootfind._solve
+
+        def solving(cs, tol):
+            batches.append([c.tobytes() for c in cs])
+            return solve(cs, tol)
+
+        monkeypatch.setattr(rootfind, "_solve", solving)
+        cfg = CampaignConfig(property="theorem1_convex", trials=40, seed=2, n_min=2, n_max=12)
+        _run_chunk(cfg, 0, cfg.trials)
+        sizes = [len(b) for b in batches]
+        assert len(generated) > 1
+        assert sorted(batches[0]) == sorted(generated), sizes
+        assert all(q not in b for b in batches[1:] for q in generated), sizes
 
     def test_nothing_is_reused_outside_a_chunk(self, monkeypatch):
         asked, solved = self.count_rows(monkeypatch)

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import polygeom
 from polygeom.cli import main
 
 
@@ -164,6 +168,27 @@ class TestTheorem2:
         assert main(["theorem2", "--generate", "--n", "5", *scale]) == 2
         out, err = capsys.readouterr()
         assert out == "" and "overflows" in err
+
+
+    @pytest.mark.parametrize("n,code", [(60, 0), (61, 2), (1500, 2)])
+    def test_generate_degree_bound(self, capsys, n, code):
+        assert main(["theorem2", "--generate", "--n", str(n)]) == code
+        assert (capsys.readouterr().out == "") == (code == 2)
+
+
+class TestUnwritableOutput:
+    # exit 1 means a verified property failed: a report that cannot be
+    # written is invalid input (exit 2), as an unreadable input file is
+    @pytest.mark.parametrize("cmd", [
+        ["roots", "--poly", "{poly}", "--json-out", "{out}.json"],
+        ["fuzz", "--property", "gauss_lucas", "--trials", "5", "--json-out", "{out}.json"],
+        ["plot", "--poly", "{poly}", "--svg-out", "{out}.svg"],
+    ])
+    def test_missing_directory_is_invalid_input(self, tmp_path, capsys, cmd):
+        poly = write(tmp_path, "p.json", {"coeffs": [[-1, 0], [0, 0], [1, 0]]})
+        out = str(tmp_path / "missing" / "out")
+        assert main([a.format(poly=poly, out=out) for a in cmd]) == 2
+        assert "cannot write" in capsys.readouterr().err
 
 
 class TestFuzzAndReplay:
@@ -421,3 +446,15 @@ class TestWrongShapeInput:
     def test_coincidence_multiaffine_of_wrong_shape(self, tmp_path):
         inst = dict(AGREEMENT_CASES["theorem1-convex-pass"][0], multiaffine=[2, [0, 0]])
         assert main(subcommand_argv(tmp_path, inst)) == 2
+
+
+def test_cli_start_loads_no_process_pool():
+    # the pool's modules load only when a campaign starts a pool
+    code = ("import sys, polygeom.cli; "
+            "print(sorted(m for m in ('concurrent.futures', 'multiprocessing')"
+            " if m in sys.modules))")
+    src = os.path.dirname(os.path.dirname(polygeom.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"

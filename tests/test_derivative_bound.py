@@ -13,8 +13,8 @@ from polygeom.derivative_bound import (
     kth_derivative_identity,
     theorem2_bound,
 )
-from polygeom.errors import InvalidInput, InvalidInstance, NonConvergence
-from polygeom.poly import Polynomial, from_roots
+from polygeom.errors import DegreeTooLarge, InvalidInput, InvalidInstance, NonConvergence
+from polygeom.poly import N_MAX, Polynomial, from_roots
 from polygeom.regions import disk
 from polygeom.rootfind import find_roots
 
@@ -230,3 +230,9 @@ class TestGenerator:
     def test_rejects_small_n(self):
         with pytest.raises(InvalidInput):
             generate_theorem2_instance(2, seed=0)
+
+    @pytest.mark.parametrize("n", [N_MAX + 1, 171, 1500])
+    def test_rejects_n_above_n_max(self, n):
+        # 171! overflows a float: the bound comes before any draw
+        with pytest.raises(DegreeTooLarge):
+            generate_theorem2_instance(n, seed=0)

@@ -9,7 +9,6 @@ order and is byte-identical at any --jobs setting.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 import os
 import random
@@ -455,6 +454,34 @@ def _run_chunk(cfg: CampaignConfig, start: int, stop: int) -> list[dict]:
     return records
 
 
+def _chunk_report(cfg: CampaignConfig, start: int, stop: int) -> CampaignReport:
+    """Trials start..stop-1 folded into a partial report: their counts,
+    failures and notes, in trial order. A pool worker sends back only
+    this, not every trial's instance."""
+    report = CampaignReport(config=cfg)
+    for r in _run_chunk(cfg, start, stop):
+        if r["status"] == PASS:
+            report.passed += 1
+        elif r["status"] in (FAIL, ERROR):
+            report.failed += r["status"] == FAIL
+            report.errored += r["status"] == ERROR
+            # the instance carries the tolerance that replay re-runs it at
+            inst = (None if r["instance"] is None
+                    else {**r["instance"], "root_tol": cfg.root_tol})
+            report.failures.append(
+                {"trial_seed": r["trial_seed"], "instance": inst,
+                 "diagnostic": r["diagnostic"]}
+            )
+        else:
+            # hypothesis violations are recorded, not counted as failures
+            report.passed += 1
+            report.notes.append(
+                {"trial_seed": r["trial_seed"], "status": r["status"],
+                 "diagnostic": r["diagnostic"]}
+            )
+    return report
+
+
 def run_campaign(config: CampaignConfig) -> CampaignReport:
     config.validate()
     # chunks of this many trials balance the load of the workers that can
@@ -474,31 +501,17 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_run_chunk, cfgs, starts, stops))
+            parts = list(pool.map(_chunk_report, cfgs, starts, stops))
     else:
-        chunks = list(map(_run_chunk, cfgs, starts, stops))
+        parts = map(_chunk_report, cfgs, starts, stops)
 
     report = CampaignReport(config=config)
-    for r in itertools.chain.from_iterable(chunks):
-        if r["status"] == PASS:
-            report.passed += 1
-        elif r["status"] in (FAIL, ERROR):
-            report.failed += r["status"] == FAIL
-            report.errored += r["status"] == ERROR
-            # the instance carries the tolerance that replay re-runs it at
-            inst = (None if r["instance"] is None
-                    else {**r["instance"], "root_tol": config.root_tol})
-            report.failures.append(
-                {"trial_seed": r["trial_seed"], "instance": inst,
-                 "diagnostic": r["diagnostic"]}
-            )
-        else:
-            # hypothesis violations are recorded, not counted as failures
-            report.passed += 1
-            report.notes.append(
-                {"trial_seed": r["trial_seed"], "status": r["status"],
-                 "diagnostic": r["diagnostic"]}
-            )
+    for part in parts:
+        report.passed += part.passed
+        report.failed += part.failed
+        report.errored += part.errored
+        report.failures += part.failures
+        report.notes += part.notes
     return report
 
 
@@ -509,7 +522,7 @@ def replay_verdict(inst: dict, prop: str | None = None,
     if not isinstance(inst, dict):
         raise InvalidInput("an instance must be a JSON object")
     prop = prop or inst.get("property")
-    if prop not in PROPERTIES:
+    if not isinstance(prop, str) or prop not in PROPERTIES:
         raise InvalidInput(f"unknown or missing property {prop!r}")
     # a failure record's instance carries its campaign's root_tol
     root_tol = cfg.root_tol if cfg is not None else inst.get("root_tol", DEFAULT_TOL)

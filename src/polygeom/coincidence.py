@@ -22,7 +22,7 @@ from .errors import (
 )
 from .poly import Polynomial, binomial, elementary_symmetric_all, from_roots
 from .regions import CircularRegion, contains
-from .rootfind import RootSet, drive
+from .rootfind import RootSet, drive, exact_root_set
 
 # the band around a region within which a computed root counts as a witness
 WITNESS_TOL = 1e-6
@@ -86,13 +86,15 @@ def polar(b: Polynomial, n: int) -> SymmetricMultiaffine:
 
 
 def _hypothesis_core(points: Sequence[complex], m: int, region: CircularRegion):
-    """theorem1_hypothesis as a core: yields q^(n-m) for its roots."""
+    """theorem1_hypothesis as a core: yields q^(n-m) for its roots,
+    unless m = n, where the zeros are the points themselves."""
     n = len(points)
     if not 1 <= m <= n:
         raise InvalidInput(f"need 1 <= m <= {n}, got m={m}")
-    q = from_roots(points)
-    d = q.derivative(n - m)
-    droots = yield d
+    if m == n:
+        droots = exact_root_set(points)
+    else:
+        droots = yield from_roots(points).derivative(n - m)
     outside = tuple(r for r in droots.roots if not contains(region, r))
     return HypothesisReport(not outside, droots, outside)
 

@@ -1,12 +1,18 @@
-"""All-roots solver: companion-matrix eigenvalues polished by Aberth-Ehrlich,
-for a batch of polynomials in one pass.
+"""All-roots solver: Aberth-Ehrlich sweeps from companion eigenvalues or
+Newton-polygon circles, for a batch of polynomials in one pass.
 
-The start is the eigenvalues of the companion matrix that ``np.roots``
-builds (backward stable by Edelman & Murakami 1995), one stacked
-``eigvals`` call per degree. Aberth-Ehrlich sweeps then run over the
-roots that are still active, across every polynomial of the batch; a root
-freezes once its step is negligible or its scaled residual is within tol
-(Bini 1996). Every root gets one vectorized Newton polish, and
+The start depends on a row's degree once its zeros at the origin come
+off. Up to _EIGVALS_MAX_DEGREE (15) it is the eigenvalues of the companion
+matrix that ``np.roots`` builds (backward stable by Edelman & Murakami
+1995), one stacked ``eigvals`` call per degree. Above it, the O(d^3)
+eigenvalues give way to Bini's (1996) start: circles whose radii come
+from the upper convex hull of (k, log|a_k|), built per row with scalar
+math. A row above the cutoff that this start leaves uncertified is solved
+once more from its companion eigenvalues, in the same call, and gets that
+outcome. Aberth-Ehrlich sweeps run over the roots that are still active,
+across every polynomial of the batch; a root freezes once its step is
+negligible or its scaled residual is within tol (Bini 1996). Every root
+gets one vectorized Newton polish, and
 near-coincident approximations of a multiple root are collapsed onto a
 refined representative before multiplicity clustering. A root set is
 certified only when the scaled residual of every root under the original
@@ -28,6 +34,7 @@ in lockstep with one ``find_roots_many`` call per round.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import itertools
 import math
@@ -43,6 +50,14 @@ from .poly import Polynomial
 DEFAULT_TOL = 1e-12
 # Aberth sweeps before a root set is certified or given up
 MAX_ITER = 200
+
+# rows of at most this degree, once their zeros at the origin come off,
+# start from companion eigenvalues, and the others on Bini's circles: the
+# eigenvalues cost O(d^3) per row, while from the circles about 15 sweeps
+# run, whose fixed cost only a batch spreads
+_EIGVALS_MAX_DEGREE = 15
+# the angle by which Bini's start circles are turned (Bini 1996)
+_START_ROTATION = 0.7
 
 # single-linkage threshold for detecting a candidate multiple-root group,
 # well below the 1e-2 separation the round-trip contract assumes
@@ -117,16 +132,49 @@ def _companion_eigvals(c: np.ndarray) -> np.ndarray:
     return x
 
 
-def _aberth(cs: list[np.ndarray], tol: float) -> np.ndarray:
+def _circle_start(cr: np.ndarray) -> list[complex]:
+    """Bini's (1996) start for the polynomial with coefficients cr, in
+    descending order (no zero root): each edge of the upper convex hull of
+    the points (k, log|a_k|), from k to k + m, puts m points on the circle
+    of radius (|a_k| / |a_{k+m}|)**(1/m), edge i of a degree-d polynomial
+    at the angles 2*pi*(j/m + i/d) + _START_ROTATION.
+
+    Only scalar math on the row's own coefficients, so that a row gets the
+    same start in any batch.
+    """
+    d = len(cr) - 1
+    hull: list[tuple[int, float]] = []
+    for k, a in enumerate(reversed(cr.tolist())):
+        if a == 0:
+            continue
+        y = math.log(abs(a))
+        # drop the last vertex while it lies on or below the chord to (k, y)
+        while len(hull) >= 2 and ((hull[-1][0] - hull[-2][0]) * (y - hull[-2][1])
+                                  >= (hull[-1][1] - hull[-2][1]) * (k - hull[-2][0])):
+            hull.pop()
+        hull.append((k, y))
+    start = []
+    for i, ((k0, y0), (k1, y1)) in enumerate(zip(hull, hull[1:])):
+        m = k1 - k0
+        # the cap keeps exp finite; such a row's sweeps give no certificate
+        u = math.exp(min((y0 - y1) / m, 709.0))
+        start += [cmath.rect(u, 2 * math.pi * (j / m + i / d) + _START_ROTATION)
+                  for j in range(m)]
+    return start
+
+
+def _aberth(cs: list[np.ndarray], tol: float, eigvals_max: float) -> np.ndarray:
     """Roots of the polynomials whose coefficients, in descending order,
     are cs (degree >= 2, no zero root, sorted by degree): row r holds the
     roots of cs[r], then NaN pads.
 
-    The coefficients are padded with leading zeros to the largest degree.
-    The active roots of all polynomials form one flat set, ordered by
-    degree; each sweep gathers their coefficients, and sums
-    1/(x_i - x_j) over the roots of each degree's rows, so that every sum
-    has its row's own length.
+    Rows of degree at most eigvals_max start from the eigenvalues of their
+    companion matrices, one stacked call per degree; the others start on
+    _circle_start's circles. The coefficients are padded with leading
+    zeros to the largest degree. The active roots of all polynomials form
+    one flat set, ordered by degree; each sweep gathers their
+    coefficients, and sums 1/(x_i - x_j) over the roots of each degree's
+    rows, so that every sum has its row's own length.
     """
     rows, deg = len(cs), [len(cr) - 1 for cr in cs]
     dmax = deg[-1]
@@ -140,7 +188,11 @@ def _aberth(cs: list[np.ndarray], tol: float) -> np.ndarray:
     bounds = [r for r in range(rows) if r == 0 or deg[r] != deg[r - 1]] + [rows]
     degs = [deg[r] for r in bounds[:-1]]
     for d, lo, hi in zip(degs, bounds[:-1], bounds[1:]):
-        x[lo:hi, :d] = _companion_eigvals(c[dmax - d:, lo:hi])
+        if d <= eigvals_max:
+            x[lo:hi, :d] = _companion_eigvals(c[dmax - d:, lo:hi])
+        else:
+            for r in range(lo, hi):
+                x[r, :d] = _circle_start(cs[r])
     # the active roots: flat index, and its polynomial, position and degree
     active = np.flatnonzero(np.arange(dmax) < np.array(deg)[:, None])
     row, col = np.divmod(active, dmax)
@@ -275,9 +327,33 @@ def _collapse_multiple(rc: np.ndarray, roots: list[complex], tol: float) -> list
     return out
 
 
+def _stripped_degree(cr: np.ndarray) -> int:
+    """The degree left once the exact zeros at the origin come off the
+    polynomial with coefficients cr, in descending order."""
+    return int(np.flatnonzero(cr)[-1])
+
+
 def _solve(cs: list[np.ndarray], tol: float) -> list[RootSet | PolygeomError]:
     """Root sets of the polynomials whose coefficients, in descending
-    order, are cs (degree >= 1), in one padded pass.
+    order, are cs (degree >= 1).
+
+    A row whose stripped degree is above _EIGVALS_MAX_DEGREE and which
+    the circle start leaves uncertified is solved once more from its
+    companion eigenvalues, and that second outcome is the row's.
+    """
+    out = _solve_pass(cs, tol, _EIGVALS_MAX_DEGREE)
+    redo = [r for r, res in enumerate(out)
+            if not isinstance(res, RootSet) and _stripped_degree(cs[r]) > _EIGVALS_MAX_DEGREE]
+    if redo:
+        for r, res in zip(redo, _solve_pass([cs[r] for r in redo], tol, math.inf)):
+            out[r] = res
+    return out
+
+
+def _solve_pass(cs: list[np.ndarray], tol: float,
+                eigvals_max: float) -> list[RootSet | PolygeomError]:
+    """_solve in one padded pass, with the rows of stripped degree above
+    eigvals_max started on circles.
 
     Each row's coefficients get leading zeros up to the largest degree;
     Horner's rule passes them through bit for bit (0*z + 0 = 0 for finite
@@ -295,14 +371,15 @@ def _solve(cs: list[np.ndarray], tol: float) -> list[RootSet | PolygeomError]:
     for r, cr in enumerate(cs):
         c[nmax - n[r]:, r] = cr
         z[r, :n[r]] = 0.0
-        d = int(np.flatnonzero(cr)[-1])
+        d = _stripped_degree(cr)
         if d == 1:
             z[r, n[r] - 1] = -cr[1] / cr[0]
         elif d >= 2:
             big.append((d, r))
     if big:
         big.sort()
-        for (d, r), xr in zip(big, _aberth([cs[r][:d + 1] for d, r in big], tol)):
+        xs = _aberth([cs[r][:d + 1] for d, r in big], tol, eigvals_max)
+        for (d, r), xr in zip(big, xs):
             z[r, n[r] - d:n[r]] = xr[:d]
 
     # each row's own roots, flattened, and the row each belongs to
@@ -338,10 +415,23 @@ def _solve(cs: list[np.ndarray], tol: float) -> list[RootSet | PolygeomError]:
             continue
         groups = ([[i] for i in range(n[r])] if lone[r]
                   else _single_linkage(flat[lo:hi], _CLUSTER_RADIUS))
-        clusters = sorted(((sum(roots[i] for i in g) / len(g), len(g)) for g in groups),
-                          key=lambda cl: (cl[0].real, cl[0].imag))
-        out.append(RootSet(tuple(roots), tuple(res), tuple(clusters)))
+        out.append(RootSet(tuple(roots), tuple(res), _clusters(roots, groups)))
     return out
+
+
+def _clusters(roots: list[complex], groups: list[list[int]]) -> tuple[tuple[complex, int], ...]:
+    """Each group of roots as (mean, size), sorted by (real, imag)."""
+    return tuple(sorted(((sum(roots[i] for i in g) / len(g), len(g)) for g in groups),
+                        key=lambda cl: (cl[0].real, cl[0].imag)))
+
+
+def exact_root_set(points) -> RootSet:
+    """The RootSet of prod (z - w) over the points w, which are its zeros
+    exactly: the points in their order, residual 0 each, clustered as
+    find_roots clusters."""
+    roots = [complex(w) for w in points]
+    groups = _single_linkage(np.array(roots, dtype=complex), _CLUSTER_RADIUS)
+    return RootSet(tuple(roots), (0.0,) * len(roots), _clusters(roots, groups))
 
 
 def find_roots_many(

@@ -15,7 +15,7 @@ from polygeom.campaign import (
     run_campaign,
     trial_seed,
 )
-from polygeom.coincidence import diagonal
+from polygeom.coincidence import diagonal, theorem1_hypothesis
 from polygeom.errors import InvalidConfig, InvalidInput
 from polygeom.poly import Polynomial
 
@@ -268,6 +268,23 @@ class TestHighDegree:
         assert rec["status"] == "pass"
         verdict = replay(rec["instance"], "theorem1_convex")
         assert (verdict["status"], verdict["diagnostic"]) == (rec["status"], rec["diagnostic"])
+
+    def test_total_degree_n_hypothesis_is_the_points(self):
+        # m = n = 60: every point lies in the region, but the roots found
+        # again from the rounded coefficients of their product lay up to
+        # 1.6e-4 from them, and one fell outside
+        cfg = CampaignConfig(property="theorem1_convex", trials=200,
+                             seed=(9701 << 20) | 2, n_min=25, n_max=60)
+        rec = _run_chunk(cfg, 176, 177)[0]
+        assert rec["trial_seed"] == 5489208085044210922
+        inst = rec["instance"]
+        P = jsonio.multiaffine_from_json(inst["multiaffine"])
+        assert P.n == P.total_degree == 60
+        assert rec["status"] == "pass"
+        assert replay(inst)["status"] == "pass"
+        w = jsonio.points_from_json(inst["points"])
+        rep = theorem1_hypothesis(w, 60, jsonio.region_from_json(inst["region"]))
+        assert rep.holds and rep.derivative_roots.roots == tuple(w)
 
     @pytest.mark.parametrize("prop", ["theorem1_convex", "grace"])
     def test_identical_reports_across_jobs(self, prop):

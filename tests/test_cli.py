@@ -123,6 +123,17 @@ class TestCoincidence:
         doc = json.loads(capsys.readouterr().out)
         assert doc["status"] == "hypothesis-violation"
 
+    def test_total_degree_n_reports_the_points(self, tmp_path, unit_disk, capsys):
+        # m = n: the zeroth derivative, so the points are the derivative roots
+        ma = write(tmp_path, "ma.json", {"n": 3, "E": [[0, 0], [0, 0], [0, 0], [1, 0]]})
+        points = [[0.5, 0.25], [-0.5, 0], [0, -0.75]]
+        pts = write(tmp_path, "w.json", points)
+        assert main(["coincidence", "--multiaffine", ma, "--points", pts,
+                     "--region", unit_disk]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["status"] == "pass"
+        assert doc["hypothesis"]["derivative_roots"] == points
+
     def test_forced_solve_finds_no_witness(self, tmp_path, capsys):
         ma, pts = self.fixture_files(tmp_path)
         region = write(tmp_path, "ext.json",
@@ -439,6 +450,10 @@ class TestWrongShapeInput:
 
     def test_replay_of_an_array(self, tmp_path):
         assert main(["replay", "--instance", write(tmp_path, "inst.json", [1, 2])]) == 2
+
+    def test_replay_of_a_non_string_property(self, tmp_path):
+        inst = {**AGREEMENT_CASES["grace-pass"][0], "property": ["grace"]}
+        assert main(["replay", "--instance", write(tmp_path, "inst.json", inst)]) == 2
 
     def test_roots_of_non_list_coeffs(self, tmp_path):
         assert main(["roots", "--poly", write(tmp_path, "p.json", {"coeffs": 5})]) == 2

@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 
@@ -170,7 +171,8 @@ class TestHighPrecisionOracle:
     # relative to max(1, |root|); observed errors are near 1e-16
     ORACLE_TOL = 1e-10
 
-    @pytest.mark.parametrize("deg,count", [(5, 3), (10, 3), (20, 3), (40, 1), (60, 1)])
+    @pytest.mark.parametrize("deg,count", [(5, 3), (10, 3), (15, 3), (16, 3), (20, 3),
+                                           (40, 1), (60, 1)])
     def test_roots_match_mpmath(self, deg, count):
         rng = random.Random(1000 + deg)
         for _ in range(count):
@@ -345,6 +347,82 @@ class TestBatch:
         with pytest.raises(NonConvergence) as exc:
             find_roots(Polynomial([1e10, 0, 1e-300]))
         assert len(exc.value.roots) == 2
+
+
+def one_pass(p, eigvals_max, tol=1e-12):
+    """p's outcome from one pass, started on circles above degree
+    eigvals_max, with no fallback."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return rootfind._solve_pass([np.array(p.coeffs[::-1], dtype=complex)], tol,
+                                    eigvals_max)[0]
+
+
+def eigvals_start(p):
+    """p's outcome with every row started from companion eigenvalues."""
+    return one_pass(p, math.inf)
+
+
+def hard_rows(seed, count):
+    """Rows of degree 16-60, above the eigenvalue start's cutoff: roots of
+    log-uniform modulus 1e-3..1e3, coefficients scaled by 10**(-8..8),
+    and multiple roots, in turn."""
+    rng = random.Random(seed)
+    ps = []
+    for i in range(count):
+        d = rng.randint(16, 60)
+        if i % 3 == 0:
+            ps.append(from_roots([10 ** rng.uniform(-3, 3) * cmath.exp(1j * rng.uniform(0, 7))
+                                  for _ in range(d)]))
+        elif i % 3 == 1:
+            ps.append(Polynomial([complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                                  * 10 ** rng.uniform(-8, 8) for _ in range(d + 1)]))
+        else:
+            pts = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                   for _ in range(rng.randint(1, 5))]
+            ps.append(from_roots([rng.choice(pts) for _ in range(d)]))
+    return ps
+
+
+class TestStart:
+    def test_uncertified_circle_start_falls_back_to_eigenvalues(self):
+        # coefficients of mismatched scales: the circle start leaves this
+        # row uncertified, and the eigenvalue start certifies it
+        rng = random.Random(46)
+        p = Polynomial([complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                        * 10 ** rng.uniform(-8, 8) for _ in range(41)])
+        circles = one_pass(p, rootfind._EIGVALS_MAX_DEGREE)
+        assert p.degree() == 40 and isinstance(circles, NonConvergence)
+        assert outcome(alone(p)) == outcome(eigvals_start(p))
+        assert isinstance(alone(p), rootfind.RootSet)
+
+    def test_no_row_above_the_cutoff_loses_its_certificate(self):
+        ps = hard_rows(11, 60)
+        solved = find_roots_many(ps)
+        lost = [i for i, (p, s) in enumerate(zip(ps, solved))
+                if isinstance(eigvals_start(p), rootfind.RootSet)
+                and not isinstance(s, rootfind.RootSet)]
+        assert lost == []
+        # an uncertified row has the eigenvalue start's outcome
+        for p, s in zip(ps, solved):
+            if not isinstance(s, rootfind.RootSet):
+                assert outcome(s) == outcome(eigvals_start(p))
+
+    def test_rows_up_to_the_cutoff_start_from_eigenvalues(self):
+        rng = random.Random(15)
+        ps = [Polynomial(random_unit_box(rng, d)) for d in range(2, 16)]
+        assert ([outcome(m) for m in find_roots_many(ps)]
+                == [outcome(eigvals_start(p)) for p in ps])
+
+    def test_circle_start_follows_the_newton_polygon(self):
+        # 1 + 1e-10 z^10 + 1e-30 z^20: the hull's vertices are at k = 0, 10
+        # and 20, so 10 points start on |z| = 10 and 10 on |z| = 100, the
+        # moduli of its roots
+        p = Polynomial([1] + [0] * 9 + [1e-10] + [0] * 9 + [1e-30])
+        start = rootfind._circle_start(np.array(p.coeffs[::-1], dtype=complex))
+        assert [abs(z) for z in start] == pytest.approx([10.0] * 10 + [100.0] * 10, rel=1e-12)
+        assert cmath.phase(start[0]) == pytest.approx(rootfind._START_ROTATION)
+        assert (sorted(abs(z) for z in find_roots(p).roots)
+                == pytest.approx([10.0] * 10 + [100.0] * 10, rel=1e-9))
 
 
 class TestDrive:

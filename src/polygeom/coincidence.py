@@ -16,11 +16,12 @@ from typing import Sequence
 from .apolarity import apolarity_functional, apolarity_residual, is_apolar
 from .errors import (
     DegenerateDiagonal,
+    DegreeTooLarge,
     HypothesisViolated,
     InvalidInput,
     TheoremViolation,
 )
-from .poly import Polynomial, binomial, elementary_symmetric_all, from_roots
+from .poly import N_MAX, Polynomial, binomial, elementary_symmetric_all, from_roots
 from .regions import CircularRegion, contains
 from .rootfind import RootSet, drive, exact_root_set
 
@@ -89,6 +90,8 @@ def _hypothesis_core(points: Sequence[complex], m: int, region: CircularRegion):
     """theorem1_hypothesis as a core: yields q^(n-m) for its roots,
     unless m = n, where the zeros are the points themselves."""
     n = len(points)
+    if n > N_MAX:
+        raise DegreeTooLarge(f"n={n} exceeds N_MAX={N_MAX}")
     if not 1 <= m <= n:
         raise InvalidInput(f"need 1 <= m <= {n}, got m={m}")
     if m == n:

@@ -36,6 +36,8 @@ class Theorem2Instance:
         m = len(self.inner_zeros)
         if m < 2:
             raise InvalidInstance("need at least two inner zeros (n >= 3)")
+        if m + 1 > N_MAX:
+            raise DegreeTooLarge(f"n={m + 1} exceeds N_MAX={N_MAX}")
         mean = sum(self.inner_zeros) / m
         c = self.disk.center
         if abs(mean - c) > _MEAN_RTOL * (1.0 + abs(c)):

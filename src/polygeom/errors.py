@@ -37,8 +37,8 @@ class InvalidConfig(InvalidInput):
 class NonConvergence(PolygeomError):
     """Root iteration hit MAX_ITER sweeps with residuals above tolerance.
 
-    Carries the best-effort roots and their scaled residuals so callers
-    can retry with relaxed settings or report diagnostics.
+    Carries the best-effort roots and their scaled residuals for
+    diagnostics.
     """
 
     def __init__(self, message, roots=(), residuals=()):

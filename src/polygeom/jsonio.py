@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from typing import Any, Sequence
 
 from .coincidence import SymmetricMultiaffine
@@ -26,10 +27,15 @@ SCHEMA = "polygeom/1"
 
 
 def _real(v: Any) -> float:
+    """A finite JSON number; a string or a boolean is invalid input."""
+    # the float test comes first: an instance reads thousands of floats,
+    # and a numbers.Real check alone costs about 1 us
+    if not (isinstance(v, float) or (isinstance(v, numbers.Real) and not isinstance(v, bool))):
+        raise InvalidInput(f"expected a number, got {v!r}")
     try:
         x = float(v)
-    except (TypeError, ValueError, OverflowError):
-        raise InvalidInput(f"expected a number, got {v!r}") from None
+    except OverflowError:
+        x = math.inf
     if not math.isfinite(x):
         raise InvalidInput(f"expected a finite number, got {v!r}")
     return x

@@ -64,12 +64,11 @@ class Polynomial:
             return self
         if order > self.degree():
             return Polynomial(())
-        out = []
-        for k in range(len(self.coeffs) - order):
-            f = 1
-            for j in range(k + 1, k + order + 1):
-                f *= j
-            out.append(self.coeffs[k + order] * f)
+        try:
+            out = [self.coeffs[k + order] * math.perm(k + order, order)
+                   for k in range(len(self.coeffs) - order)]
+        except OverflowError:
+            raise InvalidInput(f"derivative of order {order} overflows a float") from None
         return Polynomial(out)
 
     def __add__(self, other: "Polynomial") -> "Polynomial":

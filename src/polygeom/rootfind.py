@@ -20,7 +20,7 @@ polynomial is within tol; a NaN or inf residual fails.
 
 A batch of many degrees is one pass, not one pass per degree: each row's
 coefficients are padded with leading zeros to the batch's largest degree,
-which Horner's rule passes through unchanged, and each row's roots are
+which ``np.polyval`` passes through unchanged, and each row's roots are
 followed by NaN pads, which no test counts. Every operation is
 elementwise or per row, and each sum over a row's roots has that row's
 own length, so a polynomial gets the same bits in any batch as alone.
@@ -35,7 +35,6 @@ in lockstep with one ``find_roots_many`` call per round.
 from __future__ import annotations
 
 import cmath
-import functools
 import itertools
 import math
 import numbers
@@ -91,16 +90,8 @@ def cauchy_bound(p: Polynomial) -> float:
 
 
 # Coefficient arrays are descending along their first axis: c[k] holds
-# the k-th coefficient of every polynomial, shaped like the points it is
-# evaluated at (or a scalar, for one polynomial). The evaluation is
-# np.polyval's, operation for operation, so it gives the same bits.
-
-
-def _polyval(c: np.ndarray, z: np.ndarray) -> np.ndarray:
-    y = np.zeros(np.shape(z), np.result_type(c, z))
-    for ck in c:
-        y = y * z + ck
-    return y
+# the k-th coefficient of every polynomial, shaped like the points
+# np.polyval evaluates it at (or a scalar, for one polynomial).
 
 
 def _polyder(c: np.ndarray) -> np.ndarray:
@@ -109,12 +100,13 @@ def _polyder(c: np.ndarray) -> np.ndarray:
 
 def _scaled_residuals(ac: np.ndarray, z: np.ndarray, pz: np.ndarray) -> np.ndarray:
     """|p(z)| / sum_k |a_k| max(1, |z|)**k, given pz = p(z) and the
-    moduli ac of p's coefficients in descending order.
+    moduli ac of p's coefficients in descending order; the denominator
+    is ``np.polyval`` of ac at max(1, |z|).
 
     NaN or inf where the evaluation overflows; neither passes a
     ``<= tol`` test.
     """
-    return np.abs(pz) / _polyval(ac, np.maximum(1.0, np.abs(z)))
+    return np.abs(pz) / np.polyval(ac, np.maximum(1.0, np.abs(z)))
 
 
 def _companion_eigvals(c: np.ndarray) -> np.ndarray:
@@ -203,9 +195,9 @@ def _aberth(cs: list[np.ndarray], tol: float, eigvals_max: float) -> np.ndarray:
         xa = flat[active]
         # the coefficients are gathered one array at a time, which bounds
         # the memory a sweep holds
-        p = _polyval(c[:, row], xa)
+        p = np.polyval(c[:, row], xa)
         converged = _scaled_residuals(ac[:, row], xa, p) <= tol
-        dp = _polyval(dc[:, row], xa)
+        dp = np.polyval(dc[:, row], xa)
         w = np.where(p == 0, 0.0, p / np.where(dp == 0, 1e-300, dp))
         # each degree's roots are one run of the active set
         s = np.empty_like(xa)
@@ -227,11 +219,11 @@ def _newton_polish(c: np.ndarray, row: np.ndarray, z: np.ndarray) -> np.ndarray:
     """One Newton step per root z[i] of the polynomial with coefficients
     c[:, row[i]], kept only where |p| does not grow. The coefficients of
     p' and of p are gathered one after the other."""
-    dv = _polyval(_polyder(c)[:, row], z)
+    dv = np.polyval(_polyder(c)[:, row], z)
     g = c[:, row]
-    pv = _polyval(g, z)
+    pv = np.polyval(g, z)
     cand = z - pv / np.where(dv == 0, 1.0, dv)
-    better = np.abs(_polyval(g, cand)) <= np.abs(pv)
+    better = np.abs(np.polyval(g, cand)) <= np.abs(pv)
     return np.where((dv != 0) & np.isfinite(cand) & better, cand, z)
 
 
@@ -240,34 +232,6 @@ def _adjacency(z: np.ndarray, scale: float) -> np.ndarray:
     radius = scale * (1.0 + np.abs(z))
     return (np.abs(z[..., :, None] - z[..., None, :])
             <= np.maximum(radius[..., :, None], radius[..., None, :]))
-
-
-@functools.cache
-def _pairs(d: int) -> tuple[np.ndarray, ...]:
-    """The index pairs i < j of d points, read-only, as int16 (d is at
-    most N_MAX), so that the cache of every width stays small."""
-    pairs = tuple(k.astype(np.int16) for k in np.triu_indices(d, 1))
-    for k in pairs:
-        k.flags.writeable = False
-    return pairs
-
-
-def _lone(z: np.ndarray, n: list[int]) -> np.ndarray:
-    """The rows r of z for which _adjacency(z[r], _GROUP_RADIUS) holds
-    n[r] true entries: in practice, rows whose own roots are finite and
-    each adjacent only to itself.
-
-    Each pair is taken once, so the differences fill half of a (rows, D,
-    D) array. A root is adjacent to itself when it is finite; a NaN pad
-    is adjacent to nothing.
-    """
-    i, j = _pairs(z.shape[1])
-    gap = z[:, i]
-    gap -= z[:, j]
-    gap = np.abs(gap)
-    radius = _GROUP_RADIUS * (1.0 + np.abs(z))
-    near = gap <= np.maximum(radius[:, i], radius[:, j])
-    return np.isfinite(z).sum(axis=1) + 2 * near.sum(axis=1) == n
 
 
 def _single_linkage(points: np.ndarray, scale: float) -> list[list[int]]:
@@ -392,7 +356,7 @@ def _solve_pass(cs: list[np.ndarray], tol: float,
     # sorted by (real, imag) here (a stable sort, as list.sort is), and
     # their roots are also singleton clusters, _CLUSTER_RADIUS being the
     # smaller radius
-    lone = _lone(z, n)
+    lone = _adjacency(z, _GROUP_RADIUS).sum(axis=(1, 2)) == np.array(n)
     z[lone] = np.sort(z[lone], axis=-1, kind="stable")
     for r in (~lone).nonzero()[0].tolist():
         roots = _collapse_multiple(cs[r], z[r, :n[r]].tolist(), tol)
@@ -400,7 +364,7 @@ def _solve_pass(cs: list[np.ndarray], tol: float,
         z[r, :n[r]] = roots
 
     flat = z[own]
-    pz = _polyval(c[:, row], flat)
+    pz = np.polyval(c[:, row], flat)
     residuals = _scaled_residuals(np.abs(c)[:, row], flat, pz)
     ends = list(itertools.accumulate(n))
     certified = np.logical_and.reduceat(residuals <= tol, [0, *ends[:-1]])

@@ -1,4 +1,6 @@
+import cmath
 import json
+import math
 import os
 import subprocess
 import sys
@@ -383,6 +385,9 @@ class TestNonFiniteInput:
         '{"kind": "exterior", "center": [0, 0], "radius": Infinity}',
         '{"kind": "disk", "center": [0, 0], "radius": 1e999}',
         '{"kind": "halfplane", "direction": [1, 0], "offset": -Infinity}',
+        # a JSON number must be a number, not a string or a boolean
+        '{"kind": "disk", "center": [0, 0], "radius": "1"}',
+        '{"kind": "disk", "center": [0, 0], "radius": true}',
     ])
     def test_region_rejected(self, tmp_path, capsys, region_text):
         region = tmp_path / "r.json"
@@ -413,9 +418,25 @@ class TestOptions:
             main(["theorem1"] + argv[1:])
 
 
+def _theorem1_far_region(n):
+    """n points in [0, 1) with m = 1, and a disk that misses their mean."""
+    return {"property": "theorem1_convex", "multiaffine": {"n": n, "E": [[0, 0], [1, 0]]},
+            "points": [[j / n, 0] for j in range(n)], "region": _disk([50, 0], 0.1),
+            "classic": False}
+
+
+def _theorem2_symmetric(m, k):
+    """m inner zeros in pairs ±z on the circle of radius 1/2 (mean exactly 0)."""
+    zs = [cmath.rect(0.5, math.pi * j / m) for j in range(m // 2)]
+    return {"property": "theorem2", "k": k,
+            "inner_zeros": [[s * z.real, s * z.imag] for z in zs for s in (1, -1)],
+            "outer_zero": [3, 0], "disk": {"center": [0, 0], "radius": 1}}
+
+
 class TestWrongShapeInput:
     @pytest.mark.parametrize("key,doc", [("region", [1, 2]), ("a", [1, 2]),
-                                         ("b", {"coeffs": 5})])
+                                         ("b", {"coeffs": 5}),
+                                         ("a", {"coeffs": [[1, 0], ["-2", 0], [1, 0]]})])
     def test_grace_input_of_wrong_shape(self, tmp_path, key, doc):
         docs = {"a": _QUAD_A, "b": _QUAD_B, "region": _disk([1, 0], 0.1), key: doc}
         argv = ["grace"] + [x for name, d in docs.items()
@@ -440,10 +461,16 @@ class TestWrongShapeInput:
         ({"property": "derivative_identity", "n": 300, "k": 1, "y": [0.5, 0.5]}, 2),
         ({"property": "apolarity_identity", "n": 10 ** 6, "a": [[1, 0]], "a2": [[1, 0]],
           "b": [[1, 0]], "alpha": [1, 0], "c": [1, 0]}, 2),
+        # so are theorem 1 points and theorem 2 zeros beyond N_MAX
+        (_theorem1_far_region(61), 2),
+        (_theorem1_far_region(200), 2),
+        (_theorem2_symmetric(70, 1), 2),
+        (_theorem2_symmetric(200, 150), 2),
     ], ids=["grace-n-2.0", "grace-n-true", "theorem2-k-1.0", "theorem2-k-1.5",
             "theorem2-k-string", "derivative-n-3.5", "derivative-k-false",
             "apolarity-n-string", "derivative-n-61", "derivative-n-300",
-            "apolarity-n-1e6"])
+            "apolarity-n-1e6", "theorem1-61-points", "theorem1-200-points",
+            "theorem2-70-zeros", "theorem2-200-zeros"])
     def test_replay_reads_integer_fields(self, tmp_path, capsys, inst, code):
         assert main(["replay", "--instance", write(tmp_path, "inst.json", inst)]) == code
         assert json.loads(capsys.readouterr().out)["status"] == ("pass" if code == 0 else "error")

@@ -51,6 +51,10 @@ class TestDerivative:
     def test_order_above_degree_is_zero(self):
         assert Polynomial([1, 1]).derivative(5).is_zero
 
+    def test_factorial_beyond_a_float_is_invalid_input(self):
+        with pytest.raises(InvalidInput):
+            from_roots([0.01 * k for k in range(1, 200)]).derivative(150)
+
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 1000))
     def test_linearity(self, seed):

@@ -426,9 +426,9 @@ def _run_chunk(cfg: CampaignConfig, start: int, stop: int) -> list[dict]:
     in lockstep, so that each round solves the chunk's pending root
     requests in one batch. Within the chunk, a polynomial is solved once:
     a generator, or a check that requests the roots its generator found
-    (the q^(n-m) of theorem 1), gets the same RootSet back. A root set
-    that is not certified is not kept, so its generator fails as it would
-    alone."""
+    (the q^(n-m) of theorem 1), gets the same RootSet back, and
+    from_roots builds each polynomial once. A root set that is not
+    certified is not kept, so its generator fails as it would alone."""
     gen, check = PROPERTIES[cfg.property]
     request = _GENERATOR_REQUESTS.get(cfg.property)
     records, started = [], []
@@ -482,13 +482,20 @@ def _chunk_report(cfg: CampaignConfig, start: int, stop: int) -> CampaignReport:
     return report
 
 
+# the most trials a chunk runs
+_CHUNK_TRIALS = 64
+
+
 def run_campaign(config: CampaignConfig) -> CampaignReport:
     config.validate()
-    # chunks of this many trials balance the load of the workers that can
-    # run at once (no more than there are CPUs); a chunk's checks run in
-    # lockstep, and the chunk bounds the root requests held at once
+    # a chunk's checks run in lockstep, so a bigger chunk solves bigger
+    # batches but holds more checks and root requests alive at once: the
+    # trials are split evenly into chunks of at most _CHUNK_TRIALS, and
+    # into at least 8 per CPU when more than one can run (no more than
+    # there are CPUs), to balance the workers' load
     cpus = min(config.jobs, os.cpu_count() or 1)
-    size = max(1, config.trials // (8 * cpus))
+    chunks = max(-(-config.trials // _CHUNK_TRIALS), 8 * cpus if cpus > 1 else 1)
+    size = -(-config.trials // chunks)
     starts = range(0, config.trials, size)
     stops = [min(s + size, config.trials) for s in starts]
     cfgs = [config] * len(starts)

@@ -157,6 +157,8 @@ def _gauss_lucas_core(p: Polynomial):
     """gauss_lucas_check as a core: yields p, then p', for their roots."""
     if p.degree() < 2:
         raise InvalidInput("gauss_lucas_check needs degree >= 2")
+    if p.degree() > N_MAX:
+        raise DegreeTooLarge(f"n={p.degree()} exceeds N_MAX={N_MAX}")
     hull = convex_hull((yield p).roots)
     crit = yield p.derivative()
     return all(hull_distance(hull, z) <= _COUNT_TOL for z in crit.roots)

@@ -8,9 +8,12 @@ so ``degree()`` is the index of the last nonzero coefficient.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import DegreeTooLarge, InvalidDegree, InvalidIndex, InvalidInput
 
@@ -18,15 +21,24 @@ from .errors import DegreeTooLarge, InvalidDegree, InvalidIndex, InvalidInput
 # apolarity functional relies on.
 N_MAX = 60
 
+# from_roots' Polynomials by point bytes while a rootfind._reuse_scope is open
+_reuse: dict[bytes, "Polynomial"] | None = None
+
 
 def _as_finite_complex(values: Iterable[complex]) -> tuple[complex, ...]:
-    out = []
-    for v in values:
-        c = complex(v)
-        if not (math.isfinite(c.real) and math.isfinite(c.imag)):
-            raise InvalidInput(f"non-finite value {c!r}")
-        out.append(c)
-    return tuple(out)
+    values = tuple(values)  # an iterator is read once
+    try:
+        out = tuple(map(complex, values))
+    except (TypeError, ValueError, OverflowError):
+        out = None
+    if out is None or not all(map(cmath.isfinite, out)):
+        # value by value, so that the error raised is the one for the
+        # first value that is not finite or will not convert
+        for v in values:
+            c = complex(v)
+            if not cmath.isfinite(c):
+                raise InvalidInput(f"non-finite value {c!r}")
+    return out
 
 
 @dataclass(frozen=True)
@@ -109,17 +121,29 @@ class Polynomial:
 
 
 def from_roots(roots: Sequence[complex]) -> Polynomial:
-    """Monic polynomial with exactly the given roots (with multiplicity)."""
+    """Monic polynomial with exactly the given roots (with multiplicity).
+
+    Within a rootfind._reuse_scope, points with the same bytes (so a
+    signed zero differs from an unsigned one) get the Polynomial built
+    for them before.
+    """
     pts = _as_finite_complex(roots)
     if not pts:
         raise InvalidInput("from_roots requires at least one root")
+    if _reuse is not None:
+        key = np.array(pts, dtype=complex).tobytes()
+        if key in _reuse:
+            return _reuse[key]
     coeffs = [1.0 + 0j]
     for w in pts:
         coeffs.append(0j)
         for k in range(len(coeffs) - 1, 0, -1):
             coeffs[k] = coeffs[k - 1] - w * coeffs[k]
         coeffs[0] = -w * coeffs[0]
-    return Polynomial(coeffs)
+    p = Polynomial(coeffs)
+    if _reuse is not None:
+        _reuse[key] = p
+    return p
 
 
 def elementary_symmetric_all(points: Sequence[complex]) -> list[complex]:

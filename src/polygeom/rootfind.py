@@ -24,7 +24,10 @@ which ``np.polyval`` passes through unchanged, and each row's roots are
 followed by NaN pads, which no test counts. Every operation is
 elementwise or per row, and each sum over a row's roots has that row's
 own length, so a polynomial gets the same bits in any batch as alone.
-Within a ``_reuse_scope`` (a campaign chunk) a polynomial is solved once.
+The singleton test, whose (rows, n, n) adjacency is the pass's largest
+array, runs over blocks of rows that keep it near 1 MB. Within a
+``_reuse_scope`` (a campaign chunk) a polynomial is solved once, and
+``from_roots`` builds a polynomial once.
 
 Checks that need roots are written as generators (cores): a core yields
 a Polynomial and is sent its RootSet, or has the root finder's error
@@ -43,6 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import poly
 from .errors import InvalidDegree, InvalidInput, NonConvergence, PolygeomError
 from .poly import Polynomial
 
@@ -63,6 +67,9 @@ _START_ROTATION = 0.7
 _GROUP_RADIUS = 1e-3
 # single-linkage threshold for the multiplicity clusters of a root set
 _CLUSTER_RADIUS = 1e-6
+# entries of the (rows, n, n) adjacency that one block of the singleton
+# test holds: its complex differences then take about 1 MB
+_ADJACENCY_BLOCK = 1 << 16
 
 # RootSets by (coefficient bytes, tol) while a _reuse_scope is open
 _reuse: dict[tuple[bytes, float], "RootSet"] | None = None
@@ -307,7 +314,7 @@ def _solve(cs: list[np.ndarray], tol: float) -> list[RootSet | PolygeomError]:
     """
     out = _solve_pass(cs, tol, _EIGVALS_MAX_DEGREE)
     redo = [r for r, res in enumerate(out)
-            if not isinstance(res, RootSet) and _stripped_degree(cs[r]) > _EIGVALS_MAX_DEGREE]
+            if isinstance(res, NonConvergence) and _stripped_degree(cs[r]) > _EIGVALS_MAX_DEGREE]
     if redo:
         for r, res in zip(redo, _solve_pass([cs[r] for r in redo], tol, math.inf)):
             out[r] = res
@@ -322,7 +329,8 @@ def _solve_pass(cs: list[np.ndarray], tol: float,
     Each row's coefficients get leading zeros up to the largest degree;
     Horner's rule passes them through bit for bit (0*z + 0 = 0 for finite
     z). Each row's roots get NaN pads, which no test counts: a NaN is
-    adjacent to nothing and sorts last.
+    adjacent to nothing and sorts last. A row whose multiple-root
+    collapse raises gets that error as its outcome.
     """
     rows = len(cs)
     n = [len(c) - 1 for c in cs]
@@ -356,10 +364,19 @@ def _solve_pass(cs: list[np.ndarray], tol: float,
     # sorted by (real, imag) here (a stable sort, as list.sort is), and
     # their roots are also singleton clusters, _CLUSTER_RADIUS being the
     # smaller radius
-    lone = _adjacency(z, _GROUP_RADIUS).sum(axis=(1, 2)) == np.array(n)
+    lone = np.empty(rows, dtype=bool)
+    block = max(1, _ADJACENCY_BLOCK // (nmax * nmax))
+    for lo in range(0, rows, block):
+        adj = _adjacency(z[lo:lo + block], _GROUP_RADIUS)
+        lone[lo:lo + block] = adj.sum(axis=(1, 2)) == n[lo:lo + block]
     z[lone] = np.sort(z[lone], axis=-1, kind="stable")
+    failed: dict[int, PolygeomError] = {}
     for r in (~lone).nonzero()[0].tolist():
-        roots = _collapse_multiple(cs[r], z[r, :n[r]].tolist(), tol)
+        try:
+            roots = _collapse_multiple(cs[r], z[r, :n[r]].tolist(), tol)
+        except PolygeomError as e:
+            failed[r] = e
+            continue
         roots.sort(key=lambda x: (x.real, x.imag))
         z[r, :n[r]] = roots
 
@@ -372,6 +389,9 @@ def _solve_pass(cs: list[np.ndarray], tol: float,
     out: list[RootSet | PolygeomError] = []
     for r, (lo, hi) in enumerate(zip([0, *ends], ends)):
         roots, res = all_roots[lo:hi], all_res[lo:hi]
+        if r in failed:
+            out.append(failed[r])
+            continue
         if not certified[r]:
             out.append(NonConvergence(
                 f"residuals above tol={tol} after {MAX_ITER} iterations",
@@ -441,14 +461,16 @@ def find_roots_many(
 @contextmanager
 def _reuse_scope():
     """Within this block, find_roots_many returns a RootSet it found
-    before for the same coefficient bytes and tol; errors are solved
-    again. The RootSets are dropped when the block ends."""
+    before for the same coefficient bytes and tol (errors are solved
+    again), and poly.from_roots the Polynomial it built before for the
+    same point bytes. Both tables are dropped when the block ends."""
     global _reuse
-    outer, _reuse = _reuse, {}
+    outer = _reuse, poly._reuse
+    _reuse, poly._reuse = {}, {}
     try:
         yield
     finally:
-        _reuse = outer
+        _reuse, poly._reuse = outer
 
 
 def find_roots(p: Polynomial, tol: float = DEFAULT_TOL) -> RootSet:

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from polygeom import campaign, jsonio, rootfind
+from polygeom import campaign, coincidence, jsonio, poly, rootfind
 from polygeom.campaign import (
     PROPERTIES,
     CampaignConfig,
@@ -93,8 +93,8 @@ def fake_pool(monkeypatch, cpus):
 
 
 class TestChunks:
-    # 53 trials: chunks of 6, 3 and 2 at jobs 1, 2 and 3 (3 at jobs 3 on two
-    # CPUs), none dividing 53
+    # 53 trials: one chunk at jobs 1; at jobs 2 and 3 on two CPUs, chunks
+    # of 4, not dividing 53 (3 at jobs 3 on three CPUs or more)
     @pytest.mark.parametrize("prop", sorted(PROPERTIES))
     def test_identical_reports_across_jobs(self, prop):
         n_min = 3 if prop == "theorem2" else 2
@@ -102,6 +102,15 @@ class TestChunks:
             property=prop, trials=53, seed=21, n_min=n_min, n_max=12, jobs=jobs)).to_json())
             for jobs in (1, 2, 3))
         assert a == b == c
+
+    # 130 trials: 3 chunks at jobs 1, of 44, 44 and 42
+    @pytest.mark.parametrize("prop", sorted(PROPERTIES))
+    def test_identical_reports_across_jobs_in_several_chunks(self, prop):
+        n_min = 3 if prop == "theorem2" else 2
+        a, b = (jsonio.dumps(run_campaign(CampaignConfig(
+            property=prop, trials=130, seed=22, n_min=n_min, n_max=12, jobs=jobs)).to_json())
+            for jobs in (1, 2))
+        assert a == b
 
     @pytest.mark.parametrize("jobs,trials,cpus,workers", [
         (64, 2, 4, 2),    # no more workers than chunks
@@ -118,8 +127,8 @@ class TestChunks:
 
     @pytest.mark.parametrize("jobs", [2, 64])
     def test_chunks_are_sized_from_the_cpus(self, monkeypatch, jobs):
-        # on 2 CPUs, jobs=64 cuts 2000 trials as jobs=2 does: 16 chunks of
-        # 125, not single-trial chunks
+        # on 2 CPUs, jobs=64 cuts 2000 trials as jobs=2 does: 32 chunks of
+        # at most 64, not single-trial chunks
         fake_pool(monkeypatch, 2)
         sizes = []
         run_chunk = campaign._run_chunk
@@ -131,7 +140,21 @@ class TestChunks:
         monkeypatch.setattr(campaign, "_run_chunk", recording)
         cfg = CampaignConfig(property="derivative_identity", trials=2000, jobs=jobs)
         assert run_campaign(cfg).passed == 2000
-        assert sizes == [125] * 16
+        assert sizes == [63] * 31 + [47]
+
+    def test_chunks_do_not_grow_with_the_trials(self, monkeypatch):
+        sizes = []
+        run_chunk = campaign._run_chunk
+
+        def recording(cfg, start, stop):
+            sizes.append(stop - start)
+            return run_chunk(cfg, start, stop)
+
+        monkeypatch.setattr(campaign, "_run_chunk", recording)
+        cfg = CampaignConfig(property="derivative_identity", trials=3000, jobs=1)
+        assert run_campaign(cfg).passed == 3000
+        # 47 chunks, evenly cut: none above 64
+        assert sizes == [64] * 46 + [56]
 
     def test_chunk_equals_its_trials(self):
         cfg = CampaignConfig(property="theorem1_convex", trials=10, seed=4)
@@ -208,6 +231,28 @@ class TestSolveOnce:
         assert len(generated) > 1
         assert sorted(batches[0]) == sorted(generated), sizes
         assert all(q not in b for b in batches[1:] for q in generated), sizes
+
+    def test_theorem1_chunk_builds_each_q_once(self, monkeypatch):
+        # q = prod (z - w_i) is asked of from_roots ahead, by the generator
+        # and by the check, and built once; nothing is reused after the chunk
+        built = {}
+        from_roots = poly.from_roots
+
+        def building(points):
+            q = from_roots(points)
+            built.setdefault(np.array(points, dtype=complex).tobytes(), []).append(q)
+            return q
+
+        monkeypatch.setattr(campaign, "from_roots", building)
+        monkeypatch.setattr(coincidence, "from_roots", building)
+        cfg = CampaignConfig(property="theorem1_convex", trials=40, seed=2, n_min=2, n_max=12)
+        _run_chunk(cfg, 0, cfg.trials)
+        assert built
+        for qs in built.values():
+            assert len(qs) == 3 and qs[1] is qs[0] and qs[2] is qs[0]
+        assert poly._reuse is None
+        w = [1, 2j, -3]
+        assert from_roots(w) is not from_roots(w)
 
     def test_nothing_is_reused_outside_a_chunk(self, monkeypatch):
         asked, solved = self.count_rows(monkeypatch)

@@ -466,11 +466,14 @@ class TestWrongShapeInput:
         (_theorem1_far_region(200), 2),
         (_theorem2_symmetric(70, 1), 2),
         (_theorem2_symmetric(200, 150), 2),
+        # and a gauss_lucas polynomial of degree 200, z^200 + 1
+        ({"property": "gauss_lucas", "poly": {"coeffs": [[1, 0]] + [[0, 0]] * 199 + [[1, 0]]}},
+         2),
     ], ids=["grace-n-2.0", "grace-n-true", "theorem2-k-1.0", "theorem2-k-1.5",
             "theorem2-k-string", "derivative-n-3.5", "derivative-k-false",
             "apolarity-n-string", "derivative-n-61", "derivative-n-300",
             "apolarity-n-1e6", "theorem1-61-points", "theorem1-200-points",
-            "theorem2-70-zeros", "theorem2-200-zeros"])
+            "theorem2-70-zeros", "theorem2-200-zeros", "gauss-lucas-degree-200"])
     def test_replay_reads_integer_fields(self, tmp_path, capsys, inst, code):
         assert main(["replay", "--instance", write(tmp_path, "inst.json", inst)]) == code
         assert json.loads(capsys.readouterr().out)["status"] == ("pass" if code == 0 else "error")

@@ -185,6 +185,11 @@ class TestGaussLucas:
         with pytest.raises(InvalidInput):
             gauss_lucas_check(Polynomial([1, 1]))
 
+    def test_rejects_degree_above_n_max(self):
+        # before any root is found: z^200 + 1 is refused for its degree
+        with pytest.raises(DegreeTooLarge, match="n=200"):
+            gauss_lucas_check(Polynomial([1] + [0] * 199 + [1]))
+
 
 class TestGenerator:
     def test_invariants_hold(self):

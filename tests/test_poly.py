@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polygeom import rootfind
 from polygeom.errors import DegreeTooLarge, InvalidDegree, InvalidIndex, InvalidInput
 from polygeom.poly import (
     N_MAX,
@@ -85,6 +86,16 @@ class TestFromRoots:
     def test_empty_rejected(self):
         with pytest.raises(InvalidInput):
             from_roots([])
+
+    def test_reuse_scope_builds_each_point_list_once(self):
+        with rootfind._reuse_scope():
+            p = from_roots([1, 2j])
+            assert from_roots((1 + 0j, 2j)) is p
+            # a signed zero is another point, with other coefficient bits
+            plus, minus = from_roots([0.0, 1]), from_roots([-0.0, 1])
+            assert minus is not plus
+            assert repr(minus.coeffs) != repr(plus.coeffs)
+        assert from_roots([1, 2j]) is not from_roots([1, 2j])
 
     def test_coefficients_match_elementary_symmetric(self):
         rng = random.Random(42)
@@ -196,3 +207,19 @@ class TestCanonicalForm:
             Polynomial([float("nan")])
         with pytest.raises(InvalidInput):
             Polynomial([complex(0, float("inf"))])
+
+    def test_reads_an_iterator_once(self):
+        assert Polynomial(c for c in [1, 2j, 3]).coeffs == (1 + 0j, 2j, 3 + 0j)
+        with pytest.raises(InvalidInput, match="inf"):
+            Polynomial(c for c in [1, float("inf")])
+
+    @pytest.mark.parametrize("values,error,text", [
+        ([1, float("inf"), "x"], InvalidInput, r"non-finite value \(inf\+0j\)"),
+        ([1, "x", float("inf")], ValueError, "complex"),
+        ([float("nan"), object()], InvalidInput, "nan"),
+        ([object(), float("nan")], TypeError, "object"),
+        ([10 ** 400, float("nan")], OverflowError, "int too large"),
+    ])
+    def test_the_first_bad_value_decides_the_error(self, values, error, text):
+        with pytest.raises(error, match=text):
+            Polynomial(values)

@@ -342,6 +342,44 @@ class TestBatch:
         find_roots_many([good])
         assert len(solved) == 5 and rootfind._reuse is None
 
+    def test_collapse_error_fails_only_its_row(self):
+        # the multiple-root collapse of the second row overflows its
+        # derivative: that row gets the error, the first its root set
+        a = 1.5e308
+        ps = [from_roots([1, 2, 3]), Polynomial([0.01 * a, -0.2 * a, a])]
+        many = find_roots_many(ps)
+        assert isinstance(many[1], InvalidInput)
+        assert [outcome(m) for m in many] == [outcome(alone(p)) for p in ps]
+
+    def test_singleton_test_blocks(self, monkeypatch):
+        # rows with multiple roots, on both sides of each block boundary
+        # of the singleton test, take the collapse path as they do alone
+        block = rootfind._ADJACENCY_BLOCK // 60 ** 2
+        multiple = {0, block - 1, block, 2 * block - 1, 2 * block, 39}
+        rng = random.Random(40)
+        ps = []
+        for i in range(40):
+            if i in multiple:
+                # 58 roots near the unit circle, two of them double
+                pts = [cmath.rect(rng.uniform(0.8, 1.2),
+                                  2 * math.pi * (k + rng.uniform(-0.3, 0.3)) / 58)
+                       for k in range(58)]
+                ps.append(from_roots(pts + pts[:2]))
+            else:
+                ps.append(Polynomial(random_unit_box(rng, 60)))
+        collapsed = []
+        collapse = rootfind._collapse_multiple
+
+        def recording(rc, roots, tol):
+            collapsed.append(rc[::-1].tobytes())
+            return collapse(rc, roots, tol)
+
+        monkeypatch.setattr(rootfind, "_collapse_multiple", recording)
+        many = find_roots_many(ps)
+        rows = [np.array(p.coeffs, dtype=complex).tobytes() for p in ps]
+        assert sorted(rows.index(c) for c in collapsed) == sorted(multiple)
+        assert [outcome(m) for m in many] == [outcome(alone(p)) for p in ps]
+
     def test_non_finite_companion_is_non_convergence(self):
         # -a_0/a_2 overflows, so there is no finite companion matrix
         with pytest.raises(NonConvergence) as exc:

@@ -12,7 +12,7 @@ import random
 
 from .errors import DegreeTooLarge, InvalidInput
 from .poly import N_MAX, Polynomial, binomial
-from .regions import CircularRegion
+from .regions import CircularRegion, _modulus
 from .rootfind import drive
 
 # the relative band of the apolarity test
@@ -43,11 +43,11 @@ def apolarity_functional(a: Polynomial, b: Polynomial, n: int) -> complex:
 
 def apolarity_residual(a: Polynomial, b: Polynomial, n: int) -> float:
     """|A(a, b)| relative to its magnitude scale sum |a_k b_{n-k}| / C(n,k)
-    (0 when that scale is 0)."""
-    value = abs(apolarity_functional(a, b, n))
+    (0 when that scale is 0). A modulus beyond the largest float is inf."""
+    value = _modulus(apolarity_functional(a, b, n))
     ac = _framed(a, n)
     bc = _framed(b, n)
-    scale = sum(abs(ac[k]) * abs(bc[n - k]) / binomial(n, k) for k in range(n + 1))
+    scale = sum(_modulus(ac[k]) * _modulus(bc[n - k]) / binomial(n, k) for k in range(n + 1))
     return value / scale if scale > 0 else value
 
 

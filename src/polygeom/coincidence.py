@@ -22,7 +22,7 @@ from .errors import (
     TheoremViolation,
 )
 from .poly import N_MAX, Polynomial, binomial, elementary_symmetric_all, from_roots
-from .regions import CircularRegion, contains
+from .regions import CircularRegion, _modulus, contains
 from .rootfind import RootSet, drive, exact_root_set
 
 # the band around a region within which a computed root counts as a witness
@@ -147,7 +147,7 @@ def _coincidence_core(
 
     groots = yield g
     inside = [
-        (res, abs(r), r)
+        (res, _modulus(r), r)
         for r, res in zip(groots.roots, groots.residuals)
         if contains(region, r, WITNESS_TOL)
     ]
@@ -157,7 +157,8 @@ def _coincidence_core(
             f"(roots {list(groots.roots)})",
             report=hypothesis,
         )
-    return min(inside)[2], hypothesis
+    # the smallest residual, then the smallest modulus, then the first
+    return min(inside, key=lambda t: t[:2])[2], hypothesis
 
 
 def coincidence_witness(

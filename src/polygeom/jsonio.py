@@ -4,6 +4,7 @@ every emitted document carries the schema tag "polygeom/1".
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import numbers
@@ -72,6 +73,17 @@ def complex_from_json(v: Any) -> complex:
     return complex(_real(v[0]), _real(v[1]))
 
 
+def _complex_list(v: list) -> list[complex]:
+    """complex_from_json of every entry of v: in one pass when each entry
+    is a list of two finite floats, as decoded JSON is, else entry by
+    entry, so that the values and the first error are the same."""
+    if set(map(type, v)) == {list} and set(map(len, v)) == {2}:
+        flat = list(itertools.chain.from_iterable(v))
+        if set(map(type, flat)) == {float} and all(map(math.isfinite, flat)):
+            return list(itertools.starmap(complex, v))
+    return [complex_from_json(z) for z in v]
+
+
 def poly_to_json(p: Polynomial) -> dict:
     return {"coeffs": [complex_to_json(c) for c in p.coeffs]}
 
@@ -80,7 +92,7 @@ def poly_from_json(d: dict) -> Polynomial:
     coeffs = _object(d, "polynomial")["coeffs"]
     if not isinstance(coeffs, list):
         raise InvalidInput("coeffs JSON must be a list of [re, im] pairs")
-    return Polynomial([complex_from_json(c) for c in coeffs])
+    return Polynomial(_complex_list(coeffs))
 
 
 def points_to_json(points: Sequence[complex]) -> list[list[float]]:
@@ -92,7 +104,7 @@ def points_from_json(v: Any) -> list[complex]:
         v = v.get("points")
     if not isinstance(v, list):
         raise InvalidInput("points JSON must be a list of [re, im] pairs")
-    return [complex_from_json(z) for z in v]
+    return _complex_list(v)
 
 
 def region_to_json(r: CircularRegion) -> dict:

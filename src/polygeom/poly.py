@@ -120,6 +120,18 @@ class Polynomial:
         return Polynomial(out)
 
 
+def _product(pts: tuple[complex, ...]) -> list[complex]:
+    """The coefficients of prod (z - w) over the points, ascending; they
+    may not be finite."""
+    coeffs = [1.0 + 0j]
+    for w in pts:
+        coeffs.append(0j)
+        for k in range(len(coeffs) - 1, 0, -1):
+            coeffs[k] = coeffs[k - 1] - w * coeffs[k]
+        coeffs[0] = -w * coeffs[0]
+    return coeffs
+
+
 def from_roots(roots: Sequence[complex]) -> Polynomial:
     """Monic polynomial with exactly the given roots (with multiplicity).
 
@@ -130,30 +142,23 @@ def from_roots(roots: Sequence[complex]) -> Polynomial:
     pts = _as_finite_complex(roots)
     if not pts:
         raise InvalidInput("from_roots requires at least one root")
-    if _reuse is not None:
-        key = np.array(pts, dtype=complex).tobytes()
-        if key in _reuse:
-            return _reuse[key]
-    coeffs = [1.0 + 0j]
-    for w in pts:
-        coeffs.append(0j)
-        for k in range(len(coeffs) - 1, 0, -1):
-            coeffs[k] = coeffs[k - 1] - w * coeffs[k]
-        coeffs[0] = -w * coeffs[0]
-    p = Polynomial(coeffs)
-    if _reuse is not None:
-        _reuse[key] = p
-    return p
+    if _reuse is None:
+        return Polynomial(_product(pts))
+    key = np.array(pts, dtype=complex).tobytes()
+    if key not in _reuse:
+        _reuse[key] = Polynomial(_product(pts))
+    return _reuse[key]
 
 
 def elementary_symmetric_all(points: Sequence[complex]) -> list[complex]:
-    """All e_0..e_n of the points via the incremental recurrence."""
+    """All e_0..e_n of the points: e_k is (-1)^k times coefficient n - k
+    of prod (z - w), the product from_roots builds (and, within a
+    rootfind._reuse_scope, has built)."""
     pts = _as_finite_complex(points)
-    e = [1.0 + 0j] + [0j] * len(pts)
-    for i, x in enumerate(pts):
-        for k in range(i + 1, 0, -1):
-            e[k] = e[k] + x * e[k - 1]
-    return e
+    built = None if _reuse is None else _reuse.get(np.array(pts, dtype=complex).tobytes())
+    c = _product(pts) if built is None else built.coeffs
+    n = len(pts)
+    return [-c[n - k] if k % 2 else c[n - k] for k in range(n + 1)]
 
 
 def elementary_symmetric(points: Sequence[complex], k: int) -> complex:
@@ -163,13 +168,17 @@ def elementary_symmetric(points: Sequence[complex], k: int) -> complex:
     return elementary_symmetric_all(points)[k]
 
 
+# Pascal's triangle up to N_MAX: _PASCAL[n][k] is C(n, k)
+_PASCAL = [[math.comb(n, k) for k in range(n + 1)] for n in range(N_MAX + 1)]
+
+
 def binomial(n: int, k: int) -> int:
     """Exact C(n,k) for 0 <= k <= n <= N_MAX."""
     if n < 0 or k < 0 or k > n:
         raise InvalidIndex(f"binomial({n},{k}) undefined")
     if n > N_MAX:
         raise DegreeTooLarge(f"n={n} exceeds N_MAX={N_MAX}")
-    return math.comb(n, k)
+    return _PASCAL[n][k]
 
 
 def mean_of_roots(p: Polynomial) -> complex:

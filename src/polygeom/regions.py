@@ -9,8 +9,10 @@ half-plane is again a half-plane, so only three variants exist.
 from __future__ import annotations
 
 import cmath
+import functools
+import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .errors import InvalidInput
@@ -81,12 +83,31 @@ def contains(region: CircularRegion, z: complex, tol: float = MEMBERSHIP_TOL) ->
 
     Closed regions accept the boundary band, open regions reject it; the
     open/closed flag only matters within tol*(1+|z|) of the boundary.
+    Where |z| or the distance from z to a disk's centre is beyond the
+    largest float, the test is taken at a quarter of the scale, so it
+    decides by the same geometry and never overflows.
     """
     if tol < 0:
         raise InvalidInput("tol must be >= 0")
-    band = tol * (1.0 + abs(z))
-    s = region.signed_distance(z)
+    try:
+        band = tol * (1.0 + abs(z))
+        s = region.signed_distance(z)
+    except OverflowError:
+        # |z| or |z - center| is beyond the largest float: the same test
+        # with the point, the region and the band scaled by 1/4, where
+        # neither is
+        band = tol * (0.25 + abs(z * 0.25))
+        s = replace(region, center=region.center * 0.25, radius=region.radius * 0.25,
+                    offset=region.offset * 0.25).signed_distance(z * 0.25)
     return s <= band if region.closed else s < -band
+
+
+def _modulus(z: complex) -> float:
+    """|z|, or inf where it is beyond the largest float."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
 
 
 def is_convex(region: CircularRegion) -> bool:
@@ -122,13 +143,21 @@ def _in_disk(d: tuple[complex, float], z: complex) -> bool:
     return abs(z - d[0]) <= d[1] + 1e-12 * (1.0 + abs(z))
 
 
+@functools.lru_cache(maxsize=128)
+def _welzl_order(count: int) -> tuple[int, ...]:
+    """The order in which Welzl's algorithm takes count points: a fixed
+    shuffle, which depends only on how many points there are."""
+    order = list(range(count))
+    random.Random(0x5EED).shuffle(order)
+    return tuple(order)
+
+
 def smallest_enclosing_disk(points: Sequence[complex]) -> CircularRegion:
     """Minimal closed disk containing all points (Welzl, incremental)."""
     pts = [complex(p) for p in points]
     if not pts:
         raise InvalidInput("need at least one point")
-    shuffled = list(pts)
-    random.Random(0x5EED).shuffle(shuffled)
+    shuffled = [pts[i] for i in _welzl_order(len(pts))]
 
     best = (shuffled[0], 0.0)
     for i, p in enumerate(shuffled):

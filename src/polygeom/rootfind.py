@@ -11,10 +11,12 @@ math. A row above the cutoff that this start leaves uncertified is solved
 once more from its companion eigenvalues, in the same call, and gets that
 outcome. Aberth-Ehrlich sweeps run over the roots that are still active,
 across every polynomial of the batch; a root freezes once its step is
-negligible or its scaled residual is within tol (Bini 1996). Every root
-gets one vectorized Newton polish, and
+negligible or its scaled residual is within tol (Bini 1996), and a sweep
+computes p', the Newton quotient and the Aberth sum only for the roots
+whose residual is not. Every root gets one vectorized Newton polish, and
 near-coincident approximations of a multiple root are collapsed onto a
-refined representative before multiplicity clustering. A root set is
+refined representative before multiplicity clustering; a row of
+singletons gets its clusters in bulk. A root set is
 certified only when the scaled residual of every root under the original
 polynomial is within tol; a NaN or inf residual fails.
 
@@ -172,7 +174,8 @@ def _aberth(cs: list[np.ndarray], tol: float, eigvals_max: float) -> np.ndarray:
     _circle_start's circles. The coefficients are padded with leading
     zeros to the largest degree. The active roots of all polynomials form
     one flat set, ordered by degree; each sweep gathers their
-    coefficients, and sums 1/(x_i - x_j) over the roots of each degree's
+    coefficients, drops the roots whose scaled residual is within tol,
+    and sums 1/(x_i - x_j) for the others over the roots of each degree's
     rows, so that every sum has its row's own length.
     """
     rows, deg = len(cs), [len(cr) - 1 for cr in cs]
@@ -197,13 +200,16 @@ def _aberth(cs: list[np.ndarray], tol: float, eigvals_max: float) -> np.ndarray:
     row, col = np.divmod(active, dmax)
     rdeg = np.take(deg, row)
     for _ in range(MAX_ITER):
-        if not active.size:
-            break
         xa = flat[active]
         # the coefficients are gathered one array at a time, which bounds
         # the memory a sweep holds
         p = np.polyval(c[:, row], xa)
-        converged = _scaled_residuals(ac[:, row], xa, p) <= tol
+        # a converged root stays where it is, and the sums of the others
+        # read it from x: only the roots that still move get a correction
+        unconverged = ~(_scaled_residuals(ac[:, row], xa, p) <= tol)
+        active, row, col, rdeg, xa, p = (v[unconverged] for v in (active, row, col, rdeg, xa, p))
+        if not active.size:
+            break
         dp = np.polyval(dc[:, row], xa)
         w = np.where(p == 0, 0.0, p / np.where(dp == 0, 1e-300, dp))
         # each degree's roots are one run of the active set
@@ -215,7 +221,7 @@ def _aberth(cs: list[np.ndarray], tol: float, eigvals_max: float) -> np.ndarray:
                 diff[np.arange(hi - lo), col[lo:hi]] = np.inf
                 s[lo:hi] = np.sum(1.0 / diff, axis=1)
         delta = w / (1.0 - w * s)
-        delta = np.where(np.isfinite(delta) & ~converged, delta, 0.0)
+        delta = np.where(np.isfinite(delta), delta, 0.0)
         flat[active] = xa = xa - delta
         moving = np.abs(delta) > tol * (1.0 + np.abs(xa))
         active, row, col, rdeg = active[moving], row[moving], col[moving], rdeg[moving]
@@ -386,6 +392,9 @@ def _solve_pass(cs: list[np.ndarray], tol: float,
     ends = list(itertools.accumulate(n))
     certified = np.logical_and.reduceat(residuals <= tol, [0, *ends[:-1]])
     all_roots, all_res = flat.tolist(), residuals.tolist()
+    # a singleton's cluster is ((0 + z) / 1, 1): z with its negative zeros
+    # cleared, and a lone row's roots are already in cluster order
+    all_means = (flat + 0.0).tolist()
     out: list[RootSet | PolygeomError] = []
     for r, (lo, hi) in enumerate(zip([0, *ends], ends)):
         roots, res = all_roots[lo:hi], all_res[lo:hi]
@@ -397,9 +406,9 @@ def _solve_pass(cs: list[np.ndarray], tol: float,
                 f"residuals above tol={tol} after {MAX_ITER} iterations",
                 roots=roots, residuals=res))
             continue
-        groups = ([[i] for i in range(n[r])] if lone[r]
-                  else _single_linkage(flat[lo:hi], _CLUSTER_RADIUS))
-        out.append(RootSet(tuple(roots), tuple(res), _clusters(roots, groups)))
+        clusters = (tuple(zip(all_means[lo:hi], itertools.repeat(1))) if lone[r]
+                    else _clusters(roots, _single_linkage(flat[lo:hi], _CLUSTER_RADIUS)))
+        out.append(RootSet(tuple(roots), tuple(res), clusters))
     return out
 
 

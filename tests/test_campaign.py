@@ -254,6 +254,24 @@ class TestSolveOnce:
         w = [1, 2j, -3]
         assert from_roots(w) is not from_roots(w)
 
+    @pytest.mark.parametrize("prop", ["grace", "theorem1_convex"])
+    def test_chunk_builds_each_product_once(self, monkeypatch, prop):
+        # the coincidence value reads e_k from the product the chunk built
+        # for grace's a or theorem 1's q, and builds it only where nothing
+        # did (theorem 1 at m = n, whose hypothesis needs no product)
+        built = []
+        product = poly._product
+
+        def building(pts):
+            built.append(np.array(pts, dtype=complex).tobytes())
+            return product(pts)
+
+        monkeypatch.setattr(poly, "_product", building)
+        cfg = CampaignConfig(property=prop, trials=40, seed=2, n_min=2, n_max=12)
+        records = _run_chunk(cfg, 0, cfg.trials)
+        assert all(r["status"] == "pass" for r in records)
+        assert built and len(set(built)) == len(built)
+
     def test_nothing_is_reused_outside_a_chunk(self, monkeypatch):
         asked, solved = self.count_rows(monkeypatch)
         cfg = CampaignConfig(property="theorem1_convex", trials=3, seed=2)

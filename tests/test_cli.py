@@ -260,6 +260,10 @@ def _disk(center, radius, kind="disk"):
 _QUAD_A = {"coeffs": [[1, 0], [-2, 0], [1, 0]]}
 _QUAD_B = {"coeffs": [[0, 0], [-1, 0], [1, 0]]}
 _LINEAR_P = {"n": 2, "E": [[0, 0], [1, 0]]}
+# p(w) = w: total degree n = 1, so theorem 1's hypothesis is the point itself
+_IDENTITY_P = {"n": 1, "E": [[0, 0], [1, 0]]}
+# Re(z) <= 0
+_HALF_PLANE = {"kind": "halfplane", "closed": True, "direction": [1, 0], "offset": 0}
 
 # (replay instance, exit code, status) for the direct subcommand and replay
 AGREEMENT_CASES = {
@@ -331,6 +335,19 @@ AGREEMENT_CASES = {
                          "points": [[-1, 0], [1, 0]], "region": _disk([0, 0], 1),
                          "classic": True, key: v}, 2, "error")
        for key in ("classic", "force") for v in ("false", 1)},
+    # finite points whose modulus, or distance to the disk's centre, is
+    # beyond the largest float: membership decides them by geometry
+    **{f"{prop}-huge-{name}": ({"property": prop, "multiaffine": _IDENTITY_P,
+                                "points": [point], "region": region,
+                                "classic": prop == "walsh_classic"}, 0, status)
+       for prop in ("walsh_classic", "theorem1_convex")
+       for name, point, region, status in (
+           ("point-in-unit-disk", [1.5e308, 1.5e308], _disk([0, 0], 1), "hypothesis-violation"),
+           ("point-in-half-plane", [1.5e308, 1.5e308], _HALF_PLANE, "hypothesis-violation"),
+           ("distance-to-disk", [7e307, 7e307], _disk([-7e307, -7e307], 1),
+            "hypothesis-violation"),
+           ("distance-to-exterior", [7e307, 7e307], _disk([-7e307, -7e307], 1, "exterior"),
+            "pass"))},
 }
 
 

@@ -1,0 +1,80 @@
+import math
+import struct
+
+import numpy as np
+import pytest
+
+from polygeom.errors import InvalidInput
+from polygeom.jsonio import complex_from_json, points_from_json, poly_from_json
+from polygeom.poly import Polynomial
+
+
+def per_entry(entries):
+    """The decoder's entry-by-entry path: its values, or its error text."""
+    try:
+        return [complex_from_json(z) for z in entries]
+    except InvalidInput as e:
+        return str(e)
+
+
+def bits(values):
+    """Complex values as their bits: a signed zero differs, NaN compares."""
+    return b"".join(struct.pack("<dd", z.real, z.imag) for z in values)
+
+
+def outcome(decode, entries):
+    try:
+        return bits(decode(entries))
+    except InvalidInput as e:
+        return str(e)
+
+
+# entries a decoded JSON document or a library caller can hand in
+ENTRIES = {
+    "floats": [[0.5, -1.25], [3.0, 0.0], [-0.0, -0.0]],
+    "empty": [],
+    "ints": [[1, 0], [-2, 3]],
+    "ints-and-floats": [[1.5, 2.5], [1, 0]],
+    "bools": [[1.0, 2.0], [True, 0.0]],
+    "string": [[1.0, 2.0], ["1", 0.0]],
+    "none": [[1.0, None]],
+    "tuples": [(1.0, 2.0), (3.0, 4.0)],
+    "float64": [[np.float64(1.5), np.float64(-2.0)], [1.0, 2.0]],
+    "pair-of-one": [[1.0, 2.0], [1.0]],
+    "pair-of-three": [[1.0, 2.0, 3.0]],
+    "nested": [[[1.0, 2.0], [3.0, 4.0]]],
+    "scalar-entry": [1.0, 2.0],
+    "nan": [[1.0, 2.0], [math.nan, 0.0]],
+    "inf": [[1.0, -math.inf]],
+    "bad-after-nan": [[math.nan, 0.0], ["x", 0.0]],
+    "overflowing-modulus": [[1.5e308, 1.5e308], [-7e307, 7e307]],
+    "huge-int": [[10 ** 400, 0.0]],
+}
+
+
+class TestOnePassDecoder:
+    # a list of pairs of finite floats is decoded in one pass; anything
+    # else entry by entry: the same values, or the same first error
+    @pytest.mark.parametrize("name", sorted(ENTRIES))
+    def test_points_equal_the_per_entry_path(self, name):
+        entries = ENTRIES[name]
+        want = per_entry(entries)
+        got = outcome(points_from_json, entries)
+        assert got == (want if isinstance(want, str) else bits(want))
+
+    @pytest.mark.parametrize("name", sorted(ENTRIES))
+    def test_coefficients_equal_the_per_entry_path(self, name):
+        entries = ENTRIES[name]
+        want = per_entry(entries)
+        if not isinstance(want, str):
+            want = bits(Polynomial(want).coeffs)
+        assert outcome(lambda v: poly_from_json({"coeffs": v}).coeffs, entries) == want
+
+    def test_points_object(self):
+        assert points_from_json({"points": [[1.0, 2.0]]}) == [1 + 2j]
+
+    def test_some_entries_take_the_per_entry_path(self):
+        # the table's errors come from that path
+        assert per_entry(ENTRIES["bools"]) == "expected a number, got True"
+        assert per_entry(ENTRIES["pair-of-three"]) == "expected [re, im], got [1.0, 2.0, 3.0]"
+        assert per_entry(ENTRIES["nan"]) == "expected a finite number, got nan"

@@ -1,10 +1,12 @@
+import math
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polygeom import rootfind
+from polygeom import poly, rootfind
+from polygeom.coincidence import SymmetricMultiaffine, evaluate_multiaffine
 from polygeom.errors import DegreeTooLarge, InvalidDegree, InvalidIndex, InvalidInput
 from polygeom.poly import (
     N_MAX,
@@ -138,6 +140,69 @@ class TestElementarySymmetric:
             assert abs(e_big[k] - e_small[k] - x * e_small[k - 1]) <= 1e-12 * (1 + top)
 
 
+def recurrence_reference(points):
+    """e_0..e_n by the incremental recurrence elementary_symmetric_all
+    used before it read them from the product."""
+    e = [1.0 + 0j] + [0j] * len(points)
+    for i, x in enumerate(points):
+        for k in range(i + 1, 0, -1):
+            e[k] = e[k] + x * e[k - 1]
+    return e
+
+
+def point_sets(rng):
+    """Random point sets of 1-60 points: complex, real-only, and with
+    signed zeros in either part."""
+    for i in range(150):
+        n = rng.randint(1, 60)
+        kind = i % 3
+        if kind == 0:
+            yield [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(n)]
+        elif kind == 1:
+            yield [complex(rng.uniform(-2, 2), rng.choice([0.0, -0.0])) for _ in range(n)]
+        else:
+            part = lambda: rng.choice([0.0, -0.0, 1.0, -1.0, rng.uniform(-2, 2)])
+            yield [complex(part(), part()) for _ in range(n)]
+
+
+class TestElementarySymmetricFromTheProduct:
+    # e_k is read off the coefficients of prod (z - w): the same values as
+    # the recurrence's (a zero may differ in sign)
+    def test_equal_to_the_recurrence(self):
+        for pts in point_sets(random.Random(14)):
+            assert elementary_symmetric_all(pts) == recurrence_reference(pts)
+
+    def test_equal_within_a_reuse_scope(self, monkeypatch):
+        # the product from_roots built in the scope is read back, not rebuilt
+        built = []
+        product = poly._product
+
+        def building(pts):
+            built.append(pts)
+            return product(pts)
+
+        monkeypatch.setattr(poly, "_product", building)
+        with rootfind._reuse_scope():
+            for pts in point_sets(random.Random(15)):
+                from_roots(pts)
+                del built[:]
+                assert elementary_symmetric_all(pts) == recurrence_reference(pts)
+                assert not built
+
+    def test_multiaffine_value_equal_to_the_recurrence(self):
+        rng = random.Random(16)
+        for pts in point_sets(rng):
+            n = len(pts)
+            E = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                 for _ in range(rng.randint(1, n + 1))]
+            P = SymmetricMultiaffine(n, E)
+            e = recurrence_reference(pts)
+            assert evaluate_multiaffine(P, pts) == sum(Ek * e[k] for k, Ek in enumerate(P.E))
+
+    def test_no_points(self):
+        assert elementary_symmetric_all([]) == [1]
+
+
 class TestBinomial:
     def test_simple(self):
         assert binomial(5, 2) == 10
@@ -159,6 +224,12 @@ class TestBinomial:
     def test_rejects_k_above_n(self):
         with pytest.raises(InvalidIndex):
             binomial(4, 5)
+
+
+    def test_table_is_math_comb(self):
+        for n in range(N_MAX + 1):
+            assert [binomial(n, k) for k in range(n + 1)] == [math.comb(n, k)
+                                                              for k in range(n + 1)]
 
 
 class TestMeanOfRoots:

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from polygeom import regions
 from polygeom.errors import InvalidInput
 from polygeom.regions import (
     contains,
@@ -57,6 +58,41 @@ class TestContains:
 
 
 NAN, INF = float("nan"), float("inf")
+
+
+class TestOverflow:
+    # |z|, or the distance from z to a disk's centre, beyond the largest
+    # float: decided at a quarter of the scale, never raised
+    BIG = complex(1.5e308, 1.5e308)
+
+    @pytest.mark.parametrize("region,inside", [
+        (disk(0, 1), False),
+        (disk(complex(1.5e308, 1.5e308), 1), True),
+        # the band, tol * (1 + |z|), is about 2.1e299 here
+        (disk(complex(1.5e308, 1.5e308), 1, closed=False), False),
+        (disk(complex(1.5e308, 1.5e308), 1e300, closed=False), True),
+        (exterior_disk(0, 1), True),
+        (exterior_disk(complex(1.5e308, 1.5e308), 1e300), False),
+        (half_plane(1, 0.0), False),
+        (half_plane(-1, 0.0), True),
+        (half_plane(1, 1.6e308), True),
+    ])
+    def test_huge_point(self, region, inside):
+        assert contains(region, self.BIG) is inside
+
+    @pytest.mark.parametrize("make,inside", [(disk, False), (exterior_disk, True)])
+    def test_huge_distance_between_finite_moduli(self, make, inside):
+        region = make(complex(-7e307, -7e307), 1)
+        assert contains(region, complex(7e307, 7e307)) is inside
+
+    def test_band_scales_with_the_point(self):
+        # 1e299 outside a disk around the point, within tol * |z|
+        # (about 2.1e299) of the boundary
+        z = self.BIG
+        region = disk(z - 1e299 - 1.0, 1.0)
+        assert contains(region, z)
+        assert not contains(disk(z - 1e299 - 1.0, 1.0, closed=False), z)
+        assert not contains(region, z, tol=1e-10)
 
 
 class TestConstructors:
@@ -125,6 +161,18 @@ class TestSmallestEnclosingDisk:
                 c = complex(rng.uniform(-4, 4), rng.uniform(-4, 4))
                 r = max(abs(p - c) for p in pts)
                 assert d.radius <= r + 1e-9
+
+
+    def test_welzl_order_is_the_seeded_shuffle(self):
+        # the order is cached by point count; it is the shuffle the
+        # algorithm drew for every call before
+        rng = random.Random(31)
+        for _ in range(50):
+            pts = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+                   for _ in range(rng.randint(1, 60))]
+            shuffled = list(pts)
+            random.Random(0x5EED).shuffle(shuffled)
+            assert [pts[i] for i in regions._welzl_order(len(pts))] == shuffled
 
 
 class TestConvexHull:

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import struct
 
 import mpmath
 import numpy as np
@@ -461,6 +462,113 @@ class TestStart:
         assert cmath.phase(start[0]) == pytest.approx(rootfind._START_ROTATION)
         assert (sorted(abs(z) for z in find_roots(p).roots)
                 == pytest.approx([10.0] * 10 + [100.0] * 10, rel=1e-9))
+
+
+def aberth_reference(cs, tol, eigvals_max):
+    """rootfind._aberth as it was before converged roots left the active
+    set: every active root got p', w and an Aberth sum, and a converged
+    root's correction was then set to 0."""
+    rows, deg = len(cs), [len(cr) - 1 for cr in cs]
+    dmax = deg[-1]
+    c = np.zeros((dmax + 1, rows), dtype=complex)
+    for r, cr in enumerate(cs):
+        c[dmax - deg[r]:, r] = cr
+    ac, dc = np.abs(c), rootfind._polyder(c)
+    x = np.full((rows, dmax), complex(np.nan, np.nan))
+    flat = x.reshape(-1)
+    bounds = [r for r in range(rows) if r == 0 or deg[r] != deg[r - 1]] + [rows]
+    degs = [deg[r] for r in bounds[:-1]]
+    for d, lo, hi in zip(degs, bounds[:-1], bounds[1:]):
+        if d <= eigvals_max:
+            x[lo:hi, :d] = rootfind._companion_eigvals(c[dmax - d:, lo:hi])
+        else:
+            for r in range(lo, hi):
+                x[r, :d] = rootfind._circle_start(cs[r])
+    active = np.flatnonzero(np.arange(dmax) < np.array(deg)[:, None])
+    row, col = np.divmod(active, dmax)
+    rdeg = np.take(deg, row)
+    for _ in range(rootfind.MAX_ITER):
+        if not active.size:
+            break
+        xa = flat[active]
+        p = np.polyval(c[:, row], xa)
+        converged = _scaled_residuals(ac[:, row], xa, p) <= tol
+        dp = np.polyval(dc[:, row], xa)
+        w = np.where(p == 0, 0.0, p / np.where(dp == 0, 1e-300, dp))
+        s = np.empty_like(xa)
+        cuts = [0, *np.searchsorted(rdeg, degs[1:]).tolist(), active.size]
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            if lo < hi:
+                diff = xa[lo:hi, None] - x[row[lo:hi], :rdeg[lo]]
+                diff[np.arange(hi - lo), col[lo:hi]] = np.inf
+                s[lo:hi] = np.sum(1.0 / diff, axis=1)
+        delta = w / (1.0 - w * s)
+        delta = np.where(np.isfinite(delta) & ~converged, delta, 0.0)
+        flat[active] = xa = xa - delta
+        moving = np.abs(delta) > tol * (1.0 + np.abs(xa))
+        active, row, col, rdeg = active[moving], row[moving], col[moving], rdeg[moving]
+    return x
+
+
+class TestSweep:
+    # only the roots that still move get a correction; the others' p', w
+    # and Aberth sums were computed and thrown away, so the roots are the
+    # same bits
+    @pytest.mark.parametrize("eigvals_max", [rootfind._EIGVALS_MAX_DEGREE, math.inf])
+    @pytest.mark.parametrize("tol", [1e-12, 1e-30])
+    def test_equal_to_the_sweep_that_corrected_every_root(self, eigvals_max, tol):
+        rng = random.Random(21)
+        ps = hard_rows(22, 30) + [Polynomial(random_unit_box(rng, d)) for d in range(2, 61, 3)]
+        cs = sorted((np.array(p.coeffs[::-1], dtype=complex) for p in ps), key=len)
+        cs = [cr for cr in cs if cr[-1] != 0]
+        with np.errstate(all="ignore"):
+            got = rootfind._aberth(cs, tol, eigvals_max)
+            want = aberth_reference(cs, tol, eigvals_max)
+        assert got.tobytes() == want.tobytes()
+
+
+def cluster_bytes(clusters):
+    """The bits of (representative, multiplicity) pairs: a signed zero
+    differs from an unsigned one."""
+    return b"".join(struct.pack("<ddq", c.real, c.imag, m) for c, m in clusters)
+
+
+class TestSingletonClusters:
+    # a row whose roots are all singletons builds its clusters in bulk:
+    # the same bits as one _clusters group per root
+    @staticmethod
+    def signed_zero_parts(monkeypatch):
+        """Set the parts within 1e-9 of zero of the polished roots to exact
+        zeros of alternating sign."""
+        polish = rootfind._newton_polish
+
+        def polishing(c, row, z):
+            out = polish(c, row, z).copy()
+            sign = np.where(np.arange(out.size) % 2, -0.0, 0.0)
+            out.real = np.where(np.abs(out.real) < 1e-9, sign, out.real)
+            out.imag = np.where(np.abs(out.imag) < 1e-9, sign[::-1], out.imag)
+            return out
+
+        monkeypatch.setattr(rootfind, "_newton_polish", polishing)
+
+    def test_bulk_clusters_equal_one_group_per_root(self, monkeypatch):
+        self.signed_zero_parts(monkeypatch)
+        # roots on the axes (zero parts, tied real parts), conjugate pairs
+        # and a zero at the origin
+        ps = [Polynomial([1, 0, 1]), Polynomial([-1, 0, 0, 0, 1]), Polynomial([4, 0, 5, 0, 1]),
+              Polynomial([0, -1, 0, 1]), Polynomial([2, 0, 1, 0, 1]),
+              from_roots([1j, -1j, 2j, -2j, 3, -3, 0.5 + 1j, 0.5 - 1j, 0.5]),
+              Polynomial([-1] + [0] * 19 + [1]), Polynomial([1, 1j]), Polynomial([-2j, 1])]
+        signed = 0
+        for rs in find_roots_many(ps):
+            assert all(m == 1 for _, m in rs.clusters)
+            roots = list(rs.roots)
+            signed += sum(math.copysign(1.0, x) < 0 for z in roots for x in (z.real, z.imag)
+                          if x == 0)
+            assert (cluster_bytes(rs.clusters)
+                    == cluster_bytes(rootfind._clusters(roots, [[i] for i in range(len(roots))])))
+        # the rows hold negative zeros, which a singleton's mean clears
+        assert signed > 0
 
 
 class TestDrive:

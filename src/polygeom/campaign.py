@@ -17,7 +17,13 @@ from typing import NamedTuple
 
 from . import jsonio, rootfind
 from .apolarity import apolarity_functional, make_apolar
-from .coincidence import WITNESS_TOL, SymmetricMultiaffine, _coincidence_core, _grace_core
+from .coincidence import (
+    WITNESS_TOL,
+    SymmetricMultiaffine,
+    _coincidence_core,
+    _diagonal_equation,
+    _grace_core,
+)
 from .derivative_bound import (
     MEAN_RESIDUAL_TOL,
     Theorem2Instance,
@@ -89,6 +95,12 @@ class CampaignConfig:
             raise InvalidConfig("trials must be >= 1")
         if not 1 <= self.n_min <= self.n_max <= N_MAX:
             raise InvalidConfig(f"need 1 <= n_min <= n_max <= {N_MAX}")
+        # the least degree the property's generator draws from the range
+        # (1 for the others: gauss_lucas and derivative_identity draw their own)
+        least = {"theorem2": 3, "grace": 2, "walsh_classic": 2, "theorem1_convex": 2,
+                 "theorem1_exterior": 2}.get(self.property, 1)
+        if self.n_max < least:
+            raise InvalidConfig(f"{self.property} needs n_max >= {least}")
         if not _valid_tol(self.root_tol):
             raise InvalidConfig(f"root_tol must be finite and > 0, got {self.root_tol!r}")
         if self.jobs < 1:
@@ -258,7 +270,7 @@ def _check_coincidence(inst: dict):
 
 
 def _gen_theorem2(rng: random.Random, cfg: CampaignConfig) -> dict:
-    n = rng.randint(max(3, cfg.n_min), max(3, cfg.n_max))
+    n = rng.randint(max(3, cfg.n_min), cfg.n_max)
     k = rng.randint(1, n - 1)
     radius = rng.uniform(0.1, 3.0)
     factor = rng.uniform(1.01, 2.0) if rng.random() < 0.5 else rng.uniform(2.0, 100.0)
@@ -389,12 +401,22 @@ PROPERTIES = {
     "gauss_lucas": (_gen_gauss_lucas, _check_gauss_lucas),
 }
 
-# property -> the polynomial whose roots its generator will ask for (or
-# None), drawn as the generator draws it; _run_chunk solves these ahead, in
-# one batch. Delete once the generators are cores that drive_many can run.
+def _theorem1_requests(rng: random.Random, cfg: CampaignConfig) -> list[Polynomial]:
+    """The polynomials a theorem 1 trial will ask the roots of, drawn as
+    its generator draws them: q^(n-m), which the generator and the check
+    ask for (none when m = n), and the diagonal equation, which the check
+    asks for when its degree is at least 1."""
+    _, _, P, w, q = _theorem1_draw(rng, cfg)
+    g = _diagonal_equation(P, w)
+    return [p for p in (q, g) if p is not None and p.degree() >= 1]
+
+
+# property -> the polynomials whose roots a trial's generator and check
+# will ask for; _run_chunk solves these ahead, in one batch, so that its
+# checks find every root set cached
 _GENERATOR_REQUESTS = {
-    prop: lambda rng, cfg: _theorem1_draw(rng, cfg)[4]
-    for prop in ("theorem1_convex", "theorem1_exterior")
+    "theorem1_convex": _theorem1_requests,
+    "theorem1_exterior": _theorem1_requests,
 }
 
 
@@ -421,22 +443,28 @@ def run_check(prop: str, inst: dict, root_tol: float) -> Verdict:
 
 
 def _run_chunk(cfg: CampaignConfig, start: int, stop: int) -> list[dict]:
-    """Trials start..stop-1: solve the roots their generators will ask for
-    in one batch, generate every instance, then advance all their checks
-    in lockstep, so that each round solves the chunk's pending root
-    requests in one batch. Within the chunk, a polynomial is solved once:
-    a generator, or a check that requests the roots its generator found
-    (the q^(n-m) of theorem 1), gets the same RootSet back, and
-    from_roots builds each polynomial once. A root set that is not
-    certified is not kept, so its generator fails as it would alone."""
+    """Trials start..stop-1: solve the roots their generators and checks
+    will ask for in one batch, generate every instance, then advance all
+    their checks in lockstep, so that each round answers the chunk's
+    pending root requests in one batch, the cached ones first. Within the
+    chunk, a polynomial is solved once: a generator or a check that asks
+    for roots already found (theorem 1's q^(n-m) and diagonal equation)
+    gets the same RootSet back, and from_roots builds each polynomial
+    once. A root set that is not certified is not kept, so its generator
+    or check fails as it would alone, and a trial whose requests cannot
+    be drawn ahead asks for its roots when its generator and check run."""
     gen, check = PROPERTIES[cfg.property]
     request = _GENERATOR_REQUESTS.get(cfg.property)
     records, started = [], []
     with _reuse_scope():
         if request is not None:
-            polys = (request(random.Random(trial_seed(cfg.seed, i)), cfg)
-                     for i in range(start, stop))
-            rootfind.find_roots_many([p for p in polys if p is not None], cfg.root_tol)
+            polys = []
+            for i in range(start, stop):
+                try:
+                    polys += request(random.Random(trial_seed(cfg.seed, i)), cfg)
+                except PolygeomError:
+                    pass
+            rootfind.find_roots_many(polys, cfg.root_tol)
         for index in range(start, stop):
             ts = trial_seed(cfg.seed, index)
             rec = {"trial_seed": ts, "instance": None}
@@ -483,16 +511,18 @@ def _chunk_report(cfg: CampaignConfig, start: int, stop: int) -> CampaignReport:
 
 
 # the most trials a chunk runs
-_CHUNK_TRIALS = 64
+_CHUNK_TRIALS = 128
 
 
 def run_campaign(config: CampaignConfig) -> CampaignReport:
     config.validate()
-    # a chunk's checks run in lockstep, so a bigger chunk solves bigger
-    # batches but holds more checks and root requests alive at once: the
-    # trials are split evenly into chunks of at most _CHUNK_TRIALS, and
-    # into at least 8 per CPU when more than one can run (no more than
-    # there are CPUs), to balance the workers' load
+    # a chunk finds its roots in one find_roots_many call, so a bigger
+    # chunk makes fewer calls, whose sweeps have a fixed cost each, but
+    # holds more checks and root requests alive at once (the solver's
+    # gathers are blocked, so its memory does not grow with the batch):
+    # the trials are split evenly into chunks of at most _CHUNK_TRIALS,
+    # and into at least 8 per CPU when more than one can run (no more
+    # than there are CPUs), to balance the workers' load
     cpus = min(config.jobs, os.cpu_count() or 1)
     chunks = max(-(-config.trials // _CHUNK_TRIALS), 8 * cpus if cpus > 1 else 1)
     size = -(-config.trials // chunks)

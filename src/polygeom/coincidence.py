@@ -80,6 +80,13 @@ def diagonal(P: SymmetricMultiaffine) -> Polynomial:
     return Polynomial([Ek * binomial(P.n, k) for k, Ek in enumerate(P.E)])
 
 
+def _diagonal_equation(P: SymmetricMultiaffine, points: Sequence[complex]) -> Polynomial:
+    """g(z) = p(z,...,z) - p(w_1..w_n), whose zeros are the coincidence
+    points. The coincidence core and a campaign chunk that solves it
+    ahead both build it here, so that they ask for the same bytes."""
+    return diagonal(P).shifted_constant(-evaluate_multiaffine(P, points))
+
+
 def polar(b: Polynomial, n: int) -> SymmetricMultiaffine:
     """The polar form of b in the degree-n frame: E_k = b_k / C(n,k), so
     that its diagonal is b."""
@@ -138,7 +145,7 @@ def _coincidence_core(
                 report=hypothesis,
             )
 
-    g = diagonal(P).shifted_constant(-evaluate_multiaffine(P, points))
+    g = _diagonal_equation(P, points)
     if g.degree() < 1:
         if g.is_zero:
             # a constant P, say: the equation is an identity
@@ -207,5 +214,5 @@ def theorem1_apolarity_residual(
     m = P.total_degree
     if m < 1:
         raise InvalidInput("need total degree >= 1")
-    r = diagonal(P).shifted_constant(-evaluate_multiaffine(P, points))
+    r = _diagonal_equation(P, points)
     return apolarity_residual(from_roots(points).derivative(P.n - m), r, m)

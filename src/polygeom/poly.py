@@ -152,11 +152,18 @@ def from_roots(roots: Sequence[complex]) -> Polynomial:
 
 def elementary_symmetric_all(points: Sequence[complex]) -> list[complex]:
     """All e_0..e_n of the points: e_k is (-1)^k times coefficient n - k
-    of prod (z - w), the product from_roots builds (and, within a
-    rootfind._reuse_scope, has built)."""
+    of prod (z - w), the product from_roots builds. Within a
+    rootfind._reuse_scope the product is built once per point bytes, here
+    or in from_roots, and kept where it is finite."""
     pts = _as_finite_complex(points)
-    built = None if _reuse is None else _reuse.get(np.array(pts, dtype=complex).tobytes())
-    c = _product(pts) if built is None else built.coeffs
+    key = None if _reuse is None else np.array(pts, dtype=complex).tobytes()
+    built = None if key is None else _reuse.get(key)
+    if built is not None:
+        c = built.coeffs
+    else:
+        c = _product(pts)
+        if key is not None and all(map(cmath.isfinite, c)):
+            _reuse[key] = Polynomial(c)
     n = len(pts)
     return [-c[n - k] if k % 2 else c[n - k] for k in range(n + 1)]
 

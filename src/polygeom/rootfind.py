@@ -26,15 +26,17 @@ which ``np.polyval`` passes through unchanged, and each row's roots are
 followed by NaN pads, which no test counts. Every operation is
 elementwise or per row, and each sum over a row's roots has that row's
 own length, so a polynomial gets the same bits in any batch as alone.
-The singleton test, whose (rows, n, n) adjacency is the pass's largest
-array, runs over blocks of rows that keep it near 1 MB. Within a
-``_reuse_scope`` (a campaign chunk) a polynomial is solved once, and
-``from_roots`` builds a polynomial once.
+What a pass holds does not grow with the batch: the singleton test runs
+over blocks of rows whose (rows, n, n) adjacency keeps near 1 MB, and
+each Horner evaluation gathers the coefficient columns of its roots in
+blocks of as many entries. Within a ``_reuse_scope`` (a campaign chunk)
+a polynomial is solved once, and ``from_roots`` builds a polynomial once.
 
 Checks that need roots are written as generators (cores): a core yields
 a Polynomial and is sent its RootSet, or has the root finder's error
 thrown in at the yield. ``drive`` runs one core, ``drive_many`` runs many
-in lockstep with one ``find_roots_many`` call per round.
+in lockstep with one ``find_roots_many`` call per round, which answers
+the requests a ``_reuse_scope`` holds before it solves the others.
 """
 
 from __future__ import annotations
@@ -69,9 +71,10 @@ _START_ROTATION = 0.7
 _GROUP_RADIUS = 1e-3
 # single-linkage threshold for the multiplicity clusters of a root set
 _CLUSTER_RADIUS = 1e-6
-# entries of the (rows, n, n) adjacency that one block of the singleton
-# test holds: its complex differences then take about 1 MB
-_ADJACENCY_BLOCK = 1 << 16
+# entries that one block of a pass holds: of the (rows, n, n) adjacency
+# of the singleton test, whose complex differences then take about 1 MB,
+# and of the coefficient columns a Horner evaluation gathers, one per root
+_BLOCK_ENTRIES = 1 << 16
 
 # RootSets by (coefficient bytes, tol) while a _reuse_scope is open
 _reuse: dict[tuple[bytes, float], "RootSet"] | None = None
@@ -107,6 +110,24 @@ def _polyder(c: np.ndarray) -> np.ndarray:
     return c[:-1] * np.arange(len(c) - 1, 0, -1).reshape((-1,) + (1,) * (c.ndim - 1))
 
 
+def _blocks(c: np.ndarray, size: int) -> list[slice]:
+    """Slices that cut range(size) into blocks of roots whose gathered
+    columns of c hold at most _BLOCK_ENTRIES entries (at least one root
+    each), so that what an evaluation gathers does not grow with the
+    batch."""
+    step = max(1, _BLOCK_ENTRIES // len(c))
+    return [slice(lo, lo + step) for lo in range(0, size, step)]
+
+
+def _horner(c: np.ndarray, row: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """np.polyval(c[:, row], z), gathered block by block; the same bits,
+    as every step of the evaluation is elementwise."""
+    out = np.empty_like(z)
+    for b in _blocks(c, z.size):
+        out[b] = np.polyval(c[:, row[b]], z[b])
+    return out
+
+
 def _scaled_residuals(ac: np.ndarray, z: np.ndarray, pz: np.ndarray) -> np.ndarray:
     """|p(z)| / sum_k |a_k| max(1, |z|)**k, given pz = p(z) and the
     moduli ac of p's coefficients in descending order; the denominator
@@ -116,6 +137,18 @@ def _scaled_residuals(ac: np.ndarray, z: np.ndarray, pz: np.ndarray) -> np.ndarr
     ``<= tol`` test.
     """
     return np.abs(pz) / np.polyval(ac, np.maximum(1.0, np.abs(z)))
+
+
+def _evaluate(c: np.ndarray, ac: np.ndarray, row: np.ndarray,
+              z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """p(z) and the scaled residuals of the points z[i] under the
+    polynomial in column row[i] of c, whose coefficients have the moduli
+    ac; both gathered block by block."""
+    pz, res = np.empty_like(z), np.empty(z.shape)
+    for b in _blocks(c, z.size):
+        pz[b] = np.polyval(c[:, row[b]], z[b])
+        res[b] = _scaled_residuals(ac[:, row[b]], z[b], pz[b])
+    return pz, res
 
 
 def _companion_eigvals(c: np.ndarray) -> np.ndarray:
@@ -201,16 +234,14 @@ def _aberth(cs: list[np.ndarray], tol: float, eigvals_max: float) -> np.ndarray:
     rdeg = np.take(deg, row)
     for _ in range(MAX_ITER):
         xa = flat[active]
-        # the coefficients are gathered one array at a time, which bounds
-        # the memory a sweep holds
-        p = np.polyval(c[:, row], xa)
+        p, res = _evaluate(c, ac, row, xa)
         # a converged root stays where it is, and the sums of the others
         # read it from x: only the roots that still move get a correction
-        unconverged = ~(_scaled_residuals(ac[:, row], xa, p) <= tol)
+        unconverged = ~(res <= tol)
         active, row, col, rdeg, xa, p = (v[unconverged] for v in (active, row, col, rdeg, xa, p))
         if not active.size:
             break
-        dp = np.polyval(dc[:, row], xa)
+        dp = _horner(dc, row, xa)
         w = np.where(p == 0, 0.0, p / np.where(dp == 0, 1e-300, dp))
         # each degree's roots are one run of the active set
         s = np.empty_like(xa)
@@ -230,13 +261,11 @@ def _aberth(cs: list[np.ndarray], tol: float, eigvals_max: float) -> np.ndarray:
 
 def _newton_polish(c: np.ndarray, row: np.ndarray, z: np.ndarray) -> np.ndarray:
     """One Newton step per root z[i] of the polynomial with coefficients
-    c[:, row[i]], kept only where |p| does not grow. The coefficients of
-    p' and of p are gathered one after the other."""
-    dv = np.polyval(_polyder(c)[:, row], z)
-    g = c[:, row]
-    pv = np.polyval(g, z)
+    c[:, row[i]], kept only where |p| does not grow."""
+    dv = _horner(_polyder(c), row, z)
+    pv = _horner(c, row, z)
     cand = z - pv / np.where(dv == 0, 1.0, dv)
-    better = np.abs(np.polyval(g, cand)) <= np.abs(pv)
+    better = np.abs(_horner(c, row, cand)) <= np.abs(pv)
     return np.where((dv != 0) & np.isfinite(cand) & better, cand, z)
 
 
@@ -371,7 +400,7 @@ def _solve_pass(cs: list[np.ndarray], tol: float,
     # their roots are also singleton clusters, _CLUSTER_RADIUS being the
     # smaller radius
     lone = np.empty(rows, dtype=bool)
-    block = max(1, _ADJACENCY_BLOCK // (nmax * nmax))
+    block = max(1, _BLOCK_ENTRIES // (nmax * nmax))
     for lo in range(0, rows, block):
         adj = _adjacency(z[lo:lo + block], _GROUP_RADIUS)
         lone[lo:lo + block] = adj.sum(axis=(1, 2)) == n[lo:lo + block]
@@ -387,8 +416,7 @@ def _solve_pass(cs: list[np.ndarray], tol: float,
         z[r, :n[r]] = roots
 
     flat = z[own]
-    pz = np.polyval(c[:, row], flat)
-    residuals = _scaled_residuals(np.abs(c)[:, row], flat, pz)
+    residuals = _evaluate(c, np.abs(c), row, flat)[1]
     ends = list(itertools.accumulate(n))
     certified = np.logical_and.reduceat(residuals <= tol, [0, *ends[:-1]])
     all_roots, all_res = flat.tolist(), residuals.tolist()
@@ -427,6 +455,17 @@ def exact_root_set(points) -> RootSet:
     return RootSet(tuple(roots), (0.0,) * len(roots), _clusters(roots, groups))
 
 
+def _coeff_row(p: Polynomial) -> np.ndarray:
+    """p's coefficients in descending order; their bytes key its RootSet
+    in a _reuse_scope."""
+    return np.array(p.coeffs[::-1], dtype=complex)
+
+
+def _cached(p: Polynomial, tol: float) -> bool:
+    """Does the open _reuse_scope hold p's RootSet at tol?"""
+    return _reuse is not None and (_coeff_row(p).tobytes(), tol) in _reuse
+
+
 def find_roots_many(
     polys: list[Polynomial], tol: float = DEFAULT_TOL
 ) -> list[RootSet | PolygeomError]:
@@ -450,7 +489,7 @@ def find_roots_many(
         elif not valid_tol:
             out[i] = InvalidInput(f"tol must be finite and > 0, got {tol!r}")
         else:
-            c = np.array(p.coeffs[::-1], dtype=complex)
+            c = _coeff_row(p)
             key = (c.tobytes(), tol)
             if _reuse is not None and key in _reuse:
                 out[i] = _reuse[key]
@@ -499,9 +538,12 @@ def drive_many(cores: list, tol: float = DEFAULT_TOL) -> list:
     """Run root-requesting generators in lockstep.
 
     A core yields a Polynomial and is sent its RootSet, or has the error
-    find_roots would raise thrown in at the yield. Each round solves every
-    pending request with one find_roots_many call. Returns what each core
-    returned, or the PolygeomError it raised.
+    find_roots would raise thrown in at the yield. Each round answers
+    pending requests with one find_roots_many call: those the open
+    _reuse_scope holds, while there are any, and otherwise every pending
+    request, in one solve. So the requests that are not cached wait for
+    one another, and a chunk whose roots were solved ahead solves nothing
+    here. Returns what each core returned, or the PolygeomError it raised.
     """
     out: list = [None] * len(cores)
     pending: dict[int, Polynomial] = {}
@@ -517,7 +559,7 @@ def drive_many(cores: list, tol: float = DEFAULT_TOL) -> list:
     for i, core in enumerate(cores):
         advance(i, core.send, None)
     while pending:
-        idx = list(pending)
+        idx = [i for i in pending if _cached(pending[i], tol)] or list(pending)
         solved = find_roots_many([pending.pop(i) for i in idx], tol)
         for i, res in zip(idx, solved):
             advance(i, cores[i].throw if isinstance(res, PolygeomError) else cores[i].send, res)

@@ -33,6 +33,25 @@ class TestConfig:
         with pytest.raises(InvalidConfig):
             run_campaign(CampaignConfig(property="grace", trials=1, n_min=5, n_max=2))
 
+    # a range below the least degree the property's generator draws
+    @pytest.mark.parametrize("prop,n_max", [
+        ("grace", 1), ("walsh_classic", 1), ("theorem1_convex", 1),
+        ("theorem1_exterior", 1), ("theorem2", 1), ("theorem2", 2)])
+    def test_range_below_the_least_degree(self, prop, n_max):
+        with pytest.raises(InvalidConfig, match=f"{prop} needs n_max >= "):
+            run_campaign(CampaignConfig(property=prop, trials=2, n_min=1, n_max=n_max))
+
+    # degree 1 is drawn, or the property draws its own degree
+    @pytest.mark.parametrize("prop", ["apolarity_identity", "gauss_lucas",
+                                      "derivative_identity"])
+    def test_degree_one_range(self, prop):
+        rep = run_campaign(CampaignConfig(property=prop, trials=3, n_min=1, n_max=1))
+        assert rep.passed == 3
+
+    def test_theorem2_runs_at_its_n_max(self):
+        rep = run_campaign(CampaignConfig(property="theorem2", trials=1, n_min=3, n_max=3))
+        assert rep.passed == 1
+
     @pytest.mark.parametrize("bad", [{"root_tol": 0}, {"root_tol": -1e-12},
                                      {"jobs": -4}, {"jobs": 0}])
     def test_bad_tolerance_or_jobs(self, bad):
@@ -103,7 +122,7 @@ class TestChunks:
             for jobs in (1, 2, 3))
         assert a == b == c
 
-    # 130 trials: 3 chunks at jobs 1, of 44, 44 and 42
+    # 130 trials: 2 chunks at jobs 1, of 65
     @pytest.mark.parametrize("prop", sorted(PROPERTIES))
     def test_identical_reports_across_jobs_in_several_chunks(self, prop):
         n_min = 3 if prop == "theorem2" else 2
@@ -127,8 +146,8 @@ class TestChunks:
 
     @pytest.mark.parametrize("jobs", [2, 64])
     def test_chunks_are_sized_from_the_cpus(self, monkeypatch, jobs):
-        # on 2 CPUs, jobs=64 cuts 2000 trials as jobs=2 does: 32 chunks of
-        # at most 64, not single-trial chunks
+        # on 2 CPUs, jobs=64 cuts 2000 trials as jobs=2 does: 16 chunks of
+        # at most 128, not single-trial chunks
         fake_pool(monkeypatch, 2)
         sizes = []
         run_chunk = campaign._run_chunk
@@ -140,7 +159,7 @@ class TestChunks:
         monkeypatch.setattr(campaign, "_run_chunk", recording)
         cfg = CampaignConfig(property="derivative_identity", trials=2000, jobs=jobs)
         assert run_campaign(cfg).passed == 2000
-        assert sizes == [63] * 31 + [47]
+        assert sizes == [125] * 16
 
     def test_chunks_do_not_grow_with_the_trials(self, monkeypatch):
         sizes = []
@@ -153,8 +172,8 @@ class TestChunks:
         monkeypatch.setattr(campaign, "_run_chunk", recording)
         cfg = CampaignConfig(property="derivative_identity", trials=3000, jobs=1)
         assert run_campaign(cfg).passed == 3000
-        # 47 chunks, evenly cut: none above 64
-        assert sizes == [64] * 46 + [56]
+        # 24 chunks, evenly cut: none above 128
+        assert sizes == [125] * 24
 
     def test_chunk_equals_its_trials(self):
         cfg = CampaignConfig(property="theorem1_convex", trials=10, seed=4)
@@ -185,6 +204,19 @@ class TestSolveOnce:
         monkeypatch.setattr(rootfind, "find_roots_many", asking)
         monkeypatch.setattr(rootfind, "_solve", solving)
         return asked, solved
+
+    @staticmethod
+    def solve_calls(monkeypatch):
+        """The number of rows of each _solve call."""
+        calls = []
+        solve = rootfind._solve
+
+        def solving(cs, tol):
+            calls.append(len(cs))
+            return solve(cs, tol)
+
+        monkeypatch.setattr(rootfind, "_solve", solving)
+        return calls
 
     @staticmethod
     def generated_q(monkeypatch):
@@ -226,11 +258,56 @@ class TestSolveOnce:
 
         monkeypatch.setattr(rootfind, "_solve", solving)
         cfg = CampaignConfig(property="theorem1_convex", trials=40, seed=2, n_min=2, n_max=12)
-        _run_chunk(cfg, 0, cfg.trials)
+        records = _run_chunk(cfg, 0, cfg.trials)
+        # the diagonal equation of every trial whose check asks for its roots
+        diagonals = []
+        for r in records:
+            P = jsonio.multiaffine_from_json(r["instance"]["multiaffine"])
+            w = jsonio.points_from_json(r["instance"]["points"])
+            g = diagonal(P).shifted_constant(-coincidence.evaluate_multiaffine(P, w))
+            if g.degree() >= 1:
+                diagonals.append(coeff_row(g))
         sizes = [len(b) for b in batches]
-        assert len(generated) > 1
-        assert sorted(batches[0]) == sorted(generated), sizes
-        assert all(q not in b for b in batches[1:] for q in generated), sizes
+        assert len(generated) > 1 and len(diagonals) > len(generated)
+        assert len(batches) == 1, sizes
+        assert sorted(batches[0]) == sorted(generated + diagonals)
+
+    @pytest.mark.parametrize("prop", ["grace", "walsh_classic", "theorem1_convex",
+                                      "theorem1_exterior", "theorem2"])
+    @pytest.mark.parametrize("high", [False, True])
+    def test_chunk_solves_once(self, monkeypatch, prop, high):
+        # every root a chunk asks for, of its generators and its checks, at
+        # m = n and m < n alike, is found in one solve
+        calls = self.solve_calls(monkeypatch)
+        n_min, n_max = (25, 60) if high else (3, 15) if prop == "theorem2" else (2, 12)
+        cfg = CampaignConfig(property=prop, trials=128, seed=5, n_min=n_min, n_max=n_max)
+        records = _run_chunk(cfg, 0, cfg.trials)
+        assert all(r["status"] != "error" for r in records)
+        if prop.startswith("theorem1"):
+            # trials at m = n, whose hypothesis asks for no roots, and others
+            P = [r["instance"]["multiaffine"] for r in records]
+            m_is_n = sum(len(p["E"]) - 1 == p["n"] for p in P)
+            assert 0 < m_is_n < len(records)
+        assert len(calls) == 1, calls
+
+    def test_a_request_that_raises_loses_only_its_prefetch(self, monkeypatch):
+        cfg = CampaignConfig(property="theorem1_convex", trials=20, seed=3)
+        want = _run_chunk(cfg, 0, cfg.trials)
+        requests = campaign._GENERATOR_REQUESTS["theorem1_convex"]
+        drawn = []
+
+        def failing(rng, cfg):
+            drawn.append(None)
+            if len(drawn) == 4:
+                raise InvalidInput("cannot draw ahead")
+            return requests(rng, cfg)
+
+        monkeypatch.setitem(campaign._GENERATOR_REQUESTS, "theorem1_convex", failing)
+        calls = self.solve_calls(monkeypatch)
+        assert _run_chunk(cfg, 0, cfg.trials) == want
+        # the fourth trial's roots are solved when its generator and its
+        # check ask for them
+        assert len(drawn) == 20 and len(calls) > 1 and calls[1:] == [1] * (len(calls) - 1)
 
     def test_theorem1_chunk_builds_each_q_once(self, monkeypatch):
         # q = prod (z - w_i) is asked of from_roots ahead, by the generator

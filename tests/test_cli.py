@@ -65,6 +65,14 @@ class TestTolerance:
                      "--json-out", str(out)]) == 2
         assert not out.exists()
 
+    def test_fuzz_rejects_a_range_below_the_least_degree(self, tmp_path, capsys):
+        # grace draws degree 2 at least: no trial can be drawn from 1..1
+        out = tmp_path / "r.json"
+        assert main(["fuzz", "--property", "grace", "--trials", "2", "--n-min", "1",
+                     "--n-max", "1", "--json-out", str(out)]) == 2
+        assert "grace needs n_max >= 2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_replay_at_the_campaign_tolerance(self, tmp_path, capsys):
         report = tmp_path / "r.json"
         assert main(["fuzz", "--property", "grace", "--trials", "2", "--seed", "1",

@@ -355,7 +355,7 @@ class TestBatch:
     def test_singleton_test_blocks(self, monkeypatch):
         # rows with multiple roots, on both sides of each block boundary
         # of the singleton test, take the collapse path as they do alone
-        block = rootfind._ADJACENCY_BLOCK // 60 ** 2
+        block = rootfind._BLOCK_ENTRIES // 60 ** 2
         multiple = {0, block - 1, block, 2 * block - 1, 2 * block, 39}
         rng = random.Random(40)
         ps = []
@@ -380,6 +380,30 @@ class TestBatch:
         rows = [np.array(p.coeffs, dtype=complex).tobytes() for p in ps]
         assert sorted(rows.index(c) for c in collapsed) == sorted(multiple)
         assert [outcome(m) for m in many] == [outcome(alone(p)) for p in ps]
+
+    def test_gathers_span_blocks(self, monkeypatch):
+        # 60 rows of degree 60: the sweep's first evaluations, the polish
+        # and the residual pass gather 3600 coefficient columns of 61
+        # entries, in several blocks; a row alone fits in one
+        spans = []
+        blocks = rootfind._blocks
+
+        def recording(c, size):
+            out = blocks(c, size)
+            spans.append(len(out))
+            return out
+
+        monkeypatch.setattr(rootfind, "_blocks", recording)
+        rng = random.Random(60)
+        ps = [Polynomial(random_unit_box(rng, 60)) for _ in range(60)]
+        many = find_roots_many(ps)
+        assert 60 * 60 >= 2 * (rootfind._BLOCK_ENTRIES // 61)
+        assert sum(n >= 2 for n in spans) >= 6 and max(spans) >= 4
+        for m, p in zip(many, ps):
+            one = alone(p)
+            assert np.array(m.roots).tobytes() == np.array(one.roots).tobytes()
+            assert np.array(m.residuals).tobytes() == np.array(one.residuals).tobytes()
+            assert cluster_bytes(m.clusters) == cluster_bytes(one.clusters)
 
     def test_non_finite_companion_is_non_convergence(self):
         # -a_0/a_2 overflows, so there is no finite companion matrix
@@ -594,6 +618,28 @@ class TestDrive:
         with pytest.raises(InvalidDegree):
             drive(core())
         assert seen == ["thrown"]
+
+    def test_cached_requests_are_answered_first(self, monkeypatch):
+        # A's cached p1 is answered without the solver, and A's p2 then
+        # waits for B's p3: one solve holds both
+        p1, p2, p3 = from_roots([1, 2]), from_roots([3j, -1, 2]), Polynomial([1, 1, 1])
+        batches = []
+        solve = rootfind._solve
+
+        def solving(cs, tol):
+            batches.append(sorted(c.tobytes() for c in cs))
+            return solve(cs, tol)
+
+        def one(p):
+            return len((yield p).roots)
+
+        with rootfind._reuse_scope():
+            find_roots_many([p1])
+            monkeypatch.setattr(rootfind, "_solve", solving)
+            out = drive_many([self.core(p1, p2), one(p3)])
+        assert out == [5, 2]
+        assert batches == [sorted(np.array(p.coeffs[::-1], dtype=complex).tobytes()
+                                  for p in (p2, p3))]
 
     def test_lockstep_keeps_order_and_errors(self):
         cores = [self.core(Polynomial([-1, 0, 1]), Polynomial([1, 1])),

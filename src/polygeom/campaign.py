@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from . import jsonio, rootfind
+from . import jsonio
 from .apolarity import apolarity_functional, make_apolar
 from .coincidence import (
     WITNESS_TOL,
@@ -29,7 +29,7 @@ from .derivative_bound import (
     Theorem2Instance,
     _gauss_lucas_core,
     _theorem2_core,
-    generate_theorem2_instance,
+    _theorem2_instance_core,
     kth_derivative_identity,
 )
 from .errors import (
@@ -42,7 +42,7 @@ from .errors import (
 )
 from .poly import N_MAX, Polynomial, from_roots
 from .regions import MEMBERSHIP_TOL, disk, exterior_disk, half_plane, smallest_enclosing_disk
-from .rootfind import DEFAULT_TOL, _reuse_scope, _valid_tol, drive_many, find_roots
+from .rootfind import DEFAULT_TOL, Product, _reuse_scope, _valid_tol, drive_many
 
 PASS = "pass"
 FAIL = "fail"
@@ -143,6 +143,24 @@ class CampaignReport:
 # ------------------------- instance generators -------------------------
 
 
+def _generator(make):
+    """An instance generator from its core, make(rng, cfg), which yields
+    like a check (see rootfind.drive_many) and returns the instance dict:
+    gen(rng, cfg) drives the core at cfg.root_tol and returns its dict or
+    raises its error, and gen(rng, cfg, core=True) returns the core, for
+    a campaign chunk to drive with its trial's check."""
+    def gen(rng: random.Random, cfg: CampaignConfig, core: bool = False):
+        started = make(rng, cfg)
+        if core:
+            return started
+        out, = drive_many([started], cfg.root_tol)
+        if isinstance(out, PolygeomError):
+            raise out
+        return out
+
+    return gen
+
+
 def _unit_box(rng: random.Random) -> complex:
     return complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
 
@@ -169,9 +187,11 @@ def _random_region_with_points(rng: random.Random, count: int):
     return region, pts
 
 
-def _gen_grace(rng: random.Random, cfg: CampaignConfig) -> dict:
+@_generator
+def _gen_grace(rng: random.Random, cfg: CampaignConfig):
     n = rng.randint(max(2, cfg.n_min), cfg.n_max)
     region, roots = _random_region_with_points(rng, n)
+    yield Product(roots)
     a = from_roots(roots)
     b = make_apolar(a, n, seed=rng.getrandbits(32))
     while b.degree() != n:
@@ -203,7 +223,9 @@ def _random_multiaffine(rng: random.Random, n: int, m: int) -> SymmetricMultiaff
     return SymmetricMultiaffine(n, E)
 
 
-def _gen_walsh_classic(rng: random.Random, cfg: CampaignConfig) -> dict:
+@_generator
+def _gen_walsh_classic(rng: random.Random, cfg: CampaignConfig):
+    yield from ()  # requests nothing
     n = rng.randint(max(2, cfg.n_min), cfg.n_max)
     P = _random_multiaffine(rng, n, n)
     w = [2.0 * _unit_box(rng) for _ in range(n)]
@@ -218,20 +240,30 @@ def _gen_walsh_classic(rng: random.Random, cfg: CampaignConfig) -> dict:
     }
 
 
-def _theorem1_draw(rng: random.Random, cfg: CampaignConfig) -> tuple:
-    """The draws a theorem 1 instance starts from: (n, m, P, w, q), where
-    q is the (n-m)-th derivative of the polynomial with zeros w, or None
-    when m = n."""
+def _gen_theorem1(rng: random.Random, cfg: CampaignConfig, exterior: bool):
+    """A theorem 1 instance, whose region is shaped by the zeros of q^(n-m)
+    (the points w at m = n). Asks for the roots of q^(n-m) together with
+    those of the diagonal equation g, which its check will ask for, so
+    that a campaign chunk finds both in one solve; g's outcome is not
+    read here. A g that cannot be built or certified only loses that
+    request: the check builds and asks for it again, and fails as alone."""
     n = rng.randint(max(2, cfg.n_min), cfg.n_max)
     m = rng.randint(1, n)
     P = _random_multiaffine(rng, n, m)
     w = [2.0 * _unit_box(rng) for _ in range(n)]
-    return n, m, P, w, from_roots(w).derivative(n - m) if m < n else None
-
-
-def _gen_theorem1(rng: random.Random, cfg: CampaignConfig, exterior: bool) -> dict:
-    n, m, P, w, q = _theorem1_draw(rng, cfg)
-    droots = find_roots(q, tol=cfg.root_tol).roots if q is not None else tuple(w)
+    yield Product(w)
+    q = from_roots(w).derivative(n - m) if m < n else None
+    try:
+        g = _diagonal_equation(P, w)
+    except PolygeomError:
+        g = None
+    found = yield [p for p in (q, g) if p is not None and p.degree() >= 1]
+    if q is None:
+        droots = w
+    elif isinstance(found[0], PolygeomError):
+        raise found[0]
+    else:
+        droots = found[0].roots
 
     if exterior:
         while True:
@@ -269,12 +301,13 @@ def _check_coincidence(inst: dict):
     return Verdict(PASS, f"witness {z}", z, hyp)
 
 
-def _gen_theorem2(rng: random.Random, cfg: CampaignConfig) -> dict:
+@_generator
+def _gen_theorem2(rng: random.Random, cfg: CampaignConfig):
     n = rng.randint(max(3, cfg.n_min), cfg.n_max)
     k = rng.randint(1, n - 1)
     radius = rng.uniform(0.1, 3.0)
     factor = rng.uniform(1.01, 2.0) if rng.random() < 0.5 else rng.uniform(2.0, 100.0)
-    inst = generate_theorem2_instance(
+    inst = yield from _theorem2_instance_core(
         n,
         seed=rng.getrandbits(32),
         radius=radius,
@@ -309,7 +342,9 @@ def _check_theorem2(inst: dict):
                    report=report)
 
 
-def _gen_apolarity_identity(rng: random.Random, cfg: CampaignConfig) -> dict:
+@_generator
+def _gen_apolarity_identity(rng: random.Random, cfg: CampaignConfig):
+    yield from ()  # requests nothing
     # the identities are drawn at degree 20 at most; a range above that
     # draws degree 20
     n = rng.randint(min(max(1, cfg.n_min), 20), min(cfg.n_max, 20))
@@ -347,7 +382,9 @@ def _check_apolarity_identity(inst: dict):
     return Verdict(PASS, f"residual {worst:.3e}")
 
 
-def _gen_derivative_identity(rng: random.Random, cfg: CampaignConfig) -> dict:
+@_generator
+def _gen_derivative_identity(rng: random.Random, cfg: CampaignConfig):
+    yield from ()  # requests nothing
     n = rng.randint(2, 20)
     return {
         "property": "derivative_identity",
@@ -366,7 +403,9 @@ def _check_derivative_identity(inst: dict):
     return Verdict(PASS, f"residual {res:.3e}")
 
 
-def _gen_gauss_lucas(rng: random.Random, cfg: CampaignConfig) -> dict:
+@_generator
+def _gen_gauss_lucas(rng: random.Random, cfg: CampaignConfig):
+    yield from ()  # requests nothing
     deg = rng.randint(2, 15)
     coeffs = [_unit_box(rng) for _ in range(deg + 1)]
     while abs(coeffs[deg]) < 0.1:
@@ -381,42 +420,26 @@ def _check_gauss_lucas(inst: dict):
     return Verdict(FAIL, "critical point outside the root hull")
 
 
-# property -> (instance generator, check); a check is a generator that
-# yields the polynomials whose roots it needs (see rootfind.drive_many)
-# and returns its Verdict
+# property -> (instance generator, check). gen(rng, cfg) returns an
+# instance dict, and gen(rng, cfg, core=True) the core that returns it; a
+# check is a core that returns its Verdict. A core yields the polynomials
+# whose roots it needs and the point sets whose products it builds (see
+# rootfind.drive_many)
 PROPERTIES = {
     "grace": (_gen_grace, _check_grace),
     "walsh_classic": (_gen_walsh_classic, _check_coincidence),
     "theorem1_convex": (
-        lambda rng, cfg: _gen_theorem1(rng, cfg, exterior=False),
+        _generator(lambda rng, cfg: _gen_theorem1(rng, cfg, exterior=False)),
         _check_coincidence,
     ),
     "theorem1_exterior": (
-        lambda rng, cfg: _gen_theorem1(rng, cfg, exterior=True),
+        _generator(lambda rng, cfg: _gen_theorem1(rng, cfg, exterior=True)),
         _check_coincidence,
     ),
     "theorem2": (_gen_theorem2, _check_theorem2),
     "apolarity_identity": (_gen_apolarity_identity, _check_apolarity_identity),
     "derivative_identity": (_gen_derivative_identity, _check_derivative_identity),
     "gauss_lucas": (_gen_gauss_lucas, _check_gauss_lucas),
-}
-
-def _theorem1_requests(rng: random.Random, cfg: CampaignConfig) -> list[Polynomial]:
-    """The polynomials a theorem 1 trial will ask the roots of, drawn as
-    its generator draws them: q^(n-m), which the generator and the check
-    ask for (none when m = n), and the diagonal equation, which the check
-    asks for when its degree is at least 1."""
-    _, _, P, w, q = _theorem1_draw(rng, cfg)
-    g = _diagonal_equation(P, w)
-    return [p for p in (q, g) if p is not None and p.degree() >= 1]
-
-
-# property -> the polynomials whose roots a trial's generator and check
-# will ask for; _run_chunk solves these ahead, in one batch, so that its
-# checks find every root set cached
-_GENERATOR_REQUESTS = {
-    "theorem1_convex": _theorem1_requests,
-    "theorem1_exterior": _theorem1_requests,
 }
 
 
@@ -442,41 +465,37 @@ def run_check(prop: str, inst: dict, root_tol: float) -> Verdict:
     return _as_verdict(drive_many([check(inst)], root_tol)[0])
 
 
+def _trial(generating, check, rec: dict):
+    """One trial as a core: its generator's core, then its check on the
+    instance, which is kept in rec. A generator's error ends the trial as
+    a failed generation."""
+    try:
+        rec["instance"] = yield from generating
+    except PolygeomError as e:
+        return Verdict(ERROR, f"generation failed: {e}")
+    return (yield from check(rec["instance"]))
+
+
 def _run_chunk(cfg: CampaignConfig, start: int, stop: int) -> list[dict]:
-    """Trials start..stop-1: solve the roots their generators and checks
-    will ask for in one batch, generate every instance, then advance all
-    their checks in lockstep, so that each round answers the chunk's
-    pending root requests in one batch, the cached ones first. Within the
-    chunk, a polynomial is solved once: a generator or a check that asks
-    for roots already found (theorem 1's q^(n-m) and diagonal equation)
-    gets the same RootSet back, and from_roots builds each polynomial
-    once. A root set that is not certified is not kept, so its generator
-    or check fails as it would alone, and a trial whose requests cannot
-    be drawn ahead asks for its roots when its generator and check run."""
+    """Trials start..stop-1: each trial's generator core, called once
+    through PROPERTIES, chained with its check, and all of them advanced
+    in lockstep, so that each round builds the chunk's pending products
+    in one batched pass or answers its pending root requests in one
+    batch, the cached ones first. So the chunk finds its roots in one
+    solve: a theorem 1 generator asks for q^(n-m) and its check's
+    diagonal equation together, and a check that asks for roots already
+    found gets the same RootSet back. Within the chunk, from_roots and
+    elementary_symmetric_all build each product once. A root set that is
+    not certified is not kept, so its generator or check fails as it
+    would alone."""
     gen, check = PROPERTIES[cfg.property]
-    request = _GENERATOR_REQUESTS.get(cfg.property)
-    records, started = [], []
+    records = [{"trial_seed": trial_seed(cfg.seed, i), "instance": None}
+               for i in range(start, stop)]
     with _reuse_scope():
-        if request is not None:
-            polys = []
-            for i in range(start, stop):
-                try:
-                    polys += request(random.Random(trial_seed(cfg.seed, i)), cfg)
-                except PolygeomError:
-                    pass
-            rootfind.find_roots_many(polys, cfg.root_tol)
-        for index in range(start, stop):
-            ts = trial_seed(cfg.seed, index)
-            rec = {"trial_seed": ts, "instance": None}
-            try:
-                rec["instance"] = gen(random.Random(ts), cfg)
-            except PolygeomError as e:
-                rec.update(status=ERROR, diagnostic=f"generation failed: {e}")
-            else:
-                started.append((rec, check(rec["instance"])))
-            records.append(rec)
-        outcomes = drive_many([c for _, c in started], cfg.root_tol)
-    for (rec, _), out in zip(started, outcomes):
+        trials = [_trial(gen(random.Random(rec["trial_seed"]), cfg, core=True), check, rec)
+                  for rec in records]
+        outcomes = drive_many(trials, cfg.root_tol)
+    for rec, out in zip(records, outcomes):
         v = _as_verdict(out)
         rec.update(status=v.status, diagnostic=v.diagnostic)
     return records

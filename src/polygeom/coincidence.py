@@ -23,7 +23,7 @@ from .errors import (
 )
 from .poly import N_MAX, Polynomial, binomial, elementary_symmetric_all, from_roots
 from .regions import CircularRegion, _modulus, contains
-from .rootfind import RootSet, drive, exact_root_set
+from .rootfind import Product, RootSet, drive, exact_root_set
 
 # the band around a region within which a computed root counts as a witness
 WITNESS_TOL = 1e-6
@@ -82,8 +82,9 @@ def diagonal(P: SymmetricMultiaffine) -> Polynomial:
 
 def _diagonal_equation(P: SymmetricMultiaffine, points: Sequence[complex]) -> Polynomial:
     """g(z) = p(z,...,z) - p(w_1..w_n), whose zeros are the coincidence
-    points. The coincidence core and a campaign chunk that solves it
-    ahead both build it here, so that they ask for the same bytes."""
+    points. The coincidence core and the theorem 1 campaign generator,
+    which asks for its roots ahead, both build it here, so that they ask
+    for the same bytes."""
     return diagonal(P).shifted_constant(-evaluate_multiaffine(P, points))
 
 
@@ -127,7 +128,8 @@ def _coincidence_core(
 ):
     """coincidence_witness as a core, and the one place a hypothesis is
     checked and a witness picked: yields q^(n-m) (unless classic), then
-    the diagonal equation, for their roots. Returns the witness and the
+    the points, as a Product, for the e_k of the coincidence value, then
+    the diagonal equation, for its roots. Returns the witness and the
     theorem 1 hypothesis report (None when classic)."""
     if len(points) != P.n:
         raise InvalidInput(f"expected {P.n} points, got {len(points)}")
@@ -145,6 +147,7 @@ def _coincidence_core(
                 report=hypothesis,
             )
 
+    yield Product(points)
     g = _diagonal_equation(P, points)
     if g.degree() < 1:
         if g.is_zero:

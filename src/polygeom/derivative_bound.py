@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .errors import DegreeTooLarge, InvalidInput, InvalidInstance
 from .poly import N_MAX, Polynomial, from_roots, mean_of_roots
 from .regions import CircularRegion, contains, convex_hull, disk, hull_distance
-from .rootfind import RootSet, drive
+from .rootfind import Product, RootSet, drive
 
 _MEAN_RTOL = 1e-12
 # the largest relative distance between the mean zero of p and of p^(k)
@@ -68,11 +68,11 @@ def theorem2_bound(n: int, k: int) -> int:
     return max(0, (n - 2 * k + 1) // 2)
 
 
-def _disk_frame_polynomial(inst: Theorem2Instance) -> Polynomial:
-    """p in the disk's own frame (center 0, radius 1): the monic polynomial
-    with zeros (z - c) / r. InvalidInput when a coefficient is not finite."""
+def _disk_frame_points(inst: Theorem2Instance) -> list[complex]:
+    """The zeros of p in the disk's own frame (center 0, radius 1):
+    (z - c) / r for each zero z."""
     c, r = inst.disk.center, inst.disk.radius
-    return from_roots([(z - c) / r for z in list(inst.inner_zeros) + [inst.outer_zero]])
+    return [(z - c) / r for z in list(inst.inner_zeros) + [inst.outer_zero]]
 
 
 def _theorem2_core(inst: Theorem2Instance, k: int):
@@ -85,7 +85,7 @@ def _theorem2_core(inst: Theorem2Instance, k: int):
     # frame (center 0, radius 1); this keeps tightly clustered instances
     # well-conditioned without changing any count
     c, r = inst.disk.center, inst.disk.radius
-    p = _disk_frame_polynomial(inst)
+    p = from_roots(_disk_frame_points(inst))
     d = p.derivative(k)
     droots_n = yield d
 
@@ -169,19 +169,10 @@ def gauss_lucas_check(p: Polynomial) -> bool:
     return drive(_gauss_lucas_core(p))
 
 
-def generate_theorem2_instance(
-    n: int,
-    seed: int,
-    radius: float = 1.0,
-    outer_distance: float = 2.0,
-    center: complex = 0j,
-) -> Theorem2Instance:
-    """Hypothesis-respecting sampler, deterministic given seed.
-
-    n-1 points are drawn in the disk and recentered so their mean is
-    exactly the disk center (kept at most 0.999*radius from it); the
-    remaining zero goes at distance >= outer_distance from the center.
-    """
+def _theorem2_instance_core(n: int, seed: int, radius: float, outer_distance: float,
+                            center: complex):
+    """generate_theorem2_instance as a core: yields the disk-frame points
+    as a Product before it builds the disk-frame polynomial."""
     if n < 3:
         raise InvalidInput("need n >= 3")
     if n > N_MAX:
@@ -209,13 +200,31 @@ def generate_theorem2_instance(
     if not cmath.isfinite(outer):
         raise InvalidInput(f"the outer zero overflows at outer_distance={outer_distance}")
     inst = Theorem2Instance(inner, outer, disk(center, radius))
+    pts = _disk_frame_points(inst)
+    yield Product(pts)
     try:
         # p^(k) multiplies a_j by j!/(j-k)! <= j!: when every a_j * j! is
         # finite, so is every derivative a check can ask for
-        p = _disk_frame_polynomial(inst)
+        p = from_roots(pts)
         Polynomial([a * math.factorial(j) for j, a in enumerate(p.coeffs)])
     except InvalidInput:
         raise InvalidInput(
             f"the disk-frame polynomial or a derivative overflows at radius={radius}, "
             f"outer_distance={outer_distance}") from None
     return inst
+
+
+def generate_theorem2_instance(
+    n: int,
+    seed: int,
+    radius: float = 1.0,
+    outer_distance: float = 2.0,
+    center: complex = 0j,
+) -> Theorem2Instance:
+    """Hypothesis-respecting sampler, deterministic given seed.
+
+    n-1 points are drawn in the disk and recentered so their mean is
+    exactly the disk center (kept at most 0.999*radius from it); the
+    remaining zero goes at distance >= outer_distance from the center.
+    """
+    return drive(_theorem2_instance_core(n, seed, radius, outer_distance, center))

@@ -132,12 +132,97 @@ def _product(pts: tuple[complex, ...]) -> list[complex]:
     return coeffs
 
 
+# CPython rounds each product and each sum of a complex multiplication on
+# its own, unless its compiler fuses a*b - c*d into one operation: at
+# x = 1 + 2**-27, x*x - x*x and x*x + x*-x are 0 only when both products
+# are rounded. _products emulates the separate rounding, so where this
+# probe finds it fused _build_products builds each product with _product
+_PROBE = complex(1 + 2.0**-27, 1 + 2.0**-27)
+_SEPARATE_ROUNDING = ((_PROBE * _PROBE).real == 0.0
+                      and (_PROBE * _PROBE.conjugate()).imag == 0.0)
+
+
+# _product costs about c * L**2 for a set of L points, and the batched
+# pass about 320 * c per point of its longest set (measured at 1-128 sets
+# of 3-60 points); _build_products batches only sets whose squared
+# lengths sum to at least _BATCH_MIN times the longest length
+_BATCH_MIN = 320
+
+
+def _products(sets: list[np.ndarray]) -> np.ndarray:
+    """_product of every point set, in one batched pass with its bits:
+    row i holds the coefficients of sets[i], ascending, then zeros.
+
+    numpy's complex multiply may fuse a multiply and an add, so CPython's
+    w*c, (w.re*c.re - w.im*c.im, w.re*c.im + w.im*c.re), is emulated with
+    float64 ufuncs, each rounded alone. The rows are sorted by length,
+    longest first, so the step for point j updates a prefix of them.
+    """
+    order = sorted(range(len(sets)), key=lambda i: -len(sets[i]))
+    lens = np.array([len(sets[i]) for i in order])
+    n = lens[0]
+    w = np.zeros((len(sets), n), dtype=complex)
+    for r, i in enumerate(order):
+        w[r, :lens[r]] = sets[i]
+    wr, wi = w.real.copy(), w.imag.copy()
+    cr, ci = np.zeros((len(sets), n + 1)), np.zeros((len(sets), n + 1))
+    cr[:, 0] = 1.0
+    with np.errstate(all="ignore"):
+        for j, m in enumerate((lens[:, None] > np.arange(n)).sum(axis=0)):
+            a, b = wr[:m, j, None], wi[:m, j, None]
+            hr, hi = cr[:m, 1:j + 2], ci[:m, 1:j + 2]
+            # c[k] <- c[k-1] - w*c[k] for k = j+1 down to 1, where c[j+1]
+            # is the 0j appended; each reads the c[k-1] of the step before
+            tr = cr[:m, :j + 1] - (a * hr - b * hi)
+            ti = ci[:m, :j + 1] - (a * hi + b * hr)
+            # c[0] <- (-w)*c[0]
+            na, nb, c0r, c0i = -a[:, 0], -b[:, 0], cr[:m, 0], ci[:m, 0]
+            r0, i0 = na * c0r - nb * c0i, na * c0i + nb * c0r
+            cr[:m, 1:j + 2], ci[:m, 1:j + 2] = tr, ti
+            cr[:m, 0], ci[:m, 0] = r0, i0
+    out = np.empty((len(sets), n + 1), dtype=complex)
+    out.real[order], out.imag[order] = cr, ci
+    return out
+
+
+def _build_products(point_sets: Iterable[Sequence[complex]]) -> None:
+    """Within a rootfind._reuse_scope, build the product of every point
+    set that from_roots has no Polynomial for, in one batched pass (one
+    by one where the sets are too few or too short for the pass to pay),
+    and keep each finite one under the key from_roots looks it up by. A
+    set whose product is not finite, or whose points are not, is left
+    for from_roots to build and raise for as it would alone. Outside a
+    scope nothing is built."""
+    if _reuse is None:
+        return
+    todo: dict[bytes, np.ndarray] = {}
+    for points in point_sets:
+        try:
+            w = np.array(_as_finite_complex(points), dtype=complex)
+        except (InvalidInput, TypeError, ValueError, OverflowError):
+            continue
+        key = w.tobytes()
+        if w.size and key not in _reuse:
+            todo[key] = w
+    if not todo:
+        return
+    sets = list(todo.values())
+    if (not _SEPARATE_ROUNDING
+            or sum(len(w) ** 2 for w in sets) < _BATCH_MIN * max(map(len, sets))):
+        built = [_product(tuple(w.tolist())) for w in sets]
+    else:
+        built = [c[:len(w) + 1].tolist() for w, c in zip(sets, _products(sets))]
+    for key, c in zip(todo, built):
+        if all(map(cmath.isfinite, c)):
+            _reuse[key] = Polynomial(c)
+
+
 def from_roots(roots: Sequence[complex]) -> Polynomial:
     """Monic polynomial with exactly the given roots (with multiplicity).
 
     Within a rootfind._reuse_scope, points with the same bytes (so a
     signed zero differs from an unsigned one) get the Polynomial built
-    for them before.
+    for them before, here or by _build_products.
     """
     pts = _as_finite_complex(roots)
     if not pts:

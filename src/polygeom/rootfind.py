@@ -32,11 +32,15 @@ each Horner evaluation gathers the coefficient columns of its roots in
 blocks of as many entries. Within a ``_reuse_scope`` (a campaign chunk)
 a polynomial is solved once, and ``from_roots`` builds a polynomial once.
 
-Checks that need roots are written as generators (cores): a core yields
-a Polynomial and is sent its RootSet, or has the root finder's error
-thrown in at the yield. ``drive`` runs one core, ``drive_many`` runs many
-in lockstep with one ``find_roots_many`` call per round, which answers
-the requests a ``_reuse_scope`` holds before it solves the others.
+Checks and campaign generators that need roots are written as generators
+(cores): a core yields a Polynomial and is sent its RootSet, or has the
+root finder's error thrown in at the yield; it may yield a list of
+Polynomials and be sent each one's outcome; and it may yield a
+``Product`` of points before it builds their product. ``drive`` runs one
+core, ``drive_many`` runs many in lockstep: each round either builds the
+products its cores asked for, in one batched pass, or answers their root
+requests with one ``find_roots_many`` call, the requests a
+``_reuse_scope`` holds before it solves the others.
 """
 
 from __future__ import annotations
@@ -47,6 +51,7 @@ import math
 import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -510,8 +515,9 @@ def find_roots_many(
 def _reuse_scope():
     """Within this block, find_roots_many returns a RootSet it found
     before for the same coefficient bytes and tol (errors are solved
-    again), and poly.from_roots the Polynomial it built before for the
-    same point bytes. Both tables are dropped when the block ends."""
+    again), and poly.from_roots the Polynomial it or drive_many's
+    batched pass built before for the same point bytes. Both tables are
+    dropped when the block ends."""
     global _reuse
     outer = _reuse, poly._reuse
     _reuse, poly._reuse = {}, {}
@@ -534,19 +540,33 @@ def find_roots(p: Polynomial, tol: float = DEFAULT_TOL) -> RootSet:
     return out
 
 
+class Product(NamedTuple):
+    """A core's request for the product prod (z - w) over its points,
+    yielded just before it calls from_roots or elementary_symmetric_all
+    on them."""
+
+    points: Sequence[complex]
+
+
 def drive_many(cores: list, tol: float = DEFAULT_TOL) -> list:
     """Run root-requesting generators in lockstep.
 
     A core yields a Polynomial and is sent its RootSet, or has the error
-    find_roots would raise thrown in at the yield. Each round answers
-    pending requests with one find_roots_many call: those the open
-    _reuse_scope holds, while there are any, and otherwise every pending
-    request, in one solve. So the requests that are not cached wait for
-    one another, and a chunk whose roots were solved ahead solves nothing
-    here. Returns what each core returned, or the PolygeomError it raised.
+    find_roots would raise thrown in at the yield; or it yields a list of
+    Polynomials and is sent the outcome of each, a RootSet or that error;
+    or it yields a Product and is sent None. Each round answers the
+    pending Product requests, while there are any: within a _reuse_scope
+    the products that poly.from_roots has not built are built in one
+    batched pass (poly._build_products); outside one nothing is built
+    ahead. Otherwise the round answers root requests with one
+    find_roots_many call: those the open _reuse_scope holds, while there
+    are any, and otherwise every pending request, in one solve. So the
+    requests that are not cached wait for one another, and a chunk whose
+    roots were solved ahead solves nothing here. Returns what each core
+    returned, or the PolygeomError it raised.
     """
     out: list = [None] * len(cores)
-    pending: dict[int, Polynomial] = {}
+    pending: dict[int, Polynomial | list[Polynomial] | Product] = {}
 
     def advance(i, step, arg):
         try:
@@ -559,10 +579,25 @@ def drive_many(cores: list, tol: float = DEFAULT_TOL) -> list:
     for i, core in enumerate(cores):
         advance(i, core.send, None)
     while pending:
-        idx = [i for i in pending if _cached(pending[i], tol)] or list(pending)
-        solved = find_roots_many([pending.pop(i) for i in idx], tol)
-        for i, res in zip(idx, solved):
-            advance(i, cores[i].throw if isinstance(res, PolygeomError) else cores[i].send, res)
+        products = [i for i, req in pending.items() if isinstance(req, Product)]
+        if products:
+            poly._build_products([pending[i].points for i in products])
+            for i in products:
+                del pending[i]
+                advance(i, cores[i].send, None)
+            continue
+        asked = {i: req if isinstance(req, list) else [req] for i, req in pending.items()}
+        idx = ([i for i, ps in asked.items() if all(_cached(p, tol) for p in ps)]
+               or list(asked))
+        solved = iter(find_roots_many([p for i in idx for p in asked[i]], tol))
+        for i in idx:
+            req, res = pending.pop(i), [next(solved) for _ in asked[i]]
+            if isinstance(req, list):
+                advance(i, cores[i].send, res)
+            elif isinstance(res[0], PolygeomError):
+                advance(i, cores[i].throw, res[0])
+            else:
+                advance(i, cores[i].send, res[0])
     return out
 
 

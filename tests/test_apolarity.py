@@ -13,7 +13,7 @@ from polygeom.coincidence import _grace_core, diagonal, evaluate_multiaffine, po
 from polygeom.errors import HypothesisViolated, InvalidInput
 from polygeom.poly import Polynomial, from_roots
 from polygeom.regions import disk, smallest_enclosing_disk
-from polygeom.rootfind import find_roots
+from polygeom.rootfind import Product, find_roots
 
 
 class TestFunctional:
@@ -120,12 +120,17 @@ class TestGraceWitness:
 
     @staticmethod
     def run_core(core):
-        """The polynomials a core requests, and what it returns."""
-        requests, roots = [], None
+        """The polynomials a core requests the roots of, and what it
+        returns; a Product request is answered with None, as drive does."""
+        requests, sent = [], None
         try:
             while True:
-                requests.append(core.send(roots))
-                roots = find_roots(requests[-1])
+                request = core.send(sent)
+                if isinstance(request, Product):
+                    sent = None
+                else:
+                    requests.append(request)
+                    sent = find_roots(request)
         except StopIteration as stop:
             return requests, stop.value
 

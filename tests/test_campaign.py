@@ -16,7 +16,7 @@ from polygeom.campaign import (
     trial_seed,
 )
 from polygeom.coincidence import diagonal, theorem1_hypothesis
-from polygeom.errors import InvalidConfig, InvalidInput
+from polygeom.errors import InvalidConfig, InvalidInput, NonConvergence
 from polygeom.poly import Polynomial
 
 
@@ -219,36 +219,33 @@ class TestSolveOnce:
         return calls
 
     @staticmethod
-    def generated_q(monkeypatch):
-        """The coefficient rows of the q^(n-m) whose roots theorem 1
-        generators find."""
+    def generated_q(records):
+        """The coefficient rows of the q^(n-m) whose roots the theorem 1
+        generators of these trials find (none at m = n)."""
         generated = []
-        find_roots = campaign.find_roots
-
-        def generating(p, tol):
-            generated.append(coeff_row(p))
-            return find_roots(p, tol=tol)
-
-        monkeypatch.setattr(campaign, "find_roots", generating)
+        for r in records:
+            P = jsonio.multiaffine_from_json(r["instance"]["multiaffine"])
+            w = jsonio.points_from_json(r["instance"]["points"])
+            if P.total_degree < P.n:
+                generated.append(coeff_row(poly.from_roots(w).derivative(P.n - P.total_degree)))
         return generated
 
     def test_theorem1_chunk_solves_q_once(self, monkeypatch):
-        # the chunk solves each q ahead; the generator's request and the
-        # check's request for the same roots are both served from the chunk
-        generated = self.generated_q(monkeypatch)
+        # the generator asks for q, and the check's request for the same
+        # roots is served from the chunk
         asked, solved = self.count_rows(monkeypatch)
         cfg = CampaignConfig(property="theorem1_convex", trials=40, seed=2, n_min=2, n_max=12)
         records = _run_chunk(cfg, 0, cfg.trials)
         assert all(r["instance"] is not None for r in records)
+        generated = self.generated_q(records)
         asked = [coeff_row(p) for p in asked]
         solved = [c.tobytes() for c in solved]
         assert generated
         for q in generated:
-            # asked ahead, by the generator and by the check; solved once
-            assert solved.count(q) == 1 and asked.count(q) == 3
+            # asked by the generator and by the check; solved once
+            assert solved.count(q) == 1 and asked.count(q) == 2
 
     def test_theorem1_generators_are_solved_in_one_batch(self, monkeypatch):
-        generated = self.generated_q(monkeypatch)
         batches = []
         solve = rootfind._solve
 
@@ -259,6 +256,7 @@ class TestSolveOnce:
         monkeypatch.setattr(rootfind, "_solve", solving)
         cfg = CampaignConfig(property="theorem1_convex", trials=40, seed=2, n_min=2, n_max=12)
         records = _run_chunk(cfg, 0, cfg.trials)
+        generated = self.generated_q(records)
         # the diagonal equation of every trial whose check asks for its roots
         diagonals = []
         for r in records:
@@ -293,25 +291,25 @@ class TestSolveOnce:
     def test_a_request_that_raises_loses_only_its_prefetch(self, monkeypatch):
         cfg = CampaignConfig(property="theorem1_convex", trials=20, seed=3)
         want = _run_chunk(cfg, 0, cfg.trials)
-        requests = campaign._GENERATOR_REQUESTS["theorem1_convex"]
+        diagonal_equation = campaign._diagonal_equation
         drawn = []
 
-        def failing(rng, cfg):
+        def failing(P, w):
             drawn.append(None)
             if len(drawn) == 4:
-                raise InvalidInput("cannot draw ahead")
-            return requests(rng, cfg)
+                raise InvalidInput("cannot build ahead")
+            return diagonal_equation(P, w)
 
-        monkeypatch.setitem(campaign._GENERATOR_REQUESTS, "theorem1_convex", failing)
+        # the generator's g, which it asks for ahead of its check
+        monkeypatch.setattr(campaign, "_diagonal_equation", failing)
         calls = self.solve_calls(monkeypatch)
         assert _run_chunk(cfg, 0, cfg.trials) == want
-        # the fourth trial's roots are solved when its generator and its
-        # check ask for them
+        # the fourth trial's g is solved when its check asks for it
         assert len(drawn) == 20 and len(calls) > 1 and calls[1:] == [1] * (len(calls) - 1)
 
     def test_theorem1_chunk_builds_each_q_once(self, monkeypatch):
-        # q = prod (z - w_i) is asked of from_roots ahead, by the generator
-        # and by the check, and built once; nothing is reused after the chunk
+        # q = prod (z - w_i) is asked of from_roots by the generator and by
+        # the check, and built once; nothing is reused after the chunk
         built = {}
         from_roots = poly.from_roots
 
@@ -326,24 +324,30 @@ class TestSolveOnce:
         _run_chunk(cfg, 0, cfg.trials)
         assert built
         for qs in built.values():
-            assert len(qs) == 3 and qs[1] is qs[0] and qs[2] is qs[0]
+            assert len(qs) == 2 and qs[1] is qs[0]
         assert poly._reuse is None
         w = [1, 2j, -3]
         assert from_roots(w) is not from_roots(w)
 
-    @pytest.mark.parametrize("prop", ["grace", "theorem1_convex"])
+    @pytest.mark.parametrize("prop", ["grace", "walsh_classic", "theorem1_convex", "theorem2"])
     def test_chunk_builds_each_product_once(self, monkeypatch, prop):
         # the coincidence value reads e_k from the product the chunk built
-        # for grace's a or theorem 1's q, and builds it only where nothing
-        # did (theorem 1 at m = n, whose hypothesis needs no product)
+        # for grace's a or theorem 1's q, and theorem 2's check reads its
+        # generator's disk-frame polynomial: each product is built once,
+        # one by one or in a round's batched pass
         built = []
-        product = poly._product
+        product, products = poly._product, poly._products
 
         def building(pts):
             built.append(np.array(pts, dtype=complex).tobytes())
             return product(pts)
 
+        def batching(sets):
+            built.extend(w.tobytes() for w in sets)
+            return products(sets)
+
         monkeypatch.setattr(poly, "_product", building)
+        monkeypatch.setattr(poly, "_products", batching)
         cfg = CampaignConfig(property=prop, trials=40, seed=2, n_min=2, n_max=12)
         records = _run_chunk(cfg, 0, cfg.trials)
         assert all(r["status"] == "pass" for r in records)
@@ -360,6 +364,63 @@ class TestSolveOnce:
         rootfind.find_roots(p)
         rootfind.find_roots(p)
         assert len(asked) == len(solved) == 2
+
+
+class TestGeneratorCores:
+    @pytest.mark.parametrize("high", [False, True])
+    @pytest.mark.parametrize("prop", sorted(PROPERTIES))
+    def test_plain_call_equals_the_driven_core(self, prop, high):
+        # the cores of 200 trials driven together in one scope, as a chunk
+        # drives them, return what each plain call returns
+        lo, hi = (25, 60) if high else (3, 15) if prop == "theorem2" else (2, 12)
+        cfg = CampaignConfig(property=prop, trials=200, seed=6, n_min=lo, n_max=hi)
+        gen, _ = PROPERTIES[prop]
+        seeds = [trial_seed(cfg.seed, i) for i in range(cfg.trials)]
+        with rootfind._reuse_scope():
+            driven = rootfind.drive_many(
+                [gen(random.Random(ts), cfg, core=True) for ts in seeds], cfg.root_tol)
+        for ts, inst in zip(seeds, driven):
+            assert jsonio.dumps(inst) == jsonio.dumps(gen(random.Random(ts), cfg))
+
+    @pytest.mark.parametrize("prop", sorted(PROPERTIES))
+    def test_chunk_calls_each_generator_once_per_trial(self, monkeypatch, prop):
+        # what a tracer that wraps the PROPERTIES generators counts
+        gen, check = PROPERTIES[prop]
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs)
+            return gen(*args, **kwargs)
+
+        draws = []
+        random_multiaffine = campaign._random_multiaffine
+
+        def drawing(rng, n, m):
+            draws.append(n)
+            return random_multiaffine(rng, n, m)
+
+        monkeypatch.setitem(PROPERTIES, prop, (counting, check))
+        monkeypatch.setattr(campaign, "_random_multiaffine", drawing)
+        cfg = CampaignConfig(property=prop, trials=20, seed=7)
+        records = _run_chunk(cfg, 0, cfg.trials)
+        assert len(records) == len(calls) == 20
+        assert all(r["instance"] is not None for r in records)
+        # and each trial is drawn once: the coincidence properties draw
+        # one multiaffine polynomial per trial
+        assert len(draws) == (20 if prop in ("walsh_classic", "theorem1_convex",
+                                             "theorem1_exterior") else 0)
+
+    def test_generation_error_is_a_failed_generation(self):
+        # at 1e-30 no q^(n-m) above degree 1 is certified: such a trial
+        # records the error its plain generator raises, and no instance
+        cfg = CampaignConfig(property="theorem1_convex", trials=20, seed=1, root_tol=1e-30)
+        gen, _ = PROPERTIES[cfg.property]
+        failed = [r for r in _run_chunk(cfg, 0, cfg.trials) if r["instance"] is None]
+        assert failed
+        for r in failed:
+            with pytest.raises(NonConvergence) as e:
+                gen(random.Random(r["trial_seed"]), cfg)
+            assert (r["status"], r["diagnostic"]) == ("error", f"generation failed: {e.value}")
 
 
 class TestAllProperties:

@@ -1,6 +1,8 @@
 import math
 import random
+import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -294,3 +296,97 @@ class TestCanonicalForm:
     def test_the_first_bad_value_decides_the_error(self, values, error, text):
         with pytest.raises(error, match=text):
             Polynomial(values)
+
+
+def bits(coeffs) -> bytes:
+    return b"".join(struct.pack("<dd", c.real, c.imag) for c in coeffs)
+
+
+def product_bits(pts) -> bytes:
+    """The bits of the scalar reference, prod (z - w) built point by point."""
+    return bits(SCALAR_PRODUCT(tuple(complex(w) for w in pts)))
+
+
+SCALAR_PRODUCT = poly._product
+
+
+class TestBatchedProducts:
+    # within a reuse scope, a round's products are built in one batched
+    # pass that must give each the bits of the scalar _product
+    @staticmethod
+    def built(monkeypatch, sets):
+        """from_roots of every set after one _build_products pass in a
+        scope, and the sets the scalar _product built."""
+        scalar = []
+        monkeypatch.setattr(poly, "_product", lambda pts: scalar.append(pts)
+                            or SCALAR_PRODUCT(pts))
+        with rootfind._reuse_scope():
+            poly._build_products(sets)
+            return [from_roots(s) for s in sets], scalar
+
+    @staticmethod
+    def mixed_sets(seed):
+        rng = random.Random(seed)
+        sets = [[complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(n)]
+                for n in rng.sample(range(1, 61), 60) + [rng.randint(1, 60) for _ in range(140)]]
+        zeros = [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]
+        return sets + [zeros, zeros[::-1] + [1j, -1], [complex(-0.0, -0.0)] * 5,
+                       [1 + 1j] * 7, [-0.5j, 2, 2, -0.5j, 2], [3 - 1j]]
+
+    @pytest.mark.filterwarnings("error")
+    def test_equal_to_the_product_in_bits(self, monkeypatch):
+        sets = self.mixed_sets(21)
+        out, scalar = self.built(monkeypatch, sets)
+        for pts, p in zip(sets, out):
+            assert bits(p.coeffs) == product_bits(pts)
+        # the batch built every one, unless this CPython fuses the
+        # multiply and the add of a complex product
+        assert scalar == [] or not poly._SEPARATE_ROUNDING
+
+    @pytest.mark.filterwarnings("error")
+    def test_batch_of_one(self):
+        if not poly._SEPARATE_ROUNDING:
+            pytest.skip("this CPython fuses the multiply and the add of a complex product")
+        for pts in ([complex(-0.0, 0.0)], [0.25 - 3j, complex(0.0, -0.0), 0.25 - 3j],
+                    self.mixed_sets(22)[0]):
+            c, = poly._products([np.array(pts, dtype=complex)])
+            assert bits(c) == product_bits(pts)
+
+    def test_few_short_sets_are_built_one_by_one(self, monkeypatch):
+        sets = [[1 + 2j, -3j], [0.5j, 2, -1]]
+        out, scalar = self.built(monkeypatch, sets)
+        assert len(scalar) == 2
+        assert [bits(p.coeffs) for p in out] == [product_bits(pts) for pts in sets]
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_product_that_overflows_is_not_kept(self, monkeypatch):
+        sets = self.mixed_sets(23)
+        over = [[1e200, 1e200, 1], [1e300j, 1e300, 2]]
+        with rootfind._reuse_scope():
+            poly._build_products(sets + over)
+            assert len(poly._reuse) == len(sets)
+            scalar = []
+            monkeypatch.setattr(poly, "_product", lambda pts: scalar.append(pts)
+                                or SCALAR_PRODUCT(pts))
+            for pts in sets:
+                assert bits(from_roots(pts).coeffs) == product_bits(pts)
+            assert scalar == []
+            # built again by from_roots, which raises as outside any scope
+            for pts, text in zip(over, ("non-finite value (-inf+nanj)",
+                                        "non-finite value (nan-infj)")):
+                with pytest.raises(InvalidInput) as e:
+                    from_roots(pts)
+                assert str(e.value) == text
+
+    def test_nothing_is_built_outside_a_scope(self, monkeypatch):
+        batches = []
+        monkeypatch.setattr(poly, "_products", batches.append)
+        poly._build_products(self.mixed_sets(24))
+        assert batches == [] and poly._reuse is None
+
+    def test_non_finite_points_are_left_to_from_roots(self):
+        with rootfind._reuse_scope():
+            poly._build_products([[1, complex("nan")], [], [2j]])
+            assert len(poly._reuse) == 1
+            with pytest.raises(InvalidInput, match="non-finite value"):
+                from_roots([1, complex("nan")])

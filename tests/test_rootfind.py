@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polygeom import rootfind
+from polygeom import poly, rootfind
 from polygeom.errors import InvalidDegree, InvalidInput, NonConvergence, PolygeomError
 from polygeom.poly import Polynomial, from_roots
 from polygeom.rootfind import (
+    Product,
     _scaled_residuals,
     _single_linkage,
     cauchy_bound,
@@ -640,6 +641,37 @@ class TestDrive:
         assert out == [5, 2]
         assert batches == [sorted(np.array(p.coeffs[::-1], dtype=complex).tobytes()
                                   for p in (p2, p3))]
+
+    def test_a_list_is_sent_every_outcome(self):
+        def core():
+            return (yield [Polynomial([-1, 0, 1]), Polynomial([1])])
+
+        roots, err = drive(core())
+        assert len(roots.roots) == 2 and isinstance(err, InvalidDegree)
+
+    def test_products_are_built_before_roots_are_found(self, monkeypatch):
+        # one round builds both cores' products in one call, the next
+        # finds both their roots in one solve
+        events = []
+        build, product, solve = poly._build_products, poly._product, rootfind._solve
+        monkeypatch.setattr(poly, "_build_products",
+                            lambda sets: events.append(("build", len(sets))) or build(sets))
+        monkeypatch.setattr(poly, "_product",
+                            lambda pts: events.append(("product", len(pts))) or product(pts))
+        monkeypatch.setattr(rootfind, "_solve",
+                            lambda cs, tol: events.append(("solve", len(cs))) or solve(cs, tol))
+
+        def core(pts):
+            yield Product(pts)
+            return len((yield from_roots(pts)).roots)
+
+        with rootfind._reuse_scope():
+            assert drive_many([core([1, 2j]), core([3, -1, 0.5j])]) == [2, 3]
+        assert events == [("build", 2), ("product", 2), ("product", 3), ("solve", 2)]
+        # outside a scope nothing is built ahead: from_roots builds it
+        events.clear()
+        assert drive(core([1, 2j])) == 2
+        assert events == [("build", 1), ("product", 2), ("solve", 1)]
 
     def test_lockstep_keeps_order_and_errors(self):
         cores = [self.core(Polynomial([-1, 0, 1]), Polynomial([1, 1])),

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from . import jsonio
+from . import jsonio, rootfind
 from .apolarity import apolarity_functional, make_apolar
 from .coincidence import (
     WITNESS_TOL,
@@ -242,21 +242,25 @@ def _gen_walsh_classic(rng: random.Random, cfg: CampaignConfig):
 
 def _gen_theorem1(rng: random.Random, cfg: CampaignConfig, exterior: bool):
     """A theorem 1 instance, whose region is shaped by the zeros of q^(n-m)
-    (the points w at m = n). Asks for the roots of q^(n-m) together with
-    those of the diagonal equation g, which its check will ask for, so
-    that a campaign chunk finds both in one solve; g's outcome is not
-    read here. A g that cannot be built or certified only loses that
-    request: the check builds and asks for it again, and fails as alone."""
+    (the points w at m = n). Within a campaign chunk's reuse scope it asks
+    for the roots of q^(n-m) together with those of the diagonal equation
+    g, which its check will ask for, so that the chunk finds both in one
+    solve; g's outcome is not read here, and outside a scope nothing
+    would keep it, so g is not asked for there. A g that cannot be built
+    or certified only loses that request: the check builds and asks for
+    it again, and fails as alone."""
     n = rng.randint(max(2, cfg.n_min), cfg.n_max)
     m = rng.randint(1, n)
     P = _random_multiaffine(rng, n, m)
     w = [2.0 * _unit_box(rng) for _ in range(n)]
     yield Product(w)
     q = from_roots(w).derivative(n - m) if m < n else None
-    try:
-        g = _diagonal_equation(P, w)
-    except PolygeomError:
-        g = None
+    g = None
+    if rootfind._reuse is not None:
+        try:
+            g = _diagonal_equation(P, w)
+        except PolygeomError:
+            pass
     found = yield [p for p in (q, g) if p is not None and p.degree() >= 1]
     if q is None:
         droots = w

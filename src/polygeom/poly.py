@@ -136,7 +136,7 @@ def _product(pts: tuple[complex, ...]) -> list[complex]:
 # its own, unless its compiler fuses a*b - c*d into one operation: at
 # x = 1 + 2**-27, x*x - x*x and x*x + x*-x are 0 only when both products
 # are rounded. _products emulates the separate rounding, so where this
-# probe finds it fused _build_products builds each product with _product
+# probe finds it fused _build_products builds nothing ahead
 _PROBE = complex(1 + 2.0**-27, 1 + 2.0**-27)
 _SEPARATE_ROUNDING = ((_PROBE * _PROBE).real == 0.0
                       and (_PROBE * _PROBE.conjugate()).imag == 0.0)
@@ -145,7 +145,8 @@ _SEPARATE_ROUNDING = ((_PROBE * _PROBE).real == 0.0
 # _product costs about c * L**2 for a set of L points, and the batched
 # pass about 320 * c per point of its longest set (measured at 1-128 sets
 # of 3-60 points); _build_products batches only sets whose squared
-# lengths sum to at least _BATCH_MIN times the longest length
+# lengths sum to at least _BATCH_MIN times the longest length, and
+# leaves shorter ones to from_roots
 _BATCH_MIN = 320
 
 
@@ -185,15 +186,19 @@ def _products(sets: list[np.ndarray]) -> np.ndarray:
     return out
 
 
-def _build_products(point_sets: Iterable[Sequence[complex]]) -> None:
+def _build_products(point_sets: Sequence[Sequence[complex]]) -> None:
     """Within a rootfind._reuse_scope, build the product of every point
-    set that from_roots has no Polynomial for, in one batched pass (one
-    by one where the sets are too few or too short for the pass to pay),
-    and keep each finite one under the key from_roots looks it up by. A
-    set whose product is not finite, or whose points are not, is left
-    for from_roots to build and raise for as it would alone. Outside a
-    scope nothing is built."""
-    if _reuse is None:
+    set that from_roots has no Polynomial for in one batched pass, and
+    keep each finite one under the key from_roots looks it up by. A set
+    whose product is not finite, or whose points are not, is left for
+    from_roots to build and raise for as it would alone. Nothing is built
+    outside a scope, where this CPython fuses a complex multiply, or where
+    the sets are too few or too short for the pass to pay: from_roots and
+    elementary_symmetric_all then build each product when it is asked for."""
+    if _reuse is None or not _SEPARATE_ROUNDING:
+        return
+    lens = [len(points) for points in point_sets]
+    if not lens or sum(n * n for n in lens) < _BATCH_MIN * max(lens):
         return
     todo: dict[bytes, np.ndarray] = {}
     for points in point_sets:
@@ -206,13 +211,8 @@ def _build_products(point_sets: Iterable[Sequence[complex]]) -> None:
             todo[key] = w
     if not todo:
         return
-    sets = list(todo.values())
-    if (not _SEPARATE_ROUNDING
-            or sum(len(w) ** 2 for w in sets) < _BATCH_MIN * max(map(len, sets))):
-        built = [_product(tuple(w.tolist())) for w in sets]
-    else:
-        built = [c[:len(w) + 1].tolist() for w, c in zip(sets, _products(sets))]
-    for key, c in zip(todo, built):
+    for (key, w), c in zip(todo.items(), _products(list(todo.values()))):
+        c = c[:len(w) + 1].tolist()
         if all(map(cmath.isfinite, c)):
             _reuse[key] = Polynomial(c)
 

@@ -410,6 +410,22 @@ class TestGeneratorCores:
         assert len(draws) == (20 if prop in ("walsh_classic", "theorem1_convex",
                                              "theorem1_exterior") else 0)
 
+    def test_a_plain_theorem1_call_asks_for_q_alone(self, monkeypatch):
+        # outside a chunk nothing keeps the diagonal equation's roots, so
+        # a plain call neither builds it nor asks for it
+        built, asked = [], []
+        diagonal_equation, find_roots_many = campaign._diagonal_equation, rootfind.find_roots_many
+        monkeypatch.setattr(campaign, "_diagonal_equation",
+                            lambda *a: built.append(a) or diagonal_equation(*a))
+        monkeypatch.setattr(rootfind, "find_roots_many",
+                            lambda polys, tol: asked.append(len(polys))
+                            or find_roots_many(polys, tol))
+        cfg = CampaignConfig(property="theorem1_convex", trials=40, seed=8)
+        gen, _ = PROPERTIES[cfg.property]
+        for i in range(cfg.trials):
+            gen(random.Random(trial_seed(cfg.seed, i)), cfg)
+        assert built == [] and 0 in asked and max(asked) == 1
+
     def test_generation_error_is_a_failed_generation(self):
         # at 1e-30 no q^(n-m) above degree 1 is certified: such a trial
         # records the error its plain generator raises, and no instance

@@ -353,13 +353,29 @@ class TestBatchedProducts:
             assert bits(c) == product_bits(pts)
 
     def test_few_short_sets_are_built_one_by_one(self, monkeypatch):
+        # nothing is built ahead: from_roots builds each when asked
         sets = [[1 + 2j, -3j], [0.5j, 2, -1]]
+        with rootfind._reuse_scope():
+            poly._build_products(sets)
+            assert poly._reuse == {}
         out, scalar = self.built(monkeypatch, sets)
         assert len(scalar) == 2
         assert [bits(p.coeffs) for p in out] == [product_bits(pts) for pts in sets]
 
+    def test_nothing_is_built_ahead_where_a_complex_multiply_fuses(self, monkeypatch):
+        monkeypatch.setattr(poly, "_SEPARATE_ROUNDING", False)
+        sets = self.mixed_sets(25)
+        with rootfind._reuse_scope():
+            poly._build_products(sets)
+            assert poly._reuse == {}
+        out, scalar = self.built(monkeypatch, sets)
+        assert len(scalar) == len(sets)
+        assert [bits(p.coeffs) for p in out] == [product_bits(pts) for pts in sets]
+
     @pytest.mark.filterwarnings("error")
     def test_a_product_that_overflows_is_not_kept(self, monkeypatch):
+        if not poly._SEPARATE_ROUNDING:
+            pytest.skip("this CPython fuses the multiply and the add of a complex product")
         sets = self.mixed_sets(23)
         over = [[1e200, 1e200, 1], [1e300j, 1e300, 2]]
         with rootfind._reuse_scope():
@@ -385,8 +401,11 @@ class TestBatchedProducts:
         assert batches == [] and poly._reuse is None
 
     def test_non_finite_points_are_left_to_from_roots(self):
+        if not poly._SEPARATE_ROUNDING:
+            pytest.skip("this CPython fuses the multiply and the add of a complex product")
+        sets = self.mixed_sets(26)
         with rootfind._reuse_scope():
-            poly._build_products([[1, complex("nan")], [], [2j]])
-            assert len(poly._reuse) == 1
+            poly._build_products(sets + [[1, complex("nan")], [], [2j]])
+            assert len(poly._reuse) == len(sets) + 1
             with pytest.raises(InvalidInput, match="non-finite value"):
                 from_roots([1, complex("nan")])

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from . import jsonio, rootfind
+from . import jsonio
 from .apolarity import apolarity_functional, make_apolar
 from .coincidence import (
     WITNESS_TOL,
@@ -42,7 +42,7 @@ from .errors import (
 )
 from .poly import N_MAX, Polynomial, from_roots
 from .regions import MEMBERSHIP_TOL, disk, exterior_disk, half_plane, smallest_enclosing_disk
-from .rootfind import DEFAULT_TOL, Product, _reuse_scope, _valid_tol, drive_many
+from .rootfind import DEFAULT_TOL, Product, _valid_tol, drive_many
 
 PASS = "pass"
 FAIL = "fail"
@@ -191,8 +191,7 @@ def _random_region_with_points(rng: random.Random, count: int):
 def _gen_grace(rng: random.Random, cfg: CampaignConfig):
     n = rng.randint(max(2, cfg.n_min), cfg.n_max)
     region, roots = _random_region_with_points(rng, n)
-    yield Product(roots)
-    a = from_roots(roots)
+    a = Polynomial((yield Product(roots)))
     b = make_apolar(a, n, seed=rng.getrandbits(32))
     while b.degree() != n:
         b = make_apolar(a, n, seed=rng.getrandbits(32))
@@ -240,25 +239,25 @@ def _gen_walsh_classic(rng: random.Random, cfg: CampaignConfig):
     }
 
 
-def _gen_theorem1(rng: random.Random, cfg: CampaignConfig, exterior: bool):
+def _gen_theorem1(rng: random.Random, cfg: CampaignConfig, exterior: bool, ahead: bool):
     """A theorem 1 instance, whose region is shaped by the zeros of q^(n-m)
-    (the points w at m = n). Within a campaign chunk's reuse scope it asks
+    (the points w at m = n). Driven ahead of its check (ahead), it asks
     for the roots of q^(n-m) together with those of the diagonal equation
-    g, which its check will ask for, so that the chunk finds both in one
-    solve; g's outcome is not read here, and outside a scope nothing
-    would keep it, so g is not asked for there. A g that cannot be built
-    or certified only loses that request: the check builds and asks for
-    it again, and fails as alone."""
+    g, which its check will ask for, so that the chunk that drives both
+    finds them in one solve; g's outcome is not read here, and alone
+    nothing would keep it, so g is not asked for then. A g that cannot be
+    built or certified only loses that request: the check builds and
+    asks for it again, and fails as alone."""
     n = rng.randint(max(2, cfg.n_min), cfg.n_max)
     m = rng.randint(1, n)
     P = _random_multiaffine(rng, n, m)
     w = [2.0 * _unit_box(rng) for _ in range(n)]
-    yield Product(w)
-    q = from_roots(w).derivative(n - m) if m < n else None
+    c = yield Product(w)
+    q = Polynomial(c).derivative(n - m) if m < n else None
     g = None
-    if rootfind._reuse is not None:
+    if ahead:
         try:
-            g = _diagonal_equation(P, w)
+            g = _diagonal_equation(P, c)
         except PolygeomError:
             pass
     found = yield [p for p in (q, g) if p is not None and p.degree() >= 1]
@@ -424,22 +423,27 @@ def _check_gauss_lucas(inst: dict):
     return Verdict(FAIL, "critical point outside the root hull")
 
 
+def _theorem1_generator(exterior: bool):
+    """The theorem 1 instance generator: its core, for a chunk to drive
+    with the trial's check, asks for g ahead, and a plain call's does
+    not."""
+    def gen(rng: random.Random, cfg: CampaignConfig, core: bool = False):
+        make = lambda rng, cfg: _gen_theorem1(rng, cfg, exterior, ahead=core)
+        return _generator(make)(rng, cfg, core)
+
+    return gen
+
+
 # property -> (instance generator, check). gen(rng, cfg) returns an
 # instance dict, and gen(rng, cfg, core=True) the core that returns it; a
 # check is a core that returns its Verdict. A core yields the polynomials
-# whose roots it needs and the point sets whose products it builds (see
+# whose roots it needs and the point sets whose products it needs (see
 # rootfind.drive_many)
 PROPERTIES = {
     "grace": (_gen_grace, _check_grace),
     "walsh_classic": (_gen_walsh_classic, _check_coincidence),
-    "theorem1_convex": (
-        _generator(lambda rng, cfg: _gen_theorem1(rng, cfg, exterior=False)),
-        _check_coincidence,
-    ),
-    "theorem1_exterior": (
-        _generator(lambda rng, cfg: _gen_theorem1(rng, cfg, exterior=True)),
-        _check_coincidence,
-    ),
+    "theorem1_convex": (_theorem1_generator(exterior=False), _check_coincidence),
+    "theorem1_exterior": (_theorem1_generator(exterior=True), _check_coincidence),
     "theorem2": (_gen_theorem2, _check_theorem2),
     "apolarity_identity": (_gen_apolarity_identity, _check_apolarity_identity),
     "derivative_identity": (_gen_derivative_identity, _check_derivative_identity),
@@ -483,22 +487,20 @@ def _trial(generating, check, rec: dict):
 def _run_chunk(cfg: CampaignConfig, start: int, stop: int) -> list[dict]:
     """Trials start..stop-1: each trial's generator core, called once
     through PROPERTIES, chained with its check, and all of them advanced
-    in lockstep, so that each round builds the chunk's pending products
-    in one batched pass or answers its pending root requests in one
-    batch, the cached ones first. So the chunk finds its roots in one
-    solve: a theorem 1 generator asks for q^(n-m) and its check's
-    diagonal equation together, and a check that asks for roots already
-    found gets the same RootSet back. Within the chunk, from_roots and
-    elementary_symmetric_all build each product once. A root set that is
-    not certified is not kept, so its generator or check fails as it
-    would alone."""
+    in one drive_many call, so that each round builds the chunk's pending
+    products in one batched pass or answers its pending root requests in
+    one batch, those found before first. So the chunk finds its roots in
+    one solve: a theorem 1 generator, driven as a core, asks for q^(n-m)
+    and its check's diagonal equation together, and a check that asks
+    for roots already found gets the same RootSet back. The chunk builds
+    each product once. A root set that is not certified is not kept, so
+    its generator or check fails as it would alone."""
     gen, check = PROPERTIES[cfg.property]
     records = [{"trial_seed": trial_seed(cfg.seed, i), "instance": None}
                for i in range(start, stop)]
-    with _reuse_scope():
-        trials = [_trial(gen(random.Random(rec["trial_seed"]), cfg, core=True), check, rec)
-                  for rec in records]
-        outcomes = drive_many(trials, cfg.root_tol)
+    trials = [_trial(gen(random.Random(rec["trial_seed"]), cfg, core=True), check, rec)
+              for rec in records]
+    outcomes = drive_many(trials, cfg.root_tol)
     for rec, out in zip(records, outcomes):
         v = _as_verdict(out)
         rec.update(status=v.status, diagnostic=v.diagnostic)

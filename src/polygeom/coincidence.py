@@ -21,7 +21,14 @@ from .errors import (
     InvalidInput,
     TheoremViolation,
 )
-from .poly import N_MAX, Polynomial, binomial, elementary_symmetric_all, from_roots
+from .poly import (
+    N_MAX,
+    Polynomial,
+    _symmetric_from_product,
+    binomial,
+    elementary_symmetric_all,
+    from_roots,
+)
 from .regions import CircularRegion, _modulus, contains
 from .rootfind import Product, RootSet, drive, exact_root_set
 
@@ -80,12 +87,13 @@ def diagonal(P: SymmetricMultiaffine) -> Polynomial:
     return Polynomial([Ek * binomial(P.n, k) for k, Ek in enumerate(P.E)])
 
 
-def _diagonal_equation(P: SymmetricMultiaffine, points: Sequence[complex]) -> Polynomial:
+def _diagonal_equation(P: SymmetricMultiaffine, product: Sequence[complex]) -> Polynomial:
     """g(z) = p(z,...,z) - p(w_1..w_n), whose zeros are the coincidence
-    points. The coincidence core and the theorem 1 campaign generator,
-    which asks for its roots ahead, both build it here, so that they ask
-    for the same bytes."""
-    return diagonal(P).shifted_constant(-evaluate_multiaffine(P, points))
+    points, given the coefficients of prod (z - w_i). The coincidence
+    core and the theorem 1 campaign generator, which asks for its roots
+    ahead, both build it here, so that they ask for the same bytes."""
+    e = _symmetric_from_product(product)
+    return diagonal(P).shifted_constant(-sum(Ek * e[k] for k, Ek in enumerate(P.E)))
 
 
 def polar(b: Polynomial, n: int) -> SymmetricMultiaffine:
@@ -95,8 +103,9 @@ def polar(b: Polynomial, n: int) -> SymmetricMultiaffine:
 
 
 def _hypothesis_core(points: Sequence[complex], m: int, region: CircularRegion):
-    """theorem1_hypothesis as a core: yields q^(n-m) for its roots,
-    unless m = n, where the zeros are the points themselves."""
+    """theorem1_hypothesis as a core: yields the points, as a Product,
+    then q^(n-m), for its roots, unless m = n, where the zeros are the
+    points themselves."""
     n = len(points)
     if n > N_MAX:
         raise DegreeTooLarge(f"n={n} exceeds N_MAX={N_MAX}")
@@ -105,7 +114,7 @@ def _hypothesis_core(points: Sequence[complex], m: int, region: CircularRegion):
     if m == n:
         droots = exact_root_set(points)
     else:
-        droots = yield from_roots(points).derivative(n - m)
+        droots = yield Polynomial((yield Product(points))).derivative(n - m)
     outside = tuple(r for r in droots.roots if not contains(region, r))
     return HypothesisReport(not outside, droots, outside)
 
@@ -127,10 +136,10 @@ def _coincidence_core(
     classic: bool = False,
 ):
     """coincidence_witness as a core, and the one place a hypothesis is
-    checked and a witness picked: yields q^(n-m) (unless classic), then
-    the points, as a Product, for the e_k of the coincidence value, then
-    the diagonal equation, for its roots. Returns the witness and the
-    theorem 1 hypothesis report (None when classic)."""
+    checked and a witness picked: yields what the hypothesis core yields
+    (unless classic), then the points, as a Product, for the e_k of the
+    coincidence value, then the diagonal equation, for its roots. Returns
+    the witness and the theorem 1 hypothesis report (None when classic)."""
     if len(points) != P.n:
         raise InvalidInput(f"expected {P.n} points, got {len(points)}")
 
@@ -147,8 +156,7 @@ def _coincidence_core(
                 report=hypothesis,
             )
 
-    yield Product(points)
-    g = _diagonal_equation(P, points)
+    g = _diagonal_equation(P, (yield Product(points)))
     if g.degree() < 1:
         if g.is_zero:
             # a constant P, say: the equation is an identity
@@ -190,12 +198,13 @@ def _grace_core(a: Polynomial, b: Polynomial, n: int, region: CircularRegion,
                 a_roots: Sequence[complex] | None = None):
     """grace_witness as a core: checks the degrees and apolarity, then runs
     the classical coincidence core on the polar form of b at the roots of
-    a. Yields a (unless a_roots, which must rebuild a exactly, are given),
-    then b(z) = P_b(alpha), for their roots."""
+    a. Yields a, for its roots, unless a_roots are given: then it yields
+    them, as a Product, and they must rebuild a exactly. Then it yields
+    what the coincidence core yields."""
     if a.degree() != n or b.degree() != n:
         raise InvalidInput(f"both polynomials must have degree exactly {n} "
                            f"(got {a.degree()} and {b.degree()})")
-    if a_roots is not None and from_roots(a_roots) != a:
+    if a_roots is not None and Polynomial((yield Product(a_roots))) != a:
         raise InvalidInput("a_roots do not rebuild a")
     if not is_apolar(a, b, n):
         raise HypothesisViolated(
@@ -217,5 +226,5 @@ def theorem1_apolarity_residual(
     m = P.total_degree
     if m < 1:
         raise InvalidInput("need total degree >= 1")
-    r = _diagonal_equation(P, points)
+    r = diagonal(P).shifted_constant(-evaluate_multiaffine(P, points))
     return apolarity_residual(from_roots(points).derivative(P.n - m), r, m)

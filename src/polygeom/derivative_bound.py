@@ -76,7 +76,8 @@ def _disk_frame_points(inst: Theorem2Instance) -> list[complex]:
 
 
 def _theorem2_core(inst: Theorem2Instance, k: int):
-    """check_theorem2 as a core: yields p^(k) for its roots."""
+    """check_theorem2 as a core: yields the disk-frame points, as a
+    Product, then p^(k), for its roots."""
     inst.validate()
     n = len(inst.inner_zeros) + 1
     bound = theorem2_bound(n, k)
@@ -85,7 +86,7 @@ def _theorem2_core(inst: Theorem2Instance, k: int):
     # frame (center 0, radius 1); this keeps tightly clustered instances
     # well-conditioned without changing any count
     c, r = inst.disk.center, inst.disk.radius
-    p = from_roots(_disk_frame_points(inst))
+    p = Polynomial((yield Product(_disk_frame_points(inst))))
     d = p.derivative(k)
     droots_n = yield d
 
@@ -171,8 +172,8 @@ def gauss_lucas_check(p: Polynomial) -> bool:
 
 def _theorem2_instance_core(n: int, seed: int, radius: float, outer_distance: float,
                             center: complex):
-    """generate_theorem2_instance as a core: yields the disk-frame points
-    as a Product before it builds the disk-frame polynomial."""
+    """generate_theorem2_instance as a core: yields the disk-frame points,
+    as a Product, for the disk-frame polynomial."""
     if n < 3:
         raise InvalidInput("need n >= 3")
     if n > N_MAX:
@@ -200,12 +201,10 @@ def _theorem2_instance_core(n: int, seed: int, radius: float, outer_distance: fl
     if not cmath.isfinite(outer):
         raise InvalidInput(f"the outer zero overflows at outer_distance={outer_distance}")
     inst = Theorem2Instance(inner, outer, disk(center, radius))
-    pts = _disk_frame_points(inst)
-    yield Product(pts)
     try:
         # p^(k) multiplies a_j by j!/(j-k)! <= j!: when every a_j * j! is
         # finite, so is every derivative a check can ask for
-        p = from_roots(pts)
+        p = Polynomial((yield Product(_disk_frame_points(inst))))
         Polynomial([a * math.factorial(j) for j, a in enumerate(p.coeffs)])
     except InvalidInput:
         raise InvalidInput(

@@ -21,9 +21,6 @@ from .errors import DegreeTooLarge, InvalidDegree, InvalidIndex, InvalidInput
 # apolarity functional relies on.
 N_MAX = 60
 
-# from_roots' Polynomials by point bytes while a rootfind._reuse_scope is open
-_reuse: dict[bytes, "Polynomial"] | None = None
-
 
 def _as_finite_complex(values: Iterable[complex]) -> tuple[complex, ...]:
     values = tuple(values)  # an iterator is read once
@@ -136,7 +133,7 @@ def _product(pts: tuple[complex, ...]) -> list[complex]:
 # its own, unless its compiler fuses a*b - c*d into one operation: at
 # x = 1 + 2**-27, x*x - x*x and x*x + x*-x are 0 only when both products
 # are rounded. _products emulates the separate rounding, so where this
-# probe finds it fused _build_products builds nothing ahead
+# probe finds it fused _build_products builds every product with _product
 _PROBE = complex(1 + 2.0**-27, 1 + 2.0**-27)
 _SEPARATE_ROUNDING = ((_PROBE * _PROBE).real == 0.0
                       and (_PROBE * _PROBE.conjugate()).imag == 0.0)
@@ -145,12 +142,11 @@ _SEPARATE_ROUNDING = ((_PROBE * _PROBE).real == 0.0
 # _product costs about c * L**2 for a set of L points, and the batched
 # pass about 320 * c per point of its longest set (measured at 1-128 sets
 # of 3-60 points); _build_products batches only sets whose squared
-# lengths sum to at least _BATCH_MIN times the longest length, and
-# leaves shorter ones to from_roots
+# lengths sum to at least _BATCH_MIN times the longest length
 _BATCH_MIN = 320
 
 
-def _products(sets: list[np.ndarray]) -> np.ndarray:
+def _products(sets: list[tuple[complex, ...]]) -> np.ndarray:
     """_product of every point set, in one batched pass with its bits:
     row i holds the coefficients of sets[i], ascending, then zeros.
 
@@ -186,71 +182,45 @@ def _products(sets: list[np.ndarray]) -> np.ndarray:
     return out
 
 
-def _build_products(point_sets: Sequence[Sequence[complex]]) -> None:
-    """Within a rootfind._reuse_scope, build the product of every point
-    set that from_roots has no Polynomial for in one batched pass, and
-    keep each finite one under the key from_roots looks it up by. A set
-    whose product is not finite, or whose points are not, is left for
-    from_roots to build and raise for as it would alone. Nothing is built
-    outside a scope, where this CPython fuses a complex multiply, or where
-    the sets are too few or too short for the pass to pay: from_roots and
-    elementary_symmetric_all then build each product when it is asked for."""
-    if _reuse is None or not _SEPARATE_ROUNDING:
-        return
-    lens = [len(points) for points in point_sets]
-    if not lens or sum(n * n for n in lens) < _BATCH_MIN * max(lens):
-        return
-    todo: dict[bytes, np.ndarray] = {}
-    for points in point_sets:
-        try:
-            w = np.array(_as_finite_complex(points), dtype=complex)
-        except (InvalidInput, TypeError, ValueError, OverflowError):
-            continue
-        key = w.tobytes()
-        if w.size and key not in _reuse:
-            todo[key] = w
-    if not todo:
-        return
-    for (key, w), c in zip(todo.items(), _products(list(todo.values()))):
-        c = c[:len(w) + 1].tolist()
-        if all(map(cmath.isfinite, c)):
-            _reuse[key] = Polynomial(c)
+def _build_products(sets: list[tuple[complex, ...]]) -> list[list[complex]]:
+    """_product of every set of finite points: in one batched pass where
+    this CPython rounds a complex multiply as _products emulates and the
+    sets are many and long enough for the pass to pay, one by one
+    otherwise. A row that the pass leaves non-finite is built again with
+    _product, whose non-finite bits the pass need not match."""
+    lens = [len(pts) for pts in sets]
+    if not _SEPARATE_ROUNDING or not lens or sum(n * n for n in lens) < _BATCH_MIN * max(lens):
+        return [_product(pts) for pts in sets]
+    out = []
+    for pts, c in zip(sets, _products(sets)):
+        c = c[:len(pts) + 1].tolist()
+        out.append(c if all(map(cmath.isfinite, c)) else _product(pts))
+    return out
 
 
-def from_roots(roots: Sequence[complex]) -> Polynomial:
-    """Monic polynomial with exactly the given roots (with multiplicity).
-
-    Within a rootfind._reuse_scope, points with the same bytes (so a
-    signed zero differs from an unsigned one) get the Polynomial built
-    for them before, here or by _build_products.
-    """
+def _root_points(roots: Sequence[complex]) -> tuple[complex, ...]:
+    """The roots as complex numbers, which must be finite and at least one."""
     pts = _as_finite_complex(roots)
     if not pts:
         raise InvalidInput("from_roots requires at least one root")
-    if _reuse is None:
-        return Polynomial(_product(pts))
-    key = np.array(pts, dtype=complex).tobytes()
-    if key not in _reuse:
-        _reuse[key] = Polynomial(_product(pts))
-    return _reuse[key]
+    return pts
+
+
+def from_roots(roots: Sequence[complex]) -> Polynomial:
+    """Monic polynomial with exactly the given roots (with multiplicity)."""
+    return Polynomial(_product(_root_points(roots)))
+
+
+def _symmetric_from_product(c: Sequence[complex]) -> list[complex]:
+    """e_0..e_n of the points whose product prod (z - w) has the
+    ascending coefficients c: e_k is (-1)^k times c[n - k]."""
+    n = len(c) - 1
+    return [-c[n - k] if k % 2 else c[n - k] for k in range(n + 1)]
 
 
 def elementary_symmetric_all(points: Sequence[complex]) -> list[complex]:
-    """All e_0..e_n of the points: e_k is (-1)^k times coefficient n - k
-    of prod (z - w), the product from_roots builds. Within a
-    rootfind._reuse_scope the product is built once per point bytes, here
-    or in from_roots, and kept where it is finite."""
-    pts = _as_finite_complex(points)
-    key = None if _reuse is None else np.array(pts, dtype=complex).tobytes()
-    built = None if key is None else _reuse.get(key)
-    if built is not None:
-        c = built.coeffs
-    else:
-        c = _product(pts)
-        if key is not None and all(map(cmath.isfinite, c)):
-            _reuse[key] = Polynomial(c)
-    n = len(pts)
-    return [-c[n - k] if k % 2 else c[n - k] for k in range(n + 1)]
+    """All e_0..e_n of the points, read from the product from_roots builds."""
+    return _symmetric_from_product(_product(_as_finite_complex(points)))
 
 
 def elementary_symmetric(points: Sequence[complex], k: int) -> complex:

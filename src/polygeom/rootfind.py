@@ -29,18 +29,19 @@ own length, so a polynomial gets the same bits in any batch as alone.
 What a pass holds does not grow with the batch: the singleton test runs
 over blocks of rows whose (rows, n, n) adjacency keeps near 1 MB, and
 each Horner evaluation gathers the coefficient columns of its roots in
-blocks of as many entries. Within a ``_reuse_scope`` (a campaign chunk)
-a polynomial is solved once, and ``from_roots`` builds a polynomial once.
+blocks of as many entries.
 
-Checks and campaign generators that need roots are written as generators
-(cores): a core yields a Polynomial and is sent its RootSet, or has the
-root finder's error thrown in at the yield; it may yield a list of
-Polynomials and be sent each one's outcome; and it may yield a
-``Product`` of points before it builds their product. ``drive`` runs one
-core, ``drive_many`` runs many in lockstep: each round either builds the
-products its cores asked for, in one batched pass, or answers their root
-requests with one ``find_roots_many`` call, the requests a
-``_reuse_scope`` holds before it solves the others.
+Checks and campaign generators that need roots or products are written
+as generators (cores): a core yields a Polynomial and is sent its
+RootSet, or has the root finder's error thrown in at the yield; it may
+yield a list of Polynomials and be sent each one's outcome; and it may
+yield a ``Product`` of points and be sent the ascending coefficients of
+prod (z - w), with the bits of ``poly.from_roots``' product. ``drive``
+runs one core, ``drive_many`` runs many in lockstep: each round either
+builds the products its cores asked for, in one batched pass, or answers
+their root requests with one ``find_roots_many`` call. A ``drive_many``
+call (a campaign chunk, or one check) builds each product once and finds
+each RootSet once; nothing is kept once it returns.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ import cmath
 import itertools
 import math
 import numbers
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -80,9 +80,6 @@ _CLUSTER_RADIUS = 1e-6
 # of the singleton test, whose complex differences then take about 1 MB,
 # and of the coefficient columns a Horner evaluation gathers, one per root
 _BLOCK_ENTRIES = 1 << 16
-
-# RootSets by (coefficient bytes, tol) while a _reuse_scope is open
-_reuse: dict[tuple[bytes, float], "RootSet"] | None = None
 
 
 @dataclass(frozen=True)
@@ -462,13 +459,8 @@ def exact_root_set(points) -> RootSet:
 
 def _coeff_row(p: Polynomial) -> np.ndarray:
     """p's coefficients in descending order; their bytes key its RootSet
-    in a _reuse_scope."""
+    in drive_many."""
     return np.array(p.coeffs[::-1], dtype=complex)
-
-
-def _cached(p: Polynomial, tol: float) -> bool:
-    """Does the open _reuse_scope hold p's RootSet at tol?"""
-    return _reuse is not None and (_coeff_row(p).tobytes(), tol) in _reuse
 
 
 def find_roots_many(
@@ -481,12 +473,11 @@ def find_roots_many(
     leading zeros to the largest degree, the companion eigenvalues are
     stacked per degree, and sweeps, polish, sort and residuals run over
     every row at once. Every row gets the same bits as it would alone.
-    Within a _reuse_scope, a RootSet already found for the same
-    coefficients and tol is returned again, not recomputed.
+    Nothing is kept between calls: drive_many keeps what it found for
+    the length of one call.
     """
     out: list[RootSet | PolygeomError | None] = [None] * len(polys)
-    todo: dict[int, tuple[bytes, float]] = {}
-    cs = []
+    todo, cs = [], []
     valid_tol = _valid_tol(tol)
     for i, p in enumerate(polys):
         if p.degree() < 1:
@@ -494,37 +485,13 @@ def find_roots_many(
         elif not valid_tol:
             out[i] = InvalidInput(f"tol must be finite and > 0, got {tol!r}")
         else:
-            c = _coeff_row(p)
-            key = (c.tobytes(), tol)
-            if _reuse is not None and key in _reuse:
-                out[i] = _reuse[key]
-            else:
-                todo[i] = key
-                cs.append(c)
+            todo.append(i)
+            cs.append(_coeff_row(p))
     if cs:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            solved = _solve(cs, tol)
-        for (i, key), res in zip(todo.items(), solved):
-            out[i] = res
-            if _reuse is not None and isinstance(res, RootSet):
-                _reuse[key] = res
+            for i, res in zip(todo, _solve(cs, tol)):
+                out[i] = res
     return out
-
-
-@contextmanager
-def _reuse_scope():
-    """Within this block, find_roots_many returns a RootSet it found
-    before for the same coefficient bytes and tol (errors are solved
-    again), and poly.from_roots the Polynomial it or drive_many's
-    batched pass built before for the same point bytes. Both tables are
-    dropped when the block ends."""
-    global _reuse
-    outer = _reuse, poly._reuse
-    _reuse, poly._reuse = {}, {}
-    try:
-        yield
-    finally:
-        _reuse, poly._reuse = outer
 
 
 def find_roots(p: Polynomial, tol: float = DEFAULT_TOL) -> RootSet:
@@ -541,9 +508,8 @@ def find_roots(p: Polynomial, tol: float = DEFAULT_TOL) -> RootSet:
 
 
 class Product(NamedTuple):
-    """A core's request for the product prod (z - w) over its points,
-    yielded just before it calls from_roots or elementary_symmetric_all
-    on them."""
+    """A core's request for the ascending coefficients of prod (z - w)
+    over its points."""
 
     points: Sequence[complex]
 
@@ -554,19 +520,24 @@ def drive_many(cores: list, tol: float = DEFAULT_TOL) -> list:
     A core yields a Polynomial and is sent its RootSet, or has the error
     find_roots would raise thrown in at the yield; or it yields a list of
     Polynomials and is sent the outcome of each, a RootSet or that error;
-    or it yields a Product and is sent None. Each round answers the
-    pending Product requests, while there are any: within a _reuse_scope
-    the products that poly.from_roots has not built are built in one
-    batched pass (poly._build_products); outside one nothing is built
-    ahead. Otherwise the round answers root requests with one
-    find_roots_many call: those the open _reuse_scope holds, while there
-    are any, and otherwise every pending request, in one solve. So the
-    requests that are not cached wait for one another, and a chunk whose
-    roots were solved ahead solves nothing here. Returns what each core
-    returned, or the PolygeomError it raised.
+    or it yields a Product and is sent the coefficients of prod (z - w)
+    over its points, with the bits of poly._product (they may not be
+    finite), or has the InvalidInput thrown in that from_roots raises
+    for the points. Each round answers the pending Product requests, while
+    there are any, building the products not built before in one batched
+    pass (poly._build_products). Otherwise it answers root requests with
+    one find_roots_many call: those whose RootSets were found before,
+    while there are any, and otherwise every pending request, in one
+    solve. So the requests that were not found before wait for one
+    another. The products and RootSets are kept for this call only, by
+    point and coefficient bytes; an error is solved again when asked
+    for again. Returns what each core returned, or the PolygeomError it
+    raised.
     """
     out: list = [None] * len(cores)
     pending: dict[int, Polynomial | list[Polynomial] | Product] = {}
+    products: dict[bytes, list[complex]] = {}
+    found: dict[bytes, RootSet] = {}
 
     def advance(i, step, arg):
         try:
@@ -579,19 +550,32 @@ def drive_many(cores: list, tol: float = DEFAULT_TOL) -> list:
     for i, core in enumerate(cores):
         advance(i, core.send, None)
     while pending:
-        products = [i for i, req in pending.items() if isinstance(req, Product)]
-        if products:
-            poly._build_products([pending[i].points for i in products])
-            for i in products:
+        asked = [i for i, req in pending.items() if isinstance(req, Product)]
+        if asked:
+            keys, todo = {}, {}
+            for i in asked:
+                try:
+                    pts = poly._root_points(pending[i].points)
+                except InvalidInput as e:
+                    del pending[i]
+                    advance(i, cores[i].throw, e)
+                    continue
+                keys[i] = key = np.array(pts, dtype=complex).tobytes()
+                if key not in products:
+                    todo[key] = pts
+            products.update(zip(todo, poly._build_products(list(todo.values()))))
+            for i, key in keys.items():
                 del pending[i]
-                advance(i, cores[i].send, None)
+                advance(i, cores[i].send, products[key])
             continue
-        asked = {i: req if isinstance(req, list) else [req] for i, req in pending.items()}
-        idx = ([i for i, ps in asked.items() if all(_cached(p, tol) for p in ps)]
-               or list(asked))
-        solved = iter(find_roots_many([p for i in idx for p in asked[i]], tol))
+        polys = {i: req if isinstance(req, list) else [req] for i, req in pending.items()}
+        keys = {i: [_coeff_row(p).tobytes() for p in ps] for i, ps in polys.items()}
+        idx = [i for i, ks in keys.items() if all(k in found for k in ks)] or list(polys)
+        todo = {k: p for i in idx for k, p in zip(keys[i], polys[i]) if k not in found}
+        solved = dict(zip(todo, find_roots_many(list(todo.values()), tol)))
+        found.update((k, res) for k, res in solved.items() if isinstance(res, RootSet))
         for i in idx:
-            req, res = pending.pop(i), [next(solved) for _ in asked[i]]
+            req, res = pending.pop(i), [found[k] if k in found else solved[k] for k in keys[i]]
             if isinstance(req, list):
                 advance(i, cores[i].send, res)
             elif isinstance(res[0], PolygeomError):

@@ -7,8 +7,10 @@ input produces identical files.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
+from .errors import InvalidInput
 from .regions import DISK, EXTERIOR, CircularRegion
 
 _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
@@ -17,6 +19,12 @@ _MARGIN = 0.1
 
 
 def _fmt(x: float) -> str:
+    """A coordinate of the image; one that is not finite (the frame's span
+    or origin, or a half-plane's boundary, overflows a float) is invalid
+    input, raised before anything is written."""
+    if not math.isfinite(x):
+        raise InvalidInput(f"plot coordinate {x} is not finite: the points or "
+                           f"regions span more than a float holds")
     return f"{x:.4f}"
 
 

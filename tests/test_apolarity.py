@@ -121,13 +121,14 @@ class TestGraceWitness:
     @staticmethod
     def run_core(core):
         """The polynomials a core requests the roots of, and what it
-        returns; a Product request is answered with None, as drive does."""
+        returns; a Product request is answered with the product's
+        coefficients, as drive does."""
         requests, sent = [], None
         try:
             while True:
                 request = core.send(sent)
                 if isinstance(request, Product):
-                    sent = None
+                    sent = list(from_roots(request.points).coeffs)
                 else:
                     requests.append(request)
                     sent = find_roots(request)
@@ -151,8 +152,8 @@ class TestGraceWitness:
 
     def test_core_rejects_roots_that_do_not_rebuild_a(self):
         a = Polynomial([1, -2, 1])
-        with pytest.raises(InvalidInput):
-            next(_grace_core(a, Polynomial([0, -1, 1]), 2, disk(1, 2), [1, 1 + 1e-15]))
+        with pytest.raises(InvalidInput, match="do not rebuild"):
+            self.run_core(_grace_core(a, Polynomial([0, -1, 1]), 2, disk(1, 2), [1, 1 + 1e-15]))
 
 
 class TestAlgebraicIdentities:

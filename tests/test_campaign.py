@@ -232,7 +232,8 @@ class TestSolveOnce:
 
     def test_theorem1_chunk_solves_q_once(self, monkeypatch):
         # the generator asks for q, and the check's request for the same
-        # roots is served from the chunk
+        # roots is served from the chunk's drive_many call, without
+        # reaching find_roots_many
         asked, solved = self.count_rows(monkeypatch)
         cfg = CampaignConfig(property="theorem1_convex", trials=40, seed=2, n_min=2, n_max=12)
         records = _run_chunk(cfg, 0, cfg.trials)
@@ -242,8 +243,8 @@ class TestSolveOnce:
         solved = [c.tobytes() for c in solved]
         assert generated
         for q in generated:
-            # asked by the generator and by the check; solved once
-            assert solved.count(q) == 1 and asked.count(q) == 2
+            # asked of find_roots_many by the generator only; solved once
+            assert solved.count(q) == 1 and asked.count(q) == 1
 
     def test_theorem1_generators_are_solved_in_one_batch(self, monkeypatch):
         batches = []
@@ -308,26 +309,29 @@ class TestSolveOnce:
         assert len(drawn) == 20 and len(calls) > 1 and calls[1:] == [1] * (len(calls) - 1)
 
     def test_theorem1_chunk_builds_each_q_once(self, monkeypatch):
-        # q = prod (z - w_i) is asked of from_roots by the generator and by
-        # the check, and built once; nothing is reused after the chunk
-        built = {}
-        from_roots = poly.from_roots
+        # q = prod (z - w_i) is asked for by the generator and by the
+        # check, and built once; nothing is reused after the chunk
+        asked, built = [], []
+        build = poly._build_products
 
-        def building(points):
-            q = from_roots(points)
-            built.setdefault(np.array(points, dtype=complex).tobytes(), []).append(q)
-            return q
+        def asking(points):
+            asked.append(np.array(points, dtype=complex).tobytes())
+            return rootfind.Product(points)
 
-        monkeypatch.setattr(campaign, "from_roots", building)
-        monkeypatch.setattr(coincidence, "from_roots", building)
+        def building(sets):
+            built.extend(np.array(pts, dtype=complex).tobytes() for pts in sets)
+            return build(sets)
+
+        monkeypatch.setattr(campaign, "Product", asking)
+        monkeypatch.setattr(coincidence, "Product", asking)
+        monkeypatch.setattr(poly, "_build_products", building)
         cfg = CampaignConfig(property="theorem1_convex", trials=40, seed=2, n_min=2, n_max=12)
         _run_chunk(cfg, 0, cfg.trials)
-        assert built
-        for qs in built.values():
-            assert len(qs) == 2 and qs[1] is qs[0]
-        assert poly._reuse is None
-        w = [1, 2j, -3]
-        assert from_roots(w) is not from_roots(w)
+        assert built and sorted(built) == sorted(set(asked))
+        assert all(asked.count(w) >= 2 for w in built)
+        # a second chunk builds every one again
+        _run_chunk(cfg, 0, cfg.trials)
+        assert sorted(built) == sorted(2 * list(set(asked)))
 
     @pytest.mark.parametrize("prop", ["grace", "walsh_classic", "theorem1_convex", "theorem2"])
     def test_chunk_builds_each_product_once(self, monkeypatch, prop):
@@ -353,11 +357,29 @@ class TestSolveOnce:
         assert all(r["status"] == "pass" for r in records)
         assert built and len(set(built)) == len(built)
 
+    def test_one_check_builds_its_product_once(self, monkeypatch):
+        # the hypothesis's q and the coincidence value's e_k are read from
+        # one product of the points
+        cfg = CampaignConfig(property="theorem1_convex", trials=1, seed=2)
+        gen, _ = PROPERTIES[cfg.property]
+        inst = next(inst for inst in (gen(random.Random(i), cfg) for i in range(50))
+                    if len(inst["multiaffine"]["E"]) - 1 < inst["multiaffine"]["n"])
+        w = np.array(jsonio.points_from_json(inst["points"]), dtype=complex).tobytes()
+        built = []
+        product = poly._product
+
+        def building(pts):
+            built.append(np.array(pts, dtype=complex).tobytes())
+            return product(pts)
+
+        monkeypatch.setattr(poly, "_product", building)
+        assert campaign.run_check(cfg.property, inst, cfg.root_tol).status == "pass"
+        assert built == [w]
+
     def test_nothing_is_reused_outside_a_chunk(self, monkeypatch):
         asked, solved = self.count_rows(monkeypatch)
         cfg = CampaignConfig(property="theorem1_convex", trials=3, seed=2)
         _run_chunk(cfg, 0, cfg.trials)
-        assert rootfind._reuse is None
         asked.clear()
         solved.clear()
         p = Polynomial([2, -3, 1])
@@ -370,15 +392,14 @@ class TestGeneratorCores:
     @pytest.mark.parametrize("high", [False, True])
     @pytest.mark.parametrize("prop", sorted(PROPERTIES))
     def test_plain_call_equals_the_driven_core(self, prop, high):
-        # the cores of 200 trials driven together in one scope, as a chunk
-        # drives them, return what each plain call returns
+        # the cores of 200 trials driven together in one drive_many call,
+        # as a chunk drives them, return what each plain call returns
         lo, hi = (25, 60) if high else (3, 15) if prop == "theorem2" else (2, 12)
         cfg = CampaignConfig(property=prop, trials=200, seed=6, n_min=lo, n_max=hi)
         gen, _ = PROPERTIES[prop]
         seeds = [trial_seed(cfg.seed, i) for i in range(cfg.trials)]
-        with rootfind._reuse_scope():
-            driven = rootfind.drive_many(
-                [gen(random.Random(ts), cfg, core=True) for ts in seeds], cfg.root_tol)
+        driven = rootfind.drive_many(
+            [gen(random.Random(ts), cfg, core=True) for ts in seeds], cfg.root_tol)
         for ts, inst in zip(seeds, driven):
             assert jsonio.dumps(inst) == jsonio.dumps(gen(random.Random(ts), cfg))
 

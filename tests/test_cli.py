@@ -260,6 +260,22 @@ class TestPlot:
         assert main(["plot", "--points", pts, "--svg-out", str(out)]) == 0
         assert out.read_text().count('r="3.5"') == 3
 
+    # a frame whose span overflows a float (the disk, and the half-plane
+    # 1.5e308 from the zeros), and a finite frame across which the
+    # half-plane's boundary line would overflow
+    @pytest.mark.parametrize("region", [
+        {"kind": "disk", "closed": True, "center": [0, 0], "radius": 1e308},
+        {"kind": "halfplane", "closed": True, "direction": [1, 0], "offset": 1.5e308},
+        {"kind": "halfplane", "closed": True, "direction": [1, 0], "offset": 1e308},
+    ], ids=["disk", "halfplane", "halfplane-line"])
+    def test_a_region_beyond_a_float_is_invalid(self, tmp_path, capsys, region):
+        poly = write(tmp_path, "p.json", {"coeffs": [[-1, 0], [0, 0], [1, 0]]})
+        out = tmp_path / "o.svg"
+        assert main(["plot", "--poly", poly, "--region", write(tmp_path, "r.json", region),
+                     "--svg-out", str(out)]) == 2
+        assert "not finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 def _disk(center, radius, kind="disk"):
     return {"kind": kind, "closed": True, "center": center, "radius": radius}

@@ -92,14 +92,18 @@ class TestFromRoots:
             from_roots([])
 
     def test_reuse_scope_builds_each_point_list_once(self):
-        with rootfind._reuse_scope():
-            p = from_roots([1, 2j])
-            assert from_roots((1 + 0j, 2j)) is p
-            # a signed zero is another point, with other coefficient bits
-            plus, minus = from_roots([0.0, 1]), from_roots([-0.0, 1])
-            assert minus is not plus
-            assert repr(minus.coeffs) != repr(plus.coeffs)
-        assert from_roots([1, 2j]) is not from_roots([1, 2j])
+        # one drive_many call builds the product of equal points once
+        def core(points):
+            return (yield rootfind.Product(points))
+
+        sets = [[1, 2j], (1 + 0j, 2j), [0.0, 1], [-0.0, 1]]
+        p, same, plus, minus = rootfind.drive_many([core(pts) for pts in sets])
+        assert same is p and p == list(from_roots([1, 2j]).coeffs)
+        # a signed zero is another point, with other coefficient bits
+        assert minus is not plus
+        assert repr(minus) != repr(plus)
+        # and a second call builds it again
+        assert rootfind.drive(core([1, 2j])) is not p
 
     def test_coefficients_match_elementary_symmetric(self):
         rng = random.Random(42)
@@ -175,7 +179,8 @@ class TestElementarySymmetricFromTheProduct:
             assert elementary_symmetric_all(pts) == recurrence_reference(pts)
 
     def test_equal_within_a_reuse_scope(self, monkeypatch):
-        # the product from_roots built in the scope is read back, not rebuilt
+        # two cores of one drive_many call read e_k from one product,
+        # built once
         built = []
         product = poly._product
 
@@ -183,13 +188,15 @@ class TestElementarySymmetricFromTheProduct:
             built.append(pts)
             return product(pts)
 
+        def core(pts):
+            return poly._symmetric_from_product((yield rootfind.Product(pts)))
+
         monkeypatch.setattr(poly, "_product", building)
-        with rootfind._reuse_scope():
-            for pts in point_sets(random.Random(15)):
-                from_roots(pts)
-                del built[:]
-                assert elementary_symmetric_all(pts) == recurrence_reference(pts)
-                assert not built
+        for pts in point_sets(random.Random(15)):
+            del built[:]
+            e, again = rootfind.drive_many([core(pts), core(pts)])
+            assert len(built) == 1
+            assert e == again == recurrence_reference(pts)
 
     def test_multiaffine_value_equal_to_the_recurrence(self):
         rng = random.Random(16)
@@ -311,18 +318,16 @@ SCALAR_PRODUCT = poly._product
 
 
 class TestBatchedProducts:
-    # within a reuse scope, a round's products are built in one batched
-    # pass that must give each the bits of the scalar _product
+    # drive_many builds a round's products in one batched pass that must
+    # give each the bits of the scalar _product
     @staticmethod
     def built(monkeypatch, sets):
-        """from_roots of every set after one _build_products pass in a
-        scope, and the sets the scalar _product built."""
+        """_build_products of the sets, and the sets the scalar _product
+        built."""
         scalar = []
         monkeypatch.setattr(poly, "_product", lambda pts: scalar.append(pts)
                             or SCALAR_PRODUCT(pts))
-        with rootfind._reuse_scope():
-            poly._build_products(sets)
-            return [from_roots(s) for s in sets], scalar
+        return poly._build_products([tuple(map(complex, pts)) for pts in sets]), scalar
 
     @staticmethod
     def mixed_sets(seed):
@@ -337,8 +342,8 @@ class TestBatchedProducts:
     def test_equal_to_the_product_in_bits(self, monkeypatch):
         sets = self.mixed_sets(21)
         out, scalar = self.built(monkeypatch, sets)
-        for pts, p in zip(sets, out):
-            assert bits(p.coeffs) == product_bits(pts)
+        for pts, c in zip(sets, out):
+            assert bits(c) == product_bits(pts)
         # the batch built every one, unless this CPython fuses the
         # multiply and the add of a complex product
         assert scalar == [] or not poly._SEPARATE_ROUNDING
@@ -353,59 +358,73 @@ class TestBatchedProducts:
             assert bits(c) == product_bits(pts)
 
     def test_few_short_sets_are_built_one_by_one(self, monkeypatch):
-        # nothing is built ahead: from_roots builds each when asked
         sets = [[1 + 2j, -3j], [0.5j, 2, -1]]
-        with rootfind._reuse_scope():
-            poly._build_products(sets)
-            assert poly._reuse == {}
+        batches = []
+        monkeypatch.setattr(poly, "_products", batches.append)
         out, scalar = self.built(monkeypatch, sets)
-        assert len(scalar) == 2
-        assert [bits(p.coeffs) for p in out] == [product_bits(pts) for pts in sets]
+        assert batches == [] and len(scalar) == 2
+        assert [bits(c) for c in out] == [product_bits(pts) for pts in sets]
 
     def test_nothing_is_built_ahead_where_a_complex_multiply_fuses(self, monkeypatch):
+        # no batched pass: _product builds every set
         monkeypatch.setattr(poly, "_SEPARATE_ROUNDING", False)
         sets = self.mixed_sets(25)
-        with rootfind._reuse_scope():
-            poly._build_products(sets)
-            assert poly._reuse == {}
+        batches = []
+        monkeypatch.setattr(poly, "_products", batches.append)
         out, scalar = self.built(monkeypatch, sets)
-        assert len(scalar) == len(sets)
-        assert [bits(p.coeffs) for p in out] == [product_bits(pts) for pts in sets]
+        assert batches == [] and len(scalar) == len(sets)
+        assert [bits(c) for c in out] == [product_bits(pts) for pts in sets]
 
     @pytest.mark.filterwarnings("error")
     def test_a_product_that_overflows_is_not_kept(self, monkeypatch):
+        # the batched pass's row of a product that overflows is built
+        # again by _product, whose bits from_roots raises for
         if not poly._SEPARATE_ROUNDING:
             pytest.skip("this CPython fuses the multiply and the add of a complex product")
         sets = self.mixed_sets(23)
         over = [[1e200, 1e200, 1], [1e300j, 1e300, 2]]
-        with rootfind._reuse_scope():
-            poly._build_products(sets + over)
-            assert len(poly._reuse) == len(sets)
-            scalar = []
-            monkeypatch.setattr(poly, "_product", lambda pts: scalar.append(pts)
-                                or SCALAR_PRODUCT(pts))
-            for pts in sets:
-                assert bits(from_roots(pts).coeffs) == product_bits(pts)
-            assert scalar == []
-            # built again by from_roots, which raises as outside any scope
-            for pts, text in zip(over, ("non-finite value (-inf+nanj)",
-                                        "non-finite value (nan-infj)")):
+        out, scalar = self.built(monkeypatch, sets + over)
+        assert scalar == [tuple(map(complex, pts)) for pts in over]
+        for pts, c in zip(sets + over, out):
+            assert bits(c) == product_bits(pts)
+        for pts, c, text in zip(over, out[len(sets):], ("non-finite value (-inf+nanj)",
+                                                        "non-finite value (nan-infj)")):
+            for build in (lambda: Polynomial(c), lambda: from_roots(pts)):
                 with pytest.raises(InvalidInput) as e:
-                    from_roots(pts)
+                    build()
                 assert str(e.value) == text
 
     def test_nothing_is_built_outside_a_scope(self, monkeypatch):
+        # outside a drive_many call, from_roots and elementary_symmetric_all
+        # build each product alone
         batches = []
         monkeypatch.setattr(poly, "_products", batches.append)
-        poly._build_products(self.mixed_sets(24))
-        assert batches == [] and poly._reuse is None
+        for pts in self.mixed_sets(24):
+            assert bits(from_roots(pts).coeffs) == product_bits(pts)
+            elementary_symmetric_all(pts)
+        assert batches == []
 
-    def test_non_finite_points_are_left_to_from_roots(self):
+    def test_non_finite_points_are_left_to_from_roots(self, monkeypatch):
+        # drive_many throws from_roots' error into a core whose points it
+        # rejects, and builds the others' products in one pass
         if not poly._SEPARATE_ROUNDING:
             pytest.skip("this CPython fuses the multiply and the add of a complex product")
-        sets = self.mixed_sets(26)
-        with rootfind._reuse_scope():
-            poly._build_products(sets + [[1, complex("nan")], [], [2j]])
-            assert len(poly._reuse) == len(sets) + 1
-            with pytest.raises(InvalidInput, match="non-finite value"):
-                from_roots([1, complex("nan")])
+        sets, bad = self.mixed_sets(26), [[1, complex("nan")], []]
+
+        def core(pts):
+            try:
+                return bits((yield rootfind.Product(pts)))
+            except InvalidInput as e:
+                return str(e)
+
+        batches = []
+        products = poly._products
+        monkeypatch.setattr(poly, "_products",
+                            lambda sets: batches.append(len(sets)) or products(sets))
+        out = rootfind.drive_many([core(pts) for pts in sets + bad])
+        assert batches == [len(sets)]
+        assert out[:len(sets)] == [product_bits(pts) for pts in sets]
+        for pts, text in zip(bad, out[len(sets):]):
+            with pytest.raises(InvalidInput) as e:
+                from_roots(pts)
+            assert text == str(e.value)

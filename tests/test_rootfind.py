@@ -333,16 +333,19 @@ class TestBatch:
 
         monkeypatch.setattr(rootfind, "_solve", counting)
         bad, good = Polynomial([1e6] * 60 + [1]), from_roots([1, 2j, -3])
-        with rootfind._reuse_scope():
-            first = find_roots_many([bad, good])
-            again = find_roots_many([bad, good])
-            other_tol = find_roots_many([good], tol=1e-10)
+
+        def core():
+            first = yield [bad, good]
+            again = yield [bad, good]
+            return first, again
+
+        (first, again), = drive_many([core()])
         assert isinstance(first[0], NonConvergence) and isinstance(again[0], NonConvergence)
-        assert again[1] is first[1] and other_tol[0] is not first[1]
-        # bad twice, good once at each tolerance
-        assert len(solved) == 4
-        find_roots_many([good])
-        assert len(solved) == 5 and rootfind._reuse is None
+        assert again[1] is first[1]
+        # bad twice, good once
+        assert len(solved) == 3
+        (other_tol, _), = drive_many([core()], tol=1e-10)
+        assert other_tol[1] is not first[1] and len(solved) == 6
 
     def test_collapse_error_fails_only_its_row(self):
         # the multiple-root collapse of the second row overflows its
@@ -621,8 +624,8 @@ class TestDrive:
         assert seen == ["thrown"]
 
     def test_cached_requests_are_answered_first(self, monkeypatch):
-        # A's cached p1 is answered without the solver, and A's p2 then
-        # waits for B's p3: one solve holds both
+        # once both cores' p1 is found, A's second p1 is answered without
+        # the solver, and A's p2 then waits for B's p3: one solve holds both
         p1, p2, p3 = from_roots([1, 2]), from_roots([3j, -1, 2]), Polynomial([1, 1, 1])
         batches = []
         solve = rootfind._solve
@@ -631,16 +634,15 @@ class TestDrive:
             batches.append(sorted(c.tobytes() for c in cs))
             return solve(cs, tol)
 
-        def one(p):
-            return len((yield p).roots)
+        def a():
+            yield p1
+            return (yield from self.core(p1, p2))
 
-        with rootfind._reuse_scope():
-            find_roots_many([p1])
-            monkeypatch.setattr(rootfind, "_solve", solving)
-            out = drive_many([self.core(p1, p2), one(p3)])
-        assert out == [5, 2]
-        assert batches == [sorted(np.array(p.coeffs[::-1], dtype=complex).tobytes()
-                                  for p in (p2, p3))]
+        monkeypatch.setattr(rootfind, "_solve", solving)
+        out = drive_many([a(), self.core(p1, p3)])
+        assert out == [5, 4]
+        rows = lambda *ps: sorted(np.array(p.coeffs[::-1], dtype=complex).tobytes() for p in ps)
+        assert batches == [rows(p1), rows(p2, p3)]
 
     def test_a_list_is_sent_every_outcome(self):
         def core():
@@ -662,16 +664,31 @@ class TestDrive:
                             lambda cs, tol: events.append(("solve", len(cs))) or solve(cs, tol))
 
         def core(pts):
-            yield Product(pts)
-            return len((yield from_roots(pts)).roots)
+            return len((yield Polynomial((yield Product(pts)))).roots)
 
-        with rootfind._reuse_scope():
-            assert drive_many([core([1, 2j]), core([3, -1, 0.5j])]) == [2, 3]
+        assert drive_many([core([1, 2j]), core([3, -1, 0.5j])]) == [2, 3]
         assert events == [("build", 2), ("product", 2), ("product", 3), ("solve", 2)]
-        # outside a scope nothing is built ahead: from_roots builds it
         events.clear()
         assert drive(core([1, 2j])) == 2
         assert events == [("build", 1), ("product", 2), ("solve", 1)]
+
+    def test_nothing_is_kept_across_calls(self, monkeypatch):
+        # a second drive_many call builds the same points and solves the
+        # same polynomial again
+        events = []
+        product, solve = poly._product, rootfind._solve
+        monkeypatch.setattr(poly, "_product",
+                            lambda pts: events.append("product") or product(pts))
+        monkeypatch.setattr(rootfind, "_solve",
+                            lambda cs, tol: events.append("solve") or solve(cs, tol))
+
+        def core():
+            return (yield Polynomial((yield Product([1, 2j, -3]))))
+
+        first, = drive_many([core()])
+        second, = drive_many([core()])
+        assert events == ["product", "solve"] * 2
+        assert second == first and second is not first
 
     def test_lockstep_keeps_order_and_errors(self):
         cores = [self.core(Polynomial([-1, 0, 1]), Polynomial([1, 1])),

@@ -246,8 +246,9 @@ def _gen_theorem1(rng: random.Random, cfg: CampaignConfig, exterior: bool, ahead
     g, which its check will ask for, so that the chunk that drives both
     finds them in one solve; g's outcome is not read here, and alone
     nothing would keep it, so g is not asked for then. A g that cannot be
-    built or certified only loses that request: the check builds and
-    asks for it again, and fails as alone."""
+    built is not asked for: the check builds it and fails as alone. A g
+    that is not certified is kept with its error, which the check is
+    given, as it would be alone."""
     n = rng.randint(max(2, cfg.n_min), cfg.n_max)
     m = rng.randint(1, n)
     P = _random_multiaffine(rng, n, m)
@@ -488,13 +489,12 @@ def _run_chunk(cfg: CampaignConfig, start: int, stop: int) -> list[dict]:
     """Trials start..stop-1: each trial's generator core, called once
     through PROPERTIES, chained with its check, and all of them advanced
     in one drive_many call, so that each round builds the chunk's pending
-    products in one batched pass or answers its pending root requests in
-    one batch, those found before first. So the chunk finds its roots in
-    one solve: a theorem 1 generator, driven as a core, asks for q^(n-m)
-    and its check's diagonal equation together, and a check that asks
-    for roots already found gets the same RootSet back. The chunk builds
-    each product once. A root set that is not certified is not kept, so
-    its generator or check fails as it would alone."""
+    products in one batched pass or solves its pending root requests in
+    one batch. So the chunk finds its roots in one solve: a theorem 1
+    generator, driven as a core, asks for q^(n-m) and its check's
+    diagonal equation together, and a check that asks for roots already
+    asked for gets the same outcome back, a RootSet or an error. The
+    chunk builds each product once."""
     gen, check = PROPERTIES[cfg.property]
     records = [{"trial_seed": trial_seed(cfg.seed, i), "instance": None}
                for i in range(start, stop)]
@@ -541,7 +541,7 @@ _CHUNK_TRIALS = 128
 
 def run_campaign(config: CampaignConfig) -> CampaignReport:
     config.validate()
-    # a chunk finds its roots in one find_roots_many call, so a bigger
+    # a chunk finds its roots in one _solve call, so a bigger
     # chunk makes fewer calls, whose sweeps have a fixed cost each, but
     # holds more checks and root requests alive at once (the solver's
     # gathers are blocked, so its memory does not grow with the batch):

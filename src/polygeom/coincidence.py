@@ -226,5 +226,7 @@ def theorem1_apolarity_residual(
     m = P.total_degree
     if m < 1:
         raise InvalidInput("need total degree >= 1")
-    r = diagonal(P).shifted_constant(-evaluate_multiaffine(P, points))
-    return apolarity_residual(from_roots(points).derivative(P.n - m), r, m)
+    if len(points) != P.n:
+        raise InvalidInput(f"expected {P.n} points, got {len(points)}")
+    q = from_roots(points)
+    return apolarity_residual(q.derivative(P.n - m), _diagonal_equation(P, q.coeffs), m)

@@ -129,31 +129,16 @@ def _product(pts: tuple[complex, ...]) -> list[complex]:
     return coeffs
 
 
-# CPython rounds each product and each sum of a complex multiplication on
-# its own, unless its compiler fuses a*b - c*d into one operation: at
-# x = 1 + 2**-27, x*x - x*x and x*x + x*-x are 0 only when both products
-# are rounded. _products emulates the separate rounding, so where this
-# probe finds it fused _build_products builds every product with _product
-_PROBE = complex(1 + 2.0**-27, 1 + 2.0**-27)
-_SEPARATE_ROUNDING = ((_PROBE * _PROBE).real == 0.0
-                      and (_PROBE * _PROBE.conjugate()).imag == 0.0)
-
-
-# _product costs about c * L**2 for a set of L points, and the batched
-# pass about 320 * c per point of its longest set (measured at 1-128 sets
-# of 3-60 points); _build_products batches only sets whose squared
-# lengths sum to at least _BATCH_MIN times the longest length
-_BATCH_MIN = 320
-
-
 def _products(sets: list[tuple[complex, ...]]) -> np.ndarray:
-    """_product of every point set, in one batched pass with its bits:
-    row i holds the coefficients of sets[i], ascending, then zeros.
+    """_product of every point set, in one batched pass: row i holds the
+    coefficients of sets[i], ascending, then zeros.
 
     numpy's complex multiply may fuse a multiply and an add, so CPython's
     w*c, (w.re*c.re - w.im*c.im, w.re*c.im + w.im*c.re), is emulated with
-    float64 ufuncs, each rounded alone. The rows are sorted by length,
-    longest first, so the step for point j updates a prefix of them.
+    float64 ufuncs, each rounded alone: where CPython rounds them alone
+    too, each row has _product's bits, non-finite ones included. The rows
+    are sorted by length, longest first, so the step for point j updates
+    a prefix of them.
     """
     order = sorted(range(len(sets)), key=lambda i: -len(sets[i]))
     lens = np.array([len(sets[i]) for i in order])
@@ -179,22 +164,6 @@ def _products(sets: list[tuple[complex, ...]]) -> np.ndarray:
             cr[:m, 0], ci[:m, 0] = r0, i0
     out = np.empty((len(sets), n + 1), dtype=complex)
     out.real[order], out.imag[order] = cr, ci
-    return out
-
-
-def _build_products(sets: list[tuple[complex, ...]]) -> list[list[complex]]:
-    """_product of every set of finite points: in one batched pass where
-    this CPython rounds a complex multiply as _products emulates and the
-    sets are many and long enough for the pass to pay, one by one
-    otherwise. A row that the pass leaves non-finite is built again with
-    _product, whose non-finite bits the pass need not match."""
-    lens = [len(pts) for pts in sets]
-    if not _SEPARATE_ROUNDING or not lens or sum(n * n for n in lens) < _BATCH_MIN * max(lens):
-        return [_product(pts) for pts in sets]
-    out = []
-    for pts, c in zip(sets, _products(sets)):
-        c = c[:len(pts) + 1].tolist()
-        out.append(c if all(map(cmath.isfinite, c)) else _product(pts))
     return out
 
 

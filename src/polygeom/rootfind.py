@@ -36,12 +36,14 @@ as generators (cores): a core yields a Polynomial and is sent its
 RootSet, or has the root finder's error thrown in at the yield; it may
 yield a list of Polynomials and be sent each one's outcome; and it may
 yield a ``Product`` of points and be sent the ascending coefficients of
-prod (z - w), with the bits of ``poly.from_roots``' product. ``drive``
-runs one core, ``drive_many`` runs many in lockstep: each round either
-builds the products its cores asked for, in one batched pass, or answers
-their root requests with one ``find_roots_many`` call. A ``drive_many``
-call (a campaign chunk, or one check) builds each product once and finds
-each RootSet once; nothing is kept once it returns.
+prod (z - w), built by ``poly._products``. ``drive`` runs one core,
+``drive_many`` runs many in lockstep: each round either builds the
+products its cores asked for, in one ``poly._products`` pass, or finds
+the roots they asked for, in one ``_solve`` call. ``find_roots_many`` is
+``drive_many`` over cores that ask once, so every root find takes this
+path. A ``drive_many`` call (a campaign chunk, or one check) builds each
+product once and solves each polynomial once, and keeps every outcome,
+an error too, until it returns.
 """
 
 from __future__ import annotations
@@ -458,40 +460,24 @@ def exact_root_set(points) -> RootSet:
 
 
 def _coeff_row(p: Polynomial) -> np.ndarray:
-    """p's coefficients in descending order; their bytes key its RootSet
+    """p's coefficients in descending order; their bytes key its outcome
     in drive_many."""
     return np.array(p.coeffs[::-1], dtype=complex)
+
+
+def _asking(p: Polynomial):
+    """A core that asks for p's roots and returns its RootSet."""
+    return (yield p)
 
 
 def find_roots_many(
     polys: list[Polynomial], tol: float = DEFAULT_TOL
 ) -> list[RootSet | PolygeomError]:
     """find_roots of every polynomial: its RootSet, or the error
-    find_roots would raise for it.
-
-    All rows are solved in one pass: their coefficients are padded with
-    leading zeros to the largest degree, the companion eigenvalues are
-    stacked per degree, and sweeps, polish, sort and residuals run over
-    every row at once. Every row gets the same bits as it would alone.
-    Nothing is kept between calls: drive_many keeps what it found for
-    the length of one call.
-    """
-    out: list[RootSet | PolygeomError | None] = [None] * len(polys)
-    todo, cs = [], []
-    valid_tol = _valid_tol(tol)
-    for i, p in enumerate(polys):
-        if p.degree() < 1:
-            out[i] = InvalidDegree("find_roots needs degree >= 1")
-        elif not valid_tol:
-            out[i] = InvalidInput(f"tol must be finite and > 0, got {tol!r}")
-        else:
-            todo.append(i)
-            cs.append(_coeff_row(p))
-    if cs:
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for i, res in zip(todo, _solve(cs, tol)):
-                out[i] = res
-    return out
+    find_roots would raise for it. drive_many over one core per
+    polynomial, so the rows are solved in one _solve pass, and each gets
+    the same bits as it would alone."""
+    return drive_many([_asking(p) for p in polys], tol)
 
 
 def find_roots(p: Polynomial, tol: float = DEFAULT_TOL) -> RootSet:
@@ -521,62 +507,81 @@ def drive_many(cores: list, tol: float = DEFAULT_TOL) -> list:
     find_roots would raise thrown in at the yield; or it yields a list of
     Polynomials and is sent the outcome of each, a RootSet or that error;
     or it yields a Product and is sent the coefficients of prod (z - w)
-    over its points, with the bits of poly._product (they may not be
-    finite), or has the InvalidInput thrown in that from_roots raises
-    for the points. Each round answers the pending Product requests, while
-    there are any, building the products not built before in one batched
-    pass (poly._build_products). Otherwise it answers root requests with
-    one find_roots_many call: those whose RootSets were found before,
-    while there are any, and otherwise every pending request, in one
-    solve. So the requests that were not found before wait for one
-    another. The products and RootSets are kept for this call only, by
-    point and coefficient bytes; an error is solved again when asked
-    for again. Returns what each core returned, or the PolygeomError it
-    raised.
+    over its points (they may not be finite), or has the InvalidInput
+    thrown in that from_roots raises for the points. A round answers every
+    pending Product, while there are any, with one poly._products pass
+    over the point sets not built before; otherwise it answers every
+    pending root request, with one _solve over the polynomials not solved
+    before. A polynomial is keyed by its coefficient bytes when it is
+    asked for, and a point set by its bytes (a signed zero is another
+    point); each outcome, a product, a RootSet or an error, is kept in
+    the call's table until it returns. Returns what each core returned,
+    or the PolygeomError it raised.
     """
     out: list = [None] * len(cores)
-    pending: dict[int, Polynomial | list[Polynomial] | Product] = {}
-    products: dict[bytes, list[complex]] = {}
-    found: dict[bytes, RootSet] = {}
+    valid_tol = _valid_tol(tol)
+    # every outcome of the call, by the request's type and bytes
+    table: dict[tuple[type, bytes], list[complex] | RootSet | PolygeomError] = {}
+    # the coefficient rows asked for and not yet solved, by key
+    unsolved: dict[tuple[type, bytes], np.ndarray] = {}
+    # what each waiting core asked for: a Product, or the keys of its
+    # polynomials and whether they came as a list
+    pending: dict[int, Product | tuple[list, bool]] = {}
+
+    def key(p: Polynomial) -> tuple[type, bytes]:
+        row = _coeff_row(p)
+        k = (Polynomial, row.tobytes())
+        if k not in table:
+            if p.degree() < 1:
+                table[k] = InvalidDegree("find_roots needs degree >= 1")
+            elif not valid_tol:
+                table[k] = InvalidInput(f"tol must be finite and > 0, got {tol!r}")
+            else:
+                unsolved[k] = row
+        return k
 
     def advance(i, step, arg):
         try:
-            pending[i] = step(arg)
+            req = step(arg)
         except StopIteration as stop:
             out[i] = stop.value
         except PolygeomError as e:
             out[i] = e
+        else:
+            many = isinstance(req, list)
+            pending[i] = (req if isinstance(req, Product)
+                          else ([key(p) for p in (req if many else [req])], many))
 
     for i, core in enumerate(cores):
         advance(i, core.send, None)
     while pending:
-        asked = [i for i, req in pending.items() if isinstance(req, Product)]
+        asked = {i: req for i, req in pending.items() if isinstance(req, Product)}
         if asked:
-            keys, todo = {}, {}
-            for i in asked:
+            keys, sets = {}, {}
+            for i, req in asked.items():
+                del pending[i]
                 try:
-                    pts = poly._root_points(pending[i].points)
+                    pts = poly._root_points(req.points)
                 except InvalidInput as e:
-                    del pending[i]
                     advance(i, cores[i].throw, e)
                     continue
-                keys[i] = key = np.array(pts, dtype=complex).tobytes()
-                if key not in products:
-                    todo[key] = pts
-            products.update(zip(todo, poly._build_products(list(todo.values()))))
-            for i, key in keys.items():
-                del pending[i]
-                advance(i, cores[i].send, products[key])
+                keys[i] = k = (Product, np.array(pts, dtype=complex).tobytes())
+                if k not in table:
+                    sets[k] = pts
+            if sets:
+                table.update((k, c[:len(pts) + 1].tolist()) for (k, pts), c
+                             in zip(sets.items(), poly._products(list(sets.values()))))
+            for i, k in keys.items():
+                advance(i, cores[i].send, table[k])
             continue
-        polys = {i: req if isinstance(req, list) else [req] for i, req in pending.items()}
-        keys = {i: [_coeff_row(p).tobytes() for p in ps] for i, ps in polys.items()}
-        idx = [i for i, ks in keys.items() if all(k in found for k in ks)] or list(polys)
-        todo = {k: p for i in idx for k, p in zip(keys[i], polys[i]) if k not in found}
-        solved = dict(zip(todo, find_roots_many(list(todo.values()), tol)))
-        found.update((k, res) for k, res in solved.items() if isinstance(res, RootSet))
-        for i in idx:
-            req, res = pending.pop(i), [found[k] if k in found else solved[k] for k in keys[i]]
-            if isinstance(req, list):
+        if unsolved:
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                table.update(zip(unsolved, _solve(list(unsolved.values()), tol)))
+            unsolved.clear()
+        for i, (keys, many) in list(pending.items()):
+            del pending[i]
+            res = [table[k] for k in keys]
+            if many:
                 advance(i, cores[i].send, res)
             elif isinstance(res[0], PolygeomError):
                 advance(i, cores[i].throw, res[0])

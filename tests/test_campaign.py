@@ -188,20 +188,21 @@ def coeff_row(p: Polynomial) -> bytes:
 class TestSolveOnce:
     @staticmethod
     def count_rows(monkeypatch):
-        """The polynomials asked of find_roots_many, and the coefficient
-        rows its solver ran."""
+        """The coefficient rows of the polynomials asked of drive_many, as
+        each request is keyed, and of those its solver ran."""
         asked, solved = [], []
-        find_roots_many, solve = rootfind.find_roots_many, rootfind._solve
+        coeff_row, solve = rootfind._coeff_row, rootfind._solve
 
-        def asking(polys, tol=rootfind.DEFAULT_TOL):
-            asked.extend(polys)
-            return find_roots_many(polys, tol)
+        def asking(p):
+            row = coeff_row(p)
+            asked.append(row.tobytes())
+            return row
 
         def solving(cs, tol):
-            solved.extend(cs)
+            solved.extend(c.tobytes() for c in cs)
             return solve(cs, tol)
 
-        monkeypatch.setattr(rootfind, "find_roots_many", asking)
+        monkeypatch.setattr(rootfind, "_coeff_row", asking)
         monkeypatch.setattr(rootfind, "_solve", solving)
         return asked, solved
 
@@ -233,18 +234,16 @@ class TestSolveOnce:
     def test_theorem1_chunk_solves_q_once(self, monkeypatch):
         # the generator asks for q, and the check's request for the same
         # roots is served from the chunk's drive_many call, without
-        # reaching find_roots_many
+        # reaching the solver
         asked, solved = self.count_rows(monkeypatch)
         cfg = CampaignConfig(property="theorem1_convex", trials=40, seed=2, n_min=2, n_max=12)
         records = _run_chunk(cfg, 0, cfg.trials)
         assert all(r["instance"] is not None for r in records)
         generated = self.generated_q(records)
-        asked = [coeff_row(p) for p in asked]
-        solved = [c.tobytes() for c in solved]
         assert generated
         for q in generated:
-            # asked of find_roots_many by the generator only; solved once
-            assert solved.count(q) == 1 and asked.count(q) == 1
+            # asked for by the generator and by the check; solved once
+            assert solved.count(q) == 1 and asked.count(q) == 2
 
     def test_theorem1_generators_are_solved_in_one_batch(self, monkeypatch):
         batches = []
@@ -308,11 +307,44 @@ class TestSolveOnce:
         # the fourth trial's g is solved when its check asks for it
         assert len(drawn) == 20 and len(calls) > 1 and calls[1:] == [1] * (len(calls) - 1)
 
+    def test_a_diagonal_equation_that_fails_is_solved_once(self, monkeypatch):
+        # a theorem 1 generator asks ahead for its check's g, whose root set
+        # is not certified: the check is given that error, not a second
+        # solve, and records the diagnostic the check alone records
+        cfg = CampaignConfig(property="theorem1_convex", trials=20, seed=3)
+        records = _run_chunk(cfg, 0, cfg.trials)
+
+        def product(w):
+            return (yield rootfind.Product(w))
+
+        gs = []
+        for r in records:
+            P = jsonio.multiaffine_from_json(r["instance"]["multiaffine"])
+            w = jsonio.points_from_json(r["instance"]["points"])
+            gs.append(coincidence._diagonal_equation(P, rootfind.drive(product(w))))
+        index = next(i for i, (r, g) in enumerate(zip(records, gs))
+                     if r["status"] == "pass" and g.degree() >= 1)
+        failing_row = coeff_row(gs[index])
+        solve = rootfind._solve
+
+        def failing(cs, tol):
+            return [NonConvergence("not certified") if c.tobytes() == failing_row else res
+                    for c, res in zip(cs, solve(cs, tol))]
+
+        monkeypatch.setattr(rootfind, "_solve", failing)
+        calls = self.solve_calls(monkeypatch)
+        records = _run_chunk(cfg, 0, cfg.trials)
+        assert len(calls) == 1
+        alone = campaign.run_check(cfg.property, records[index]["instance"], cfg.root_tol)
+        assert records[index]["status"] == alone.status == "error"
+        assert records[index]["diagnostic"] == alone.diagnostic
+        assert "not certified" in alone.diagnostic
+
     def test_theorem1_chunk_builds_each_q_once(self, monkeypatch):
         # q = prod (z - w_i) is asked for by the generator and by the
         # check, and built once; nothing is reused after the chunk
         asked, built = [], []
-        build = poly._build_products
+        products = poly._products
 
         def asking(points):
             asked.append(np.array(points, dtype=complex).tobytes())
@@ -320,11 +352,11 @@ class TestSolveOnce:
 
         def building(sets):
             built.extend(np.array(pts, dtype=complex).tobytes() for pts in sets)
-            return build(sets)
+            return products(sets)
 
         monkeypatch.setattr(campaign, "Product", asking)
         monkeypatch.setattr(coincidence, "Product", asking)
-        monkeypatch.setattr(poly, "_build_products", building)
+        monkeypatch.setattr(poly, "_products", building)
         cfg = CampaignConfig(property="theorem1_convex", trials=40, seed=2, n_min=2, n_max=12)
         _run_chunk(cfg, 0, cfg.trials)
         assert built and sorted(built) == sorted(set(asked))
@@ -338,19 +370,14 @@ class TestSolveOnce:
         # the coincidence value reads e_k from the product the chunk built
         # for grace's a or theorem 1's q, and theorem 2's check reads its
         # generator's disk-frame polynomial: each product is built once,
-        # one by one or in a round's batched pass
+        # in a round's batched pass
         built = []
-        product, products = poly._product, poly._products
-
-        def building(pts):
-            built.append(np.array(pts, dtype=complex).tobytes())
-            return product(pts)
+        products = poly._products
 
         def batching(sets):
-            built.extend(w.tobytes() for w in sets)
+            built.extend(np.array(pts, dtype=complex).tobytes() for pts in sets)
             return products(sets)
 
-        monkeypatch.setattr(poly, "_product", building)
         monkeypatch.setattr(poly, "_products", batching)
         cfg = CampaignConfig(property=prop, trials=40, seed=2, n_min=2, n_max=12)
         records = _run_chunk(cfg, 0, cfg.trials)
@@ -366,15 +393,15 @@ class TestSolveOnce:
                     if len(inst["multiaffine"]["E"]) - 1 < inst["multiaffine"]["n"])
         w = np.array(jsonio.points_from_json(inst["points"]), dtype=complex).tobytes()
         built = []
-        product = poly._product
+        products = poly._products
 
-        def building(pts):
-            built.append(np.array(pts, dtype=complex).tobytes())
-            return product(pts)
+        def building(sets):
+            built.append([np.array(pts, dtype=complex).tobytes() for pts in sets])
+            return products(sets)
 
-        monkeypatch.setattr(poly, "_product", building)
+        monkeypatch.setattr(poly, "_products", building)
         assert campaign.run_check(cfg.property, inst, cfg.root_tol).status == "pass"
-        assert built == [w]
+        assert built == [[w]]
 
     def test_nothing_is_reused_outside_a_chunk(self, monkeypatch):
         asked, solved = self.count_rows(monkeypatch)
@@ -435,17 +462,17 @@ class TestGeneratorCores:
         # outside a chunk nothing keeps the diagonal equation's roots, so
         # a plain call neither builds it nor asks for it
         built, asked = [], []
-        diagonal_equation, find_roots_many = campaign._diagonal_equation, rootfind.find_roots_many
+        diagonal_equation, solve = campaign._diagonal_equation, rootfind._solve
         monkeypatch.setattr(campaign, "_diagonal_equation",
                             lambda *a: built.append(a) or diagonal_equation(*a))
-        monkeypatch.setattr(rootfind, "find_roots_many",
-                            lambda polys, tol: asked.append(len(polys))
-                            or find_roots_many(polys, tol))
+        monkeypatch.setattr(rootfind, "_solve",
+                            lambda cs, tol: asked.append(len(cs)) or solve(cs, tol))
         cfg = CampaignConfig(property="theorem1_convex", trials=40, seed=8)
         gen, _ = PROPERTIES[cfg.property]
         for i in range(cfg.trials):
             gen(random.Random(trial_seed(cfg.seed, i)), cfg)
-        assert built == [] and 0 in asked and max(asked) == 1
+        # one row at most per call, and none at m = n
+        assert built == [] and 0 < len(asked) < cfg.trials and max(asked) == 1
 
     def test_generation_error_is_a_failed_generation(self):
         # at 1e-30 no q^(n-m) above degree 1 is certified: such a trial
@@ -479,13 +506,13 @@ class TestRootTolerance:
                                       "theorem1_exterior", "theorem2", "gauss_lucas"])
     def test_root_finds_honour_root_tol(self, monkeypatch, prop):
         requests = []
-        find_roots_many = rootfind.find_roots_many
+        solve = rootfind._solve
 
-        def recording(polys, tol):
-            requests.extend((p.degree(), tol) for p in polys)
-            return find_roots_many(polys, tol)
+        def recording(cs, tol):
+            requests.extend((len(c) - 1, tol) for c in cs)
+            return solve(cs, tol)
 
-        monkeypatch.setattr(rootfind, "find_roots_many", recording)
+        monkeypatch.setattr(rootfind, "_solve", recording)
         cfg = CampaignConfig(property=prop, trials=20, seed=1,
                              n_min=3 if prop == "theorem2" else 2, root_tol=1e-30)
         for i in range(cfg.trials):

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from polygeom import poly
 from polygeom.coincidence import (
     SymmetricMultiaffine,
     coincidence_witness,
@@ -143,6 +144,19 @@ class TestProofIdentity:
         for _ in range(500):
             P, w = random_instance(rng)
             assert theorem1_apolarity_residual(P, w) <= 1e-10
+
+    def test_builds_its_product_once(self, monkeypatch):
+        # q and the diagonal equation are read from one product, with the
+        # bits the residual had when each built its own
+        built = []
+        product = poly._product
+        monkeypatch.setattr(poly, "_product", lambda pts: built.append(pts) or product(pts))
+        P = SymmetricMultiaffine(5, [0.3 - 1j, 2 + 0.5j, -1.25j, 0.75])
+        w = [1 + 2j, -0.5j, 3, -2 + 0.25j, 0.125 - 1j]
+        assert theorem1_apolarity_residual(P, w).hex() == "0x1.b9c8e91c70e0cp-57"
+        assert len(built) == 1
+        theorem1_apolarity_residual(P, w)
+        assert len(built) == 2
 
     def test_m_equals_n(self):
         rng = random.Random(10)

@@ -25,6 +25,35 @@ def approx_complex(actual, expected, tol=1e-12):
     assert abs(actual - expected) <= tol * (1 + abs(expected))
 
 
+# CPython rounds each product and each sum of a complex multiply on its
+# own, unless its compiler fuses a*b - c*d into one operation: at
+# x = 1 + 2**-27, x*x - x*x and x*x + x*-x are 0 only when both products
+# are rounded alone. The batched products drive_many sends emulate the
+# separate rounding, so only then do they have the scalar _product's bits
+_X = complex(1 + 2.0**-27, 1 + 2.0**-27)
+SEPARATE_ROUNDING = (_X * _X).real == 0.0 and (_X * _X.conjugate()).imag == 0.0
+FUSED = "this CPython fuses the multiply and the add of a complex product"
+separate_rounding = pytest.mark.skipif(not SEPARATE_ROUNDING, reason=FUSED)
+
+
+def batched_passes(monkeypatch) -> list[int]:
+    """The number of point sets of each batched pass, poly._products."""
+    passes = []
+    products = poly._products
+    monkeypatch.setattr(poly, "_products",
+                        lambda sets: passes.append(len(sets)) or products(sets))
+    return passes
+
+
+def sent_products(sets) -> list:
+    """What one drive_many call sends cores that each ask for the product
+    of one of the sets."""
+    def core(pts):
+        return (yield rootfind.Product(pts))
+
+    return rootfind.drive_many([core(pts) for pts in sets])
+
+
 class TestEval:
     def test_root_of_unity(self):
         p = Polynomial([1, 0, 1])  # z^2 + 1
@@ -91,7 +120,7 @@ class TestFromRoots:
         with pytest.raises(InvalidInput):
             from_roots([])
 
-    def test_reuse_scope_builds_each_point_list_once(self):
+    def test_one_call_builds_each_point_list_once(self):
         # one drive_many call builds the product of equal points once
         def core(points):
             return (yield rootfind.Product(points))
@@ -178,24 +207,19 @@ class TestElementarySymmetricFromTheProduct:
         for pts in point_sets(random.Random(14)):
             assert elementary_symmetric_all(pts) == recurrence_reference(pts)
 
-    def test_equal_within_a_reuse_scope(self, monkeypatch):
+    @separate_rounding
+    def test_two_cores_of_one_call_read_one_product(self, monkeypatch):
         # two cores of one drive_many call read e_k from one product,
         # built once
-        built = []
-        product = poly._product
-
-        def building(pts):
-            built.append(pts)
-            return product(pts)
+        passes = batched_passes(monkeypatch)
 
         def core(pts):
             return poly._symmetric_from_product((yield rootfind.Product(pts)))
 
-        monkeypatch.setattr(poly, "_product", building)
         for pts in point_sets(random.Random(15)):
-            del built[:]
+            del passes[:]
             e, again = rootfind.drive_many([core(pts), core(pts)])
-            assert len(built) == 1
+            assert passes == [1]
             assert e == again == recurrence_reference(pts)
 
     def test_multiaffine_value_equal_to_the_recurrence(self):
@@ -318,16 +342,11 @@ SCALAR_PRODUCT = poly._product
 
 
 class TestBatchedProducts:
-    # drive_many builds a round's products in one batched pass that must
-    # give each the bits of the scalar _product
-    @staticmethod
-    def built(monkeypatch, sets):
-        """_build_products of the sets, and the sets the scalar _product
-        built."""
-        scalar = []
-        monkeypatch.setattr(poly, "_product", lambda pts: scalar.append(pts)
-                            or SCALAR_PRODUCT(pts))
-        return poly._build_products([tuple(map(complex, pts)) for pts in sets]), scalar
+    # drive_many builds a round's products in one batched pass, which
+    # gives each the bits of the scalar _product where CPython rounds a
+    # complex multiply's products alone
+    OVERFLOWING = [[1e200, 1e200, 1], [1e300j, 1e300, 2]]
+    OVERFLOW_TEXTS = ["non-finite value (-inf+nanj)", "non-finite value (nan-infj)"]
 
     @staticmethod
     def mixed_sets(seed):
@@ -338,57 +357,65 @@ class TestBatchedProducts:
         return sets + [zeros, zeros[::-1] + [1j, -1], [complex(-0.0, -0.0)] * 5,
                        [1 + 1j] * 7, [-0.5j, 2, 2, -0.5j, 2], [3 - 1j]]
 
+    @separate_rounding
     @pytest.mark.filterwarnings("error")
     def test_equal_to_the_product_in_bits(self, monkeypatch):
         sets = self.mixed_sets(21)
-        out, scalar = self.built(monkeypatch, sets)
+        passes = batched_passes(monkeypatch)
+        out = sent_products(sets)
+        assert passes == [len(sets)]
         for pts, c in zip(sets, out):
             assert bits(c) == product_bits(pts)
-        # the batch built every one, unless this CPython fuses the
-        # multiply and the add of a complex product
-        assert scalar == [] or not poly._SEPARATE_ROUNDING
 
+    @separate_rounding
     @pytest.mark.filterwarnings("error")
     def test_batch_of_one(self):
-        if not poly._SEPARATE_ROUNDING:
-            pytest.skip("this CPython fuses the multiply and the add of a complex product")
         for pts in ([complex(-0.0, 0.0)], [0.25 - 3j, complex(0.0, -0.0), 0.25 - 3j],
                     self.mixed_sets(22)[0]):
             c, = poly._products([np.array(pts, dtype=complex)])
             assert bits(c) == product_bits(pts)
 
-    def test_few_short_sets_are_built_one_by_one(self, monkeypatch):
+    @separate_rounding
+    def test_few_short_sets_are_built_in_one_pass(self, monkeypatch):
         sets = [[1 + 2j, -3j], [0.5j, 2, -1]]
-        batches = []
-        monkeypatch.setattr(poly, "_products", batches.append)
-        out, scalar = self.built(monkeypatch, sets)
-        assert batches == [] and len(scalar) == 2
+        passes = batched_passes(monkeypatch)
+        out = sent_products(sets)
+        assert passes == [2]
         assert [bits(c) for c in out] == [product_bits(pts) for pts in sets]
 
-    def test_nothing_is_built_ahead_where_a_complex_multiply_fuses(self, monkeypatch):
-        # no batched pass: _product builds every set
-        monkeypatch.setattr(poly, "_SEPARATE_ROUNDING", False)
-        sets = self.mixed_sets(25)
-        batches = []
-        monkeypatch.setattr(poly, "_products", batches.append)
-        out, scalar = self.built(monkeypatch, sets)
-        assert batches == [] and len(scalar) == len(sets)
-        assert [bits(c) for c in out] == [product_bits(pts) for pts in sets]
+    @separate_rounding
+    @pytest.mark.filterwarnings("error")
+    def test_a_product_that_overflows_keeps_the_pass_bits(self, monkeypatch):
+        # the batched pass's row of a product that overflows is sent as it
+        # is: the bits of _product, for which from_roots raises
+        sets = self.mixed_sets(23)
+        passes = batched_passes(monkeypatch)
+        out = sent_products(sets + self.OVERFLOWING)
+        assert passes == [len(sets) + len(self.OVERFLOWING)]
+        for pts, c in zip(sets + self.OVERFLOWING, out):
+            assert bits(c) == product_bits(pts)
+        for pts, c, text in zip(self.OVERFLOWING, out[len(sets):], self.OVERFLOW_TEXTS):
+            for build in (lambda: Polynomial(c), lambda: from_roots(pts)):
+                with pytest.raises(InvalidInput) as e:
+                    build()
+                assert str(e.value) == text
 
     @pytest.mark.filterwarnings("error")
-    def test_a_product_that_overflows_is_not_kept(self, monkeypatch):
-        # the batched pass's row of a product that overflows is built
-        # again by _product, whose bits from_roots raises for
-        if not poly._SEPARATE_ROUNDING:
-            pytest.skip("this CPython fuses the multiply and the add of a complex product")
-        sets = self.mixed_sets(23)
-        over = [[1e200, 1e200, 1], [1e300j, 1e300, 2]]
-        out, scalar = self.built(monkeypatch, sets + over)
-        assert scalar == [tuple(map(complex, pts)) for pts in over]
-        for pts, c in zip(sets + over, out):
-            assert bits(c) == product_bits(pts)
-        for pts, c, text in zip(over, out[len(sets):], ("non-finite value (-inf+nanj)",
-                                                        "non-finite value (nan-infj)")):
+    def test_a_product_has_the_same_bits_alone_and_in_a_batch(self, monkeypatch):
+        # 200 sets, signed zeros and two overflowing ones among them, each
+        # asked for by one of 200 cores of one call and by the one core of
+        # a call of its own: each call builds its products in one pass,
+        # with the same bits
+        sets = self.mixed_sets(27)[8:] + self.OVERFLOWING
+        passes = batched_passes(monkeypatch)
+        together = sent_products(sets)
+        alone = [sent_products([pts])[0] for pts in sets]
+        assert passes == [200] + [1] * 200
+        assert [bits(c) for c in together] == [bits(c) for c in alone]
+        if not SEPARATE_ROUNDING:
+            pytest.skip(FUSED)
+        assert [bits(c) for c in together] == [product_bits(pts) for pts in sets]
+        for pts, c, text in zip(self.OVERFLOWING, together[198:], self.OVERFLOW_TEXTS):
             for build in (lambda: Polynomial(c), lambda: from_roots(pts)):
                 with pytest.raises(InvalidInput) as e:
                     build()
@@ -404,11 +431,10 @@ class TestBatchedProducts:
             elementary_symmetric_all(pts)
         assert batches == []
 
+    @separate_rounding
     def test_non_finite_points_are_left_to_from_roots(self, monkeypatch):
         # drive_many throws from_roots' error into a core whose points it
         # rejects, and builds the others' products in one pass
-        if not poly._SEPARATE_ROUNDING:
-            pytest.skip("this CPython fuses the multiply and the add of a complex product")
         sets, bad = self.mixed_sets(26), [[1, complex("nan")], []]
 
         def core(pts):
@@ -417,12 +443,9 @@ class TestBatchedProducts:
             except InvalidInput as e:
                 return str(e)
 
-        batches = []
-        products = poly._products
-        monkeypatch.setattr(poly, "_products",
-                            lambda sets: batches.append(len(sets)) or products(sets))
+        passes = batched_passes(monkeypatch)
         out = rootfind.drive_many([core(pts) for pts in sets + bad])
-        assert batches == [len(sets)]
+        assert passes == [len(sets)]
         assert out[:len(sets)] == [product_bits(pts) for pts in sets]
         for pts, text in zip(bad, out[len(sets):]):
             with pytest.raises(InvalidInput) as e:

@@ -323,7 +323,7 @@ class TestBatch:
         assert len({p.degree() for p in ps}) >= 20
         assert [outcome(m) for m in find_roots_many(ps)] == [outcome(alone(p)) for p in ps]
 
-    def test_reuse_scope_returns_root_sets_and_solves_errors_again(self, monkeypatch):
+    def test_one_call_keeps_every_outcome(self, monkeypatch):
         solved = []
         solve = rootfind._solve
 
@@ -340,12 +340,32 @@ class TestBatch:
             return first, again
 
         (first, again), = drive_many([core()])
-        assert isinstance(first[0], NonConvergence) and isinstance(again[0], NonConvergence)
-        assert again[1] is first[1]
-        # bad twice, good once
-        assert len(solved) == 3
+        assert isinstance(first[0], NonConvergence)
+        # the error is kept as the root set is: each is solved once
+        assert again[0] is first[0] and again[1] is first[1]
+        assert len(solved) == 2
         (other_tol, _), = drive_many([core()], tol=1e-10)
-        assert other_tol[1] is not first[1] and len(solved) == 6
+        assert other_tol[1] is not first[1] and len(solved) == 4
+
+    def test_checks_and_solves_in_the_driver(self, monkeypatch):
+        # find_roots_many is drive_many over one-request cores: the degree
+        # is checked before the tolerance, and _solve is reached through
+        # drive_many alone
+        calls = []
+        drive, solve = rootfind.drive_many, rootfind._solve
+        monkeypatch.setattr(rootfind, "drive_many",
+                            lambda cores, tol: calls.append("drive") or drive(cores, tol))
+        monkeypatch.setattr(rootfind, "_solve",
+                            lambda cs, tol: calls.append("solve") or solve(cs, tol))
+        ps = [Polynomial([1]), Polynomial([-1, 0, 1]), Polynomial([])]
+        bad = find_roots_many(ps, tol=math.inf)
+        assert [type(e) for e in bad] == [InvalidDegree, InvalidInput, InvalidDegree]
+        assert str(bad[0]) == "find_roots needs degree >= 1"
+        assert str(bad[1]) == "tol must be finite and > 0, got inf"
+        assert calls == ["drive"]
+        good = find_roots_many(ps)
+        assert isinstance(good[0], InvalidDegree) and len(good[1].roots) == 2
+        assert calls == ["drive", "drive", "solve"]
 
     def test_collapse_error_fails_only_its_row(self):
         # the multiple-root collapse of the second row overflows its
@@ -623,9 +643,10 @@ class TestDrive:
             drive(core())
         assert seen == ["thrown"]
 
-    def test_cached_requests_are_answered_first(self, monkeypatch):
-        # once both cores' p1 is found, A's second p1 is answered without
-        # the solver, and A's p2 then waits for B's p3: one solve holds both
+    def test_a_round_solves_only_what_the_call_has_not(self, monkeypatch):
+        # once both cores' p1 is found, A's second p1 is answered from the
+        # call's table in the round that solves B's p3 alone, and A's p2
+        # is solved in the round after
         p1, p2, p3 = from_roots([1, 2]), from_roots([3j, -1, 2]), Polynomial([1, 1, 1])
         batches = []
         solve = rootfind._solve
@@ -642,7 +663,7 @@ class TestDrive:
         out = drive_many([a(), self.core(p1, p3)])
         assert out == [5, 4]
         rows = lambda *ps: sorted(np.array(p.coeffs[::-1], dtype=complex).tobytes() for p in ps)
-        assert batches == [rows(p1), rows(p2, p3)]
+        assert batches == [rows(p1), rows(p3), rows(p2)]
 
     def test_a_list_is_sent_every_outcome(self):
         def core():
@@ -655,11 +676,9 @@ class TestDrive:
         # one round builds both cores' products in one call, the next
         # finds both their roots in one solve
         events = []
-        build, product, solve = poly._build_products, poly._product, rootfind._solve
-        monkeypatch.setattr(poly, "_build_products",
-                            lambda sets: events.append(("build", len(sets))) or build(sets))
-        monkeypatch.setattr(poly, "_product",
-                            lambda pts: events.append(("product", len(pts))) or product(pts))
+        products, solve = poly._products, rootfind._solve
+        monkeypatch.setattr(poly, "_products",
+                            lambda sets: events.append(("build", len(sets))) or products(sets))
         monkeypatch.setattr(rootfind, "_solve",
                             lambda cs, tol: events.append(("solve", len(cs))) or solve(cs, tol))
 
@@ -667,18 +686,18 @@ class TestDrive:
             return len((yield Polynomial((yield Product(pts)))).roots)
 
         assert drive_many([core([1, 2j]), core([3, -1, 0.5j])]) == [2, 3]
-        assert events == [("build", 2), ("product", 2), ("product", 3), ("solve", 2)]
+        assert events == [("build", 2), ("solve", 2)]
         events.clear()
         assert drive(core([1, 2j])) == 2
-        assert events == [("build", 1), ("product", 2), ("solve", 1)]
+        assert events == [("build", 1), ("solve", 1)]
 
     def test_nothing_is_kept_across_calls(self, monkeypatch):
         # a second drive_many call builds the same points and solves the
         # same polynomial again
         events = []
-        product, solve = poly._product, rootfind._solve
-        monkeypatch.setattr(poly, "_product",
-                            lambda pts: events.append("product") or product(pts))
+        products, solve = poly._products, rootfind._solve
+        monkeypatch.setattr(poly, "_products",
+                            lambda sets: events.append("product") or products(sets))
         monkeypatch.setattr(rootfind, "_solve",
                             lambda cs, tol: events.append("solve") or solve(cs, tol))
 

@@ -42,7 +42,7 @@ from .errors import (
 )
 from .poly import N_MAX, Polynomial, from_roots
 from .regions import MEMBERSHIP_TOL, disk, exterior_disk, half_plane, smallest_enclosing_disk
-from .rootfind import DEFAULT_TOL, Product, _valid_tol, drive_many
+from .rootfind import DEFAULT_TOL, Product, _valid_tol, drive, drive_many
 
 PASS = "pass"
 FAIL = "fail"
@@ -146,17 +146,13 @@ class CampaignReport:
 def _generator(make):
     """An instance generator from its core, make(rng, cfg), which yields
     like a check (see rootfind.drive_many) and returns the instance dict:
-    gen(rng, cfg) drives the core at cfg.root_tol and returns its dict or
-    raises its error, and gen(rng, cfg, core=True) returns the core, for
-    a campaign chunk to drive with its trial's check."""
+    gen(rng, cfg) runs the core through rootfind.drive at cfg.root_tol and
+    returns its dict or raises its error, and gen(rng, cfg, core=True)
+    returns the core, for a campaign chunk to drive with its trial's
+    check."""
     def gen(rng: random.Random, cfg: CampaignConfig, core: bool = False):
         started = make(rng, cfg)
-        if core:
-            return started
-        out, = drive_many([started], cfg.root_tol)
-        if isinstance(out, PolygeomError):
-            raise out
-        return out
+        return started if core else drive(started, cfg.root_tol)
 
     return gen
 

@@ -28,27 +28,31 @@ elementwise or per row, and each sum over a row's roots has that row's
 own length, so a polynomial gets the same bits in any batch as alone.
 What a pass holds does not grow with the batch: the singleton test runs
 over blocks of rows whose (rows, n, n) adjacency keeps near 1 MB, and
-each Horner evaluation gathers the coefficient columns of its roots in
-blocks of as many entries.
+``_horner``, through which every evaluation over the batch runs (p, p',
+and the scale of each residual), gathers the coefficient columns of its
+points in blocks of as many entries.
 
 Checks and campaign generators that need roots or products are written
 as generators (cores): a core yields a Polynomial and is sent its
 RootSet, or has the root finder's error thrown in at the yield; it may
 yield a list of Polynomials and be sent each one's outcome; and it may
 yield a ``Product`` of points and be sent the ascending coefficients of
-prod (z - w), built by ``poly._products``. ``drive`` runs one core,
-``drive_many`` runs many in lockstep: each round either builds the
-products its cores asked for, in one ``poly._products`` pass, or finds
-the roots they asked for, in one ``_solve`` call. ``find_roots_many`` is
-``drive_many`` over cores that ask once, so every root find takes this
-path. A ``drive_many`` call (a campaign chunk, or one check) builds each
-product once and solves each polynomial once, and keeps every outcome,
-an error too, until it returns.
+prod (z - w), built by ``poly._products``. ``drive_many`` runs many
+cores in lockstep: each round either builds the products its cores asked
+for, in one ``poly._products`` pass, or finds the roots they asked for,
+in one ``_solve`` call. ``drive(core, tol)`` runs one core and raises its
+error; ``find_roots`` is ``drive`` over a core that asks for one
+polynomial, and ``find_roots_many`` over one that asks for the whole
+list, so every root find takes this path. A ``drive_many`` call (a
+campaign chunk, or one check) builds each product once and solves each
+polynomial once, and keeps every outcome, an error too, until it
+returns.
 """
 
 from __future__ import annotations
 
 import cmath
+import copy
 import itertools
 import math
 import numbers
@@ -114,45 +118,29 @@ def _polyder(c: np.ndarray) -> np.ndarray:
     return c[:-1] * np.arange(len(c) - 1, 0, -1).reshape((-1,) + (1,) * (c.ndim - 1))
 
 
-def _blocks(c: np.ndarray, size: int) -> list[slice]:
-    """Slices that cut range(size) into blocks of roots whose gathered
-    columns of c hold at most _BLOCK_ENTRIES entries (at least one root
-    each), so that what an evaluation gathers does not grow with the
-    batch."""
-    step = max(1, _BLOCK_ENTRIES // len(c))
-    return [slice(lo, lo + step) for lo in range(0, size, step)]
-
-
 def _horner(c: np.ndarray, row: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """np.polyval(c[:, row], z), gathered block by block; the same bits,
-    as every step of the evaluation is elementwise."""
+    """np.polyval(c[:, row], z): the only gather of coefficient columns,
+    one column per point, made in blocks of points whose columns hold at
+    most _BLOCK_ENTRIES entries (at least one point each), so that what an
+    evaluation gathers does not grow with the batch. The same bits as one
+    gather, as every step of the evaluation is elementwise."""
     out = np.empty_like(z)
-    for b in _blocks(c, z.size):
+    step = max(1, _BLOCK_ENTRIES // len(c))
+    for lo in range(0, z.size, step):
+        b = slice(lo, lo + step)
         out[b] = np.polyval(c[:, row[b]], z[b])
     return out
 
 
-def _scaled_residuals(ac: np.ndarray, z: np.ndarray, pz: np.ndarray) -> np.ndarray:
-    """|p(z)| / sum_k |a_k| max(1, |z|)**k, given pz = p(z) and the
-    moduli ac of p's coefficients in descending order; the denominator
-    is ``np.polyval`` of ac at max(1, |z|).
-
-    NaN or inf where the evaluation overflows; neither passes a
-    ``<= tol`` test.
-    """
-    return np.abs(pz) / np.polyval(ac, np.maximum(1.0, np.abs(z)))
-
-
 def _evaluate(c: np.ndarray, ac: np.ndarray, row: np.ndarray,
               z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """p(z) and the scaled residuals of the points z[i] under the
-    polynomial in column row[i] of c, whose coefficients have the moduli
-    ac; both gathered block by block."""
-    pz, res = np.empty_like(z), np.empty(z.shape)
-    for b in _blocks(c, z.size):
-        pz[b] = np.polyval(c[:, row[b]], z[b])
-        res[b] = _scaled_residuals(ac[:, row[b]], z[b], pz[b])
-    return pz, res
+    """p(z) and the scaled residuals |p(z)| / sum_k |a_k| max(1, |z|)**k
+    of the points z[i] under the polynomial in column row[i] of c, whose
+    coefficients have the moduli ac; the denominator is ac evaluated at
+    max(1, |z|). NaN or inf where the evaluation overflows; neither passes
+    a ``<= tol`` test."""
+    pz = _horner(c, row, z)
+    return pz, np.abs(pz) / _horner(ac, row, np.maximum(1.0, np.abs(z)))
 
 
 def _companion_eigvals(c: np.ndarray) -> np.ndarray:
@@ -330,7 +318,9 @@ def _collapse_multiple(rc: np.ndarray, roots: list[complex], tol: float) -> list
                 break
         spread_cap = 10.0 * (1.0 + abs(z)) * (1e-13) ** (1.0 / m)
         spread = max(abs(roots[i] - z) for i in g)
-        certified = _scaled_residuals(np.abs(rc), z, np.polyval(rc, z)) <= tol
+        # the scaled residual, as _evaluate takes it: a NaN z fails
+        certified = (np.abs(np.polyval(rc, z))
+                     / np.polyval(np.abs(rc), np.maximum(1.0, np.abs(z)))) <= tol
         if spread <= spread_cap and certified:
             for i in g:
                 out[i] = z
@@ -465,8 +455,9 @@ def _coeff_row(p: Polynomial) -> np.ndarray:
     return np.array(p.coeffs[::-1], dtype=complex)
 
 
-def _asking(p: Polynomial):
-    """A core that asks for p's roots and returns its RootSet."""
+def _asking(p: Polynomial | list[Polynomial]):
+    """A core that asks once, for p's roots or for each outcome of a list,
+    and returns what it is sent."""
     return (yield p)
 
 
@@ -474,10 +465,10 @@ def find_roots_many(
     polys: list[Polynomial], tol: float = DEFAULT_TOL
 ) -> list[RootSet | PolygeomError]:
     """find_roots of every polynomial: its RootSet, or the error
-    find_roots would raise for it. drive_many over one core per
-    polynomial, so the rows are solved in one _solve pass, and each gets
+    find_roots would raise for it. drive over one core that asks for the
+    whole list, so the rows are solved in one _solve pass, and each gets
     the same bits as it would alone."""
-    return drive_many([_asking(p) for p in polys], tol)
+    return drive(_asking(list(polys)), tol)
 
 
 def find_roots(p: Polynomial, tol: float = DEFAULT_TOL) -> RootSet:
@@ -487,10 +478,7 @@ def find_roots(p: Polynomial, tol: float = DEFAULT_TOL) -> RootSet:
     residual exceeds tol, or is NaN, after MAX_ITER sweeps and polishing;
     InvalidInput when tol is not finite and positive.
     """
-    out = find_roots_many([p], tol)[0]
-    if isinstance(out, PolygeomError):
-        raise out
-    return out
+    return drive(_asking(p), tol)
 
 
 class Product(NamedTuple):
@@ -503,20 +491,20 @@ class Product(NamedTuple):
 def drive_many(cores: list, tol: float = DEFAULT_TOL) -> list:
     """Run root-requesting generators in lockstep.
 
-    A core yields a Polynomial and is sent its RootSet, or has the error
-    find_roots would raise thrown in at the yield; or it yields a list of
-    Polynomials and is sent the outcome of each, a RootSet or that error;
-    or it yields a Product and is sent the coefficients of prod (z - w)
-    over its points (they may not be finite), or has the InvalidInput
-    thrown in that from_roots raises for the points. A round answers every
-    pending Product, while there are any, with one poly._products pass
-    over the point sets not built before; otherwise it answers every
-    pending root request, with one _solve over the polynomials not solved
-    before. A polynomial is keyed by its coefficient bytes when it is
-    asked for, and a point set by its bytes (a signed zero is another
-    point); each outcome, a product, a RootSet or an error, is kept in
-    the call's table until it returns. Returns what each core returned,
-    or the PolygeomError it raised.
+    A core yields a Polynomial and is sent its RootSet, or has its own
+    copy of the error find_roots would raise thrown in at the yield; or it
+    yields a list of Polynomials and is sent the outcome of each, a
+    RootSet or that error; or it yields a Product and is sent the
+    coefficients of prod (z - w) over its points (they may not be
+    finite), or has the InvalidInput thrown in that from_roots raises for
+    the points. A round answers every pending Product, while there are
+    any, with one poly._products pass over the point sets not built
+    before; otherwise it answers every pending root request, with one
+    _solve over the polynomials not solved before. A polynomial is keyed
+    by its coefficient bytes when it is asked for, and a point set by its
+    bytes (a signed zero is another point); each outcome, a product, a
+    RootSet or an error, is kept in the call's table until it returns.
+    Returns what each core returned, or the PolygeomError it raised.
     """
     out: list = [None] * len(cores)
     valid_tol = _valid_tol(tol)
@@ -584,16 +572,18 @@ def drive_many(cores: list, tol: float = DEFAULT_TOL) -> list:
             if many:
                 advance(i, cores[i].send, res)
             elif isinstance(res[0], PolygeomError):
-                advance(i, cores[i].throw, res[0])
+                # a copy, so that the throw adds only this core's frames
+                # to its traceback
+                advance(i, cores[i].throw, copy.copy(res[0]))
             else:
                 advance(i, cores[i].send, res[0])
     return out
 
 
-def drive(core):
-    """Run one root-requesting generator to completion at DEFAULT_TOL;
-    raise what it raises."""
-    out, = drive_many([core])
+def drive(core, tol: float = DEFAULT_TOL):
+    """Run one root-requesting generator to completion at tol (see
+    drive_many); return what it returns, or raise what it raises."""
+    out, = drive_many([core], tol)
     if isinstance(out, PolygeomError):
         raise out
     return out

@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 import struct
+import traceback
 
 import mpmath
 import numpy as np
@@ -10,11 +11,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polygeom import poly, rootfind
-from polygeom.errors import InvalidDegree, InvalidInput, NonConvergence, PolygeomError
+from polygeom.errors import (
+    HypothesisViolated,
+    InvalidDegree,
+    InvalidInput,
+    NonConvergence,
+    PolygeomError,
+)
 from polygeom.poly import Polynomial, from_roots
 from polygeom.rootfind import (
     Product,
-    _scaled_residuals,
     _single_linkage,
     cauchy_bound,
     drive,
@@ -228,8 +234,10 @@ class TestArrayHelpers:
         for deg in (1, 7, 30, 60):
             p = Polynomial(random_unit_box(rng, deg))
             zs = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(20)]
-            rc = np.asarray(p.coeffs[::-1])
-            got = _scaled_residuals(np.abs(rc), np.asarray(zs), np.polyval(rc, np.asarray(zs)))
+            # one column of coefficients, which every point reads
+            rc = np.asarray(p.coeffs[::-1], dtype=complex)[:, None]
+            got = rootfind._evaluate(rc, np.abs(rc), np.zeros(len(zs), dtype=int),
+                                     np.asarray(zs))[1]
             for z, r in zip(zs, got):
                 scale = sum(abs(c) * max(1.0, abs(z)) ** k for k, c in enumerate(p.coeffs))
                 assert r == pytest.approx(abs(p(z)) / scale, rel=1e-12)
@@ -348,9 +356,10 @@ class TestBatch:
         assert other_tol[1] is not first[1] and len(solved) == 4
 
     def test_checks_and_solves_in_the_driver(self, monkeypatch):
-        # find_roots_many is drive_many over one-request cores: the degree
-        # is checked before the tolerance, and _solve is reached through
-        # drive_many alone
+        # find_roots_many is drive over one core that asks for the whole
+        # list: the degree is checked before the tolerance, each error
+        # comes back as a value, and _solve is reached through drive_many
+        # alone
         calls = []
         drive, solve = rootfind.drive_many, rootfind._solve
         monkeypatch.setattr(rootfind, "drive_many",
@@ -366,6 +375,15 @@ class TestBatch:
         good = find_roots_many(ps)
         assert isinstance(good[0], InvalidDegree) and len(good[1].roots) == 2
         assert calls == ["drive", "drive", "solve"]
+
+    def test_empty_list(self):
+        assert find_roots_many([]) == []
+
+    def test_equal_polynomials_share_one_outcome(self):
+        p, c = from_roots([1, 2j, -3]), Polynomial([1])
+        a, e, b, f = find_roots_many([p, c, Polynomial(list(p.coeffs)), Polynomial([1])])
+        assert isinstance(a, rootfind.RootSet) and a is b
+        assert isinstance(e, InvalidDegree) and e is f
 
     def test_collapse_error_fails_only_its_row(self):
         # the multiple-root collapse of the second row overflows its
@@ -408,21 +426,29 @@ class TestBatch:
     def test_gathers_span_blocks(self, monkeypatch):
         # 60 rows of degree 60: the sweep's first evaluations, the polish
         # and the residual pass gather 3600 coefficient columns of 61
-        # entries, in several blocks; a row alone fits in one
-        spans = []
-        blocks = rootfind._blocks
+        # entries, in several blocks; a row alone fits in one. spans holds,
+        # for each _horner call, the entries of each block it gathered
+        spans, gathered = [], []
+        horner, polyval = rootfind._horner, np.polyval
 
-        def recording(c, size):
-            out = blocks(c, size)
-            spans.append(len(out))
+        def gathering(c, z):
+            gathered.append(c.size)
+            return polyval(c, z)
+
+        def recording(c, row, z):
+            start = len(gathered)
+            out = horner(c, row, z)
+            spans.append(gathered[start:])
             return out
 
-        monkeypatch.setattr(rootfind, "_blocks", recording)
+        monkeypatch.setattr(np, "polyval", gathering)
+        monkeypatch.setattr(rootfind, "_horner", recording)
         rng = random.Random(60)
         ps = [Polynomial(random_unit_box(rng, 60)) for _ in range(60)]
         many = find_roots_many(ps)
         assert 60 * 60 >= 2 * (rootfind._BLOCK_ENTRIES // 61)
-        assert sum(n >= 2 for n in spans) >= 6 and max(spans) >= 4
+        assert sum(len(s) >= 2 for s in spans) >= 6 and max(map(len, spans)) >= 4
+        assert all(n <= rootfind._BLOCK_ENTRIES for s in spans for n in s)
         for m, p in zip(many, ps):
             one = alone(p)
             assert np.array(m.roots).tobytes() == np.array(one.roots).tobytes()
@@ -540,7 +566,7 @@ def aberth_reference(cs, tol, eigvals_max):
             break
         xa = flat[active]
         p = np.polyval(c[:, row], xa)
-        converged = _scaled_residuals(ac[:, row], xa, p) <= tol
+        converged = np.abs(p) / np.polyval(ac[:, row], np.maximum(1.0, np.abs(xa))) <= tol
         dp = np.polyval(dc[:, row], xa)
         w = np.where(p == 0, 0.0, p / np.where(dp == 0, 1e-300, dp))
         s = np.empty_like(xa)
@@ -642,6 +668,44 @@ class TestDrive:
         with pytest.raises(InvalidDegree):
             drive(core())
         assert seen == ["thrown"]
+
+    def test_solves_at_its_tol_and_raises_the_core_error(self, monkeypatch):
+        tols = []
+        solve = rootfind._solve
+        monkeypatch.setattr(rootfind, "_solve",
+                            lambda cs, tol: tols.append(tol) or solve(cs, tol))
+        mine = HypothesisViolated("the core's own")
+
+        def core():
+            yield Polynomial([-1, 0, 1])
+            raise mine
+
+        with pytest.raises(HypothesisViolated) as exc:
+            drive(core(), 1e-10)
+        assert exc.value is mine
+        assert drive(self.core(Polynomial([-1, 0, 1]), Polynomial([1, 1]))) == 3
+        assert tols == [1e-10, rootfind.DEFAULT_TOL, rootfind.DEFAULT_TOL]
+        with pytest.raises(InvalidInput, match="got 0"):
+            drive(core(), 0)
+
+    def test_each_thrown_error_has_its_own_traceback(self):
+        # the cores that ask for the same polynomial are each thrown their
+        # own copy of its one error, whose traceback holds only their frames
+        def core(p):
+            yield p
+
+        one, = drive_many([core(Polynomial([1]))])
+        many = drive_many([core(Polynomial([1])) for _ in range(5)])
+        depth = len(traceback.extract_tb(one.__traceback__))
+        assert len({id(e) for e in many}) == 5
+        assert all(type(e) is InvalidDegree and str(e) == str(one) for e in many)
+        assert [len(traceback.extract_tb(e.__traceback__)) for e in many] == [depth] * 5
+        # a copy carries the best-effort roots and residuals
+        bad = Polynomial([1e6] * 60 + [1])
+        a, b = drive_many([core(bad), core(bad)])
+        assert isinstance(a, NonConvergence) and a is not b
+        assert (a.roots, a.residuals, a.report) == (b.roots, b.residuals, b.report)
+        assert len(a.roots) == 60
 
     def test_a_round_solves_only_what_the_call_has_not(self, monkeypatch):
         # once both cores' p1 is found, A's second p1 is answered from the

@@ -8,6 +8,7 @@ explicitly and zero-pads both coefficient vectors to length n+1.
 
 from __future__ import annotations
 
+import math
 import random
 
 from .errors import DegreeTooLarge, InvalidInput
@@ -52,8 +53,14 @@ def apolarity_residual(a: Polynomial, b: Polynomial, n: int) -> float:
 
 
 def is_apolar(a: Polynomial, b: Polynomial, n: int) -> bool:
-    """True iff the pairing vanishes relative to its own magnitude scale."""
-    return apolarity_residual(a, b, n) <= APOLARITY_RTOL
+    """True iff the pairing vanishes relative to its own magnitude scale.
+    A residual that is NaN or inf, where the pairing overflows, decides
+    nothing: that pair is invalid input."""
+    res = apolarity_residual(a, b, n)
+    if not math.isfinite(res):
+        raise InvalidInput(f"the apolarity pairing overflows: A(a,b) = "
+                           f"{apolarity_functional(a, b, n)}")
+    return res <= APOLARITY_RTOL
 
 
 def make_apolar(a: Polynomial, n: int, seed: int) -> Polynomial:

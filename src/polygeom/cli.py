@@ -122,7 +122,7 @@ def _cmd_coincidence(args) -> int:
         return {
             "hypothesis": {
                 "holds": hyp.holds,
-                "derivative_roots": jsonio.points_to_json(hyp.derivative_roots.roots),
+                "derivative_roots": jsonio.points_to_json(hyp.derivative_roots),
                 "outside": jsonio.points_to_json(hyp.outside),
             },
             "apolarity_residual": (
@@ -155,7 +155,7 @@ def _cmd_theorem2(args) -> int:
     return _verdict(args, "theorem2", inst, lambda r: {
         "n": r.n, "k": r.k, "bound": r.bound, "count_in_disk": r.count_in_disk,
         "satisfied": r.satisfied, "vacuous": r.vacuous, "mean_residual": r.mean_residual,
-        "derivative_roots": jsonio.points_to_json(r.derivative_roots.roots)})
+        "derivative_roots": jsonio.points_to_json(r.derivative_roots)})
 
 
 def _cmd_fuzz(args) -> int:

@@ -14,13 +14,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .apolarity import apolarity_functional, apolarity_residual, is_apolar
-from .errors import (
-    DegenerateDiagonal,
-    DegreeTooLarge,
-    HypothesisViolated,
-    InvalidInput,
-    TheoremViolation,
-)
+from .errors import DegreeTooLarge, HypothesisViolated, InvalidInput, TheoremViolation
 from .poly import (
     N_MAX,
     Polynomial,
@@ -30,7 +24,7 @@ from .poly import (
     from_roots,
 )
 from .regions import CircularRegion, _modulus, contains
-from .rootfind import Product, RootSet, drive, exact_root_set
+from .rootfind import Product, drive
 
 # the band around a region within which a computed root counts as a witness
 WITNESS_TOL = 1e-6
@@ -71,7 +65,7 @@ class SymmetricMultiaffine:
 @dataclass(frozen=True)
 class HypothesisReport:
     holds: bool
-    derivative_roots: RootSet
+    derivative_roots: tuple[complex, ...]
     outside: tuple[complex, ...]
 
 
@@ -103,19 +97,21 @@ def polar(b: Polynomial, n: int) -> SymmetricMultiaffine:
 
 
 def _hypothesis_core(points: Sequence[complex], m: int, region: CircularRegion):
-    """theorem1_hypothesis as a core: yields the points, as a Product,
-    then q^(n-m), for its roots, unless m = n, where the zeros are the
-    points themselves."""
+    """theorem1_hypothesis as a core, and the one place a coincidence
+    hypothesis is tested: yields the points, as a Product, then q^(n-m),
+    for its roots, unless m = n, where the zeros are the points
+    themselves, so that Walsh's hypothesis is the m = n case. The report
+    holds the zeros it tested."""
     n = len(points)
     if n > N_MAX:
         raise DegreeTooLarge(f"n={n} exceeds N_MAX={N_MAX}")
     if not 1 <= m <= n:
         raise InvalidInput(f"need 1 <= m <= {n}, got m={m}")
     if m == n:
-        droots = exact_root_set(points)
+        droots = tuple(points)
     else:
-        droots = yield Polynomial((yield Product(points))).derivative(n - m)
-    outside = tuple(r for r in droots.roots if not contains(region, r))
+        droots = (yield Polynomial((yield Product(points))).derivative(n - m)).roots
+    outside = tuple(r for r in droots if not contains(region, r))
     return HypothesisReport(not outside, droots, outside)
 
 
@@ -123,7 +119,8 @@ def theorem1_hypothesis(points: Sequence[complex], m: int,
                         region: CircularRegion) -> HypothesisReport:
     """Do all zeros of q^(n-m) lie in the region, q = prod (z - w_i)?
 
-    m = n means the zeroth derivative: the points themselves.
+    m = n means the zeroth derivative: the points themselves, which is
+    Walsh's classical hypothesis. At most N_MAX points.
     """
     return drive(_hypothesis_core(points, m, region))
 
@@ -135,33 +132,28 @@ def _coincidence_core(
     check_hypothesis: bool = True,
     classic: bool = False,
 ):
-    """coincidence_witness as a core, and the one place a hypothesis is
-    checked and a witness picked: yields what the hypothesis core yields
-    (unless classic), then the points, as a Product, for the e_k of the
-    coincidence value, then the diagonal equation, for its roots. Returns
-    the witness and the theorem 1 hypothesis report (None when classic)."""
+    """coincidence_witness as a core, and the one place a witness is
+    picked: yields what the hypothesis core yields, at m = n when classic
+    and at the total degree (at least 1) otherwise, then the points, as a
+    Product, for the e_k of the coincidence value, then the diagonal
+    equation, for its roots. Returns the witness and the theorem 1
+    hypothesis report (None when classic)."""
     if len(points) != P.n:
         raise InvalidInput(f"expected {P.n} points, got {len(points)}")
 
-    hypothesis = None
-    if classic:
-        bad = [w for w in points if not contains(region, w)]
-        if bad and check_hypothesis:
-            raise HypothesisViolated(f"points outside region: {bad}")
-    else:
-        hypothesis = yield from _hypothesis_core(points, max(P.total_degree, 1), region)
-        if not hypothesis.holds and check_hypothesis:
-            raise HypothesisViolated(
-                f"derivative zeros outside region: {list(hypothesis.outside)}",
-                report=hypothesis,
-            )
+    hypothesis = yield from _hypothesis_core(
+        points, P.n if classic else max(P.total_degree, 1), region)
+    report = None if classic else hypothesis
+    if not hypothesis.holds and check_hypothesis:
+        what = "points" if classic else "derivative zeros"
+        raise HypothesisViolated(f"{what} outside region: {list(hypothesis.outside)}",
+                                 report=report)
 
     g = _diagonal_equation(P, (yield Product(points)))
-    if g.degree() < 1:
-        if g.is_zero:
-            # a constant P, say: the equation is an identity
-            return region.representative_point(), hypothesis
-        raise DegenerateDiagonal("diagonal minus value is a nonzero constant")
+    if g.is_zero:
+        # a constant P: the equation is an identity. Otherwise g has the
+        # degree m >= 1 of P, with leading coefficient E_m C(n, m)
+        return region.representative_point(), report
 
     groots = yield g
     inside = [
@@ -173,10 +165,10 @@ def _coincidence_core(
         raise TheoremViolation(
             f"no solution of the diagonal equation inside the region "
             f"(roots {list(groots.roots)})",
-            report=hypothesis,
+            report=report,
         )
     # the smallest residual, then the smallest modulus, then the first
-    return min(inside, key=lambda t: t[:2])[2], hypothesis
+    return min(inside, key=lambda t: t[:2])[2], report
 
 
 def coincidence_witness(
@@ -189,7 +181,9 @@ def coincidence_witness(
     """A point z in the region with p(w_1..w_n) = p(z,...,z).
 
     classic=True checks the original Walsh hypothesis (the points
-    themselves in the region) instead of the derivative-zero hypothesis.
+    themselves in the region), which is the derivative-zero hypothesis at
+    m = n, instead of the one at P's total degree. At most N_MAX points,
+    whichever hypothesis is checked.
     """
     return drive(_coincidence_core(P, points, region, check_hypothesis, classic))[0]
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .errors import DegreeTooLarge, InvalidInput, InvalidInstance
 from .poly import N_MAX, Polynomial, from_roots, mean_of_roots
 from .regions import CircularRegion, contains, convex_hull, disk, hull_distance
-from .rootfind import Product, RootSet, drive
+from .rootfind import Product, drive
 
 _MEAN_RTOL = 1e-12
 # the largest relative distance between the mean zero of p and of p^(k)
@@ -24,6 +24,8 @@ MEAN_RESIDUAL_TOL = 1e-12
 # the band of the disk test of a zero count, of inner-zero membership and
 # of the Gauss-Lucas hull distance
 _COUNT_TOL = 1e-7
+# the disk of a theorem 2 instance in its own frame
+_UNIT_DISK = disk(0j, 1.0)
 
 
 @dataclass(frozen=True)
@@ -51,10 +53,13 @@ class Theorem2Instance:
 
 @dataclass(frozen=True)
 class Theorem2Report:
+    """The count of the zeros of p^(k) in the closed disk against the
+    bound; derivative_roots are those zeros in the instance's frame."""
+
     n: int
     k: int
     bound: int
-    derivative_roots: RootSet
+    derivative_roots: tuple[complex, ...]
     count_in_disk: int
     satisfied: bool
     mean_residual: float
@@ -88,18 +93,8 @@ def _theorem2_core(inst: Theorem2Instance, k: int):
     c, r = inst.disk.center, inst.disk.radius
     p = Polynomial((yield Product(_disk_frame_points(inst))))
     d = p.derivative(k)
-    droots_n = yield d
-
-    count = 0
-    for rep, mult in droots_n.clusters:
-        if abs(rep) <= 1.0 + _COUNT_TOL * (1.0 + abs(rep)):
-            count += mult
-
-    droots = RootSet(
-        tuple(c + r * z for z in droots_n.roots),
-        droots_n.residuals,
-        tuple((c + r * rep, mult) for rep, mult in droots_n.clusters),
-    )
+    droots = yield d
+    count = sum(mult for rep, mult in droots.clusters if contains(_UNIT_DISK, rep, _COUNT_TOL))
 
     mu_p = mean_of_roots(p)
     mu_d = mean_of_roots(d)
@@ -109,7 +104,7 @@ def _theorem2_core(inst: Theorem2Instance, k: int):
         n=n,
         k=k,
         bound=bound,
-        derivative_roots=droots,
+        derivative_roots=tuple(c + r * z for z in droots.roots),
         count_in_disk=count,
         satisfied=count >= bound,
         mean_residual=mean_residual,

@@ -57,7 +57,3 @@ class TheoremViolation(PolygeomError):
     Never expected on valid instances; signals an implementation or
     tolerance bug rather than a mathematical counterexample.
     """
-
-
-class DegenerateDiagonal(PolygeomError):
-    """The diagonal equation reduced to a nonzero constant; no solution."""

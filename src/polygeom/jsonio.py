@@ -158,9 +158,25 @@ def rootset_to_json(rs: RootSet) -> dict:
     }
 
 
+def _nulled(v: Any) -> Any:
+    """v with each float that is NaN or infinite replaced by None."""
+    if isinstance(v, float):
+        return v if math.isfinite(v) else None
+    if isinstance(v, dict):
+        return {k: _nulled(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_nulled(x) for x in v]
+    return v
+
+
 def dumps(obj: Any) -> str:
-    """Canonical serialization: sorted keys, minimal separators."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    """Canonical serialization: sorted keys, minimal separators. A float
+    that is NaN or infinite, which strict JSON cannot hold and load_file
+    rejects, is written as null."""
+    try:
+        return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    except ValueError:
+        return json.dumps(_nulled(obj), sort_keys=True, separators=(",", ":"))
 
 
 def _reject_constant(name: str) -> Any:

@@ -440,15 +440,6 @@ def _clusters(roots: list[complex], groups: list[list[int]]) -> tuple[tuple[comp
                         key=lambda cl: (cl[0].real, cl[0].imag)))
 
 
-def exact_root_set(points) -> RootSet:
-    """The RootSet of prod (z - w) over the points w, which are its zeros
-    exactly: the points in their order, residual 0 each, clustered as
-    find_roots clusters."""
-    roots = [complex(w) for w in points]
-    groups = _single_linkage(np.array(roots, dtype=complex), _CLUSTER_RADIUS)
-    return RootSet(tuple(roots), (0.0,) * len(roots), _clusters(roots, groups))
-
-
 def _coeff_row(p: Polynomial) -> np.ndarray:
     """p's coefficients in descending order; their bytes key its outcome
     in drive_many."""

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -52,6 +53,24 @@ class TestIsApolar:
         n = 4
         zn = Polynomial([0] * n + [1])
         assert is_apolar(zn, zn, n)
+
+    def test_overflowing_pairing_is_invalid_input(self):
+        # A(a, b) = (inf+nanj) over a scale of inf: the residual is NaN
+        a = Polynomial([1e308, 0, 1e308])
+        b = Polynomial([1e308, 1e308, 1e308])
+        assert math.isnan(apolarity_residual(a, b, 2))
+        with pytest.raises(InvalidInput, match="apolarity pairing overflows"):
+            is_apolar(a, b, 2)
+        with pytest.raises(InvalidInput, match="apolarity pairing overflows"):
+            grace_witness(a, b, 2, disk(0, 2))
+
+    def test_finite_pairing_over_an_overflowing_scale(self):
+        # A(a, b) = 1e308 - 1e308 = 0 exactly; its scale overflows, and
+        # the residual 0 / inf = 0 is still an answer
+        a = Polynomial([1e308, 0, 1e308])
+        b = Polynomial([1, 0, -1])
+        assert apolarity_residual(a, b, 2) == 0.0
+        assert is_apolar(a, b, 2)
 
 
 class TestMakeApolar:

@@ -1,6 +1,8 @@
 import concurrent.futures
+import dataclasses
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from polygeom.campaign import (
     trial_seed,
 )
 from polygeom.coincidence import diagonal, theorem1_hypothesis
+from polygeom.derivative_bound import theorem2_bound
 from polygeom.errors import InvalidConfig, InvalidInput, NonConvergence
 from polygeom.poly import Polynomial
 
@@ -549,7 +552,7 @@ class TestHighDegree:
         assert replay(inst)["status"] == "pass"
         w = jsonio.points_from_json(inst["points"])
         rep = theorem1_hypothesis(w, 60, jsonio.region_from_json(inst["region"]))
-        assert rep.holds and rep.derivative_roots.roots == tuple(w)
+        assert rep.holds and rep.derivative_roots == tuple(w)
 
     @pytest.mark.parametrize("prop", ["theorem1_convex", "grace"])
     def test_identical_reports_across_jobs(self, prop):
@@ -624,3 +627,85 @@ class TestReplay:
         inst = _run_chunk(cfg, 0, 1)[0]["instance"]
         with pytest.raises(InvalidInput):
             replay({**inst, "root_tol": tol})
+
+
+class TestFailurePaths:
+    """Each check's failure, forced by patching what it reads: the
+    campaign's counts, a failure record per trial whose instance carries
+    the campaign's root_tol, and a replay of that record that gives the
+    same diagnostic."""
+
+    TOL = 1e-11
+
+    def failures(self, prop, trials=6, seed=3):
+        cfg = CampaignConfig(property=prop, trials=trials, seed=seed, root_tol=self.TOL)
+        rep = run_campaign(cfg)
+        assert (rep.passed, rep.failed, rep.errored, rep.notes) == (0, trials, 0, [])
+        assert [f["trial_seed"] for f in rep.failures] == [
+            trial_seed(seed, i) for i in range(trials)]
+        for f in rep.failures:
+            assert f["instance"]["property"] == prop
+            assert f["instance"]["root_tol"] == self.TOL
+            doc, _ = replay_verdict(f["instance"])
+            assert (doc["status"], doc["diagnostic"]) == ("fail", f["diagnostic"])
+        return rep.failures
+
+    def patch_theorem2_report(self, monkeypatch, changes):
+        real = campaign._theorem2_core
+
+        def core(inst, k):
+            report = yield from real(inst, k)
+            return dataclasses.replace(report, **changes(report))
+        monkeypatch.setattr(campaign, "_theorem2_core", core)
+
+    def test_theorem2_count_below_the_bound(self, monkeypatch):
+        self.patch_theorem2_report(monkeypatch, lambda r: {
+            "count_in_disk": r.bound - 1, "satisfied": False})
+        for f in self.failures("theorem2"):
+            inst = f["instance"]
+            n, k = len(inst["inner_zeros"]) + 1, inst["k"]
+            bound = theorem2_bound(n, k)
+            assert f["diagnostic"] == f"count {bound - 1} < bound {bound} (n={n}, k={k})"
+
+    def test_theorem2_mean_residual(self, monkeypatch):
+        self.patch_theorem2_report(monkeypatch, lambda r: {"mean_residual": 1.0})
+        for f in self.failures("theorem2"):
+            assert f["diagnostic"] == "mean residual 1.000e+00 above 1e-12"
+
+    def test_apolarity_identity(self, monkeypatch):
+        real = campaign.apolarity_functional
+        monkeypatch.setattr(campaign, "apolarity_functional",
+                            lambda a, b, n: real(a, b, n) + 1)
+        for f in self.failures("apolarity_identity"):
+            assert re.fullmatch(r"identity residual \S+ above 1e-10", f["diagnostic"])
+
+    def test_derivative_identity(self, monkeypatch):
+        monkeypatch.setattr(campaign, "kth_derivative_identity", lambda n, k, y: 1.0)
+        for f in self.failures("derivative_identity"):
+            assert f["diagnostic"] == "closed-form residual 1.000e+00 above 1e-11"
+
+    def test_gauss_lucas(self, monkeypatch):
+        real = campaign._gauss_lucas_core
+
+        def core(p):
+            yield from real(p)
+            return False
+        monkeypatch.setattr(campaign, "_gauss_lucas_core", core)
+        for f in self.failures("gauss_lucas"):
+            assert f["diagnostic"] == "critical point outside the root hull"
+
+    def test_hypothesis_violations_are_notes(self, monkeypatch):
+        monkeypatch.setattr(coincidence, "is_apolar", lambda a, b, n: False)
+        cfg = CampaignConfig(property="grace", trials=6, seed=3)
+        rep = run_campaign(cfg)
+        # counted as passed, recorded as notes, not as failures
+        assert (rep.passed, rep.failed, rep.errored, rep.failures) == (6, 0, 0, [])
+        assert [n["trial_seed"] for n in rep.notes] == [trial_seed(3, i) for i in range(6)]
+        gen, _ = PROPERTIES["grace"]
+        for note in rep.notes:
+            assert note["status"] == "hypothesis-violation"
+            assert note["diagnostic"].startswith("pair is not apolar: A(a,b) = ")
+            # a note carries no instance: its trial seed draws it again
+            inst = gen(random.Random(note["trial_seed"]), cfg)
+            doc = replay(inst)
+            assert (doc["status"], doc["diagnostic"]) == (note["status"], note["diagnostic"])

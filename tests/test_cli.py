@@ -17,9 +17,19 @@ def write(tmp_path, name, doc):
     return str(path)
 
 
+def _no_constant(name):
+    raise ValueError(f"non-finite literal {name} in CLI output")
+
+
+def strict_json(text):
+    """A document the CLI wrote, read as strict JSON: NaN and Infinity are
+    an error."""
+    return json.loads(text, parse_constant=_no_constant)
+
+
 def read_json(path):
     with open(path) as f:
-        return json.load(f)
+        return strict_json(f.read())
 
 
 @pytest.fixture
@@ -32,7 +42,7 @@ class TestRoots:
     def test_quadratic(self, tmp_path, capsys):
         poly = write(tmp_path, "p.json", {"coeffs": [[-1, 0], [0, 0], [1, 0]]})
         assert main(["roots", "--poly", poly]) == 0
-        doc = json.loads(capsys.readouterr().out)
+        doc = strict_json(capsys.readouterr().out)
         assert doc["schema"] == "polygeom/1"
         roots = sorted(r[0] for r in doc["roots"])
         assert abs(roots[0] + 1) < 1e-10 and abs(roots[1] - 1) < 1e-10
@@ -49,6 +59,16 @@ class TestRoots:
     def test_directory_is_invalid_input(self, tmp_path, capsys):
         assert main(["roots", "--poly", str(tmp_path)]) == 2
         assert "cannot read" in capsys.readouterr().err
+
+    def test_non_finite_residual_is_written_as_null(self, tmp_path, capsys):
+        # the root's scaled residual is NaN: strict JSON has no literal for
+        # it, so it is null, and the document still parses
+        poly = write(tmp_path, "p.json", {"coeffs": [[-1.5e308, -1.5e308], [1, 0]]})
+        assert main(["roots", "--poly", poly]) == 3
+        doc = strict_json(capsys.readouterr().out)
+        assert doc["error"] == "non-convergence"
+        assert doc["residuals"] == [None]
+        assert doc["roots"] == [[1.5e308, 1.5e308]]
 
 
 class TestTolerance:
@@ -80,7 +100,7 @@ class TestTolerance:
         failure = read_json(report)["failures"][0]
         inst = write(tmp_path, "inst.json", failure["instance"])
         assert main(["replay", "--instance", inst]) == 3
-        doc = json.loads(capsys.readouterr().out)
+        doc = strict_json(capsys.readouterr().out)
         assert (doc["status"], doc["diagnostic"]) == ("error", failure["diagnostic"])
 
 
@@ -89,9 +109,25 @@ class TestApolar:
         a = write(tmp_path, "a.json", {"coeffs": [[1, 0], [-2, 0], [1, 0]]})
         b = write(tmp_path, "b.json", {"coeffs": [[0, 0], [-1, 0], [1, 0]]})
         assert main(["apolar", "--a", a, "--b", b, "--n", "2"]) == 0
-        doc = json.loads(capsys.readouterr().out)
+        doc = strict_json(capsys.readouterr().out)
         assert doc["apolar"] is True
         assert abs(doc["value"][0]) < 1e-12
+
+    def test_overflowing_pairing_is_invalid_input(self, tmp_path, capsys):
+        # A(a, b) is (inf+nanj): no residual, so no answer either way
+        a = write(tmp_path, "a.json", _HUGE_A)
+        b = write(tmp_path, "b.json", _HUGE_B)
+        assert main(["apolar", "--a", a, "--b", b, "--n", "2"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "overflows" in err
+
+    def test_finite_pairing_over_an_overflowing_scale(self, tmp_path, capsys):
+        # A(a, b) = 1e308 - 1e308 = 0 exactly, over a scale of inf
+        a = write(tmp_path, "a.json", _HUGE_A)
+        b = write(tmp_path, "b.json", {"coeffs": [[1, 0], [0, 0], [-1, 0]]})
+        assert main(["apolar", "--a", a, "--b", b, "--n", "2"]) == 0
+        doc = strict_json(capsys.readouterr().out)
+        assert doc["apolar"] is True and doc["value"] == [0.0, 0.0]
 
 
 class TestGrace:
@@ -101,9 +137,19 @@ class TestGrace:
         region = write(tmp_path, "r.json",
                        {"kind": "disk", "closed": True, "center": [1, 0], "radius": 0.1})
         assert main(["grace", "--a", a, "--b", b, "--region", region, "--n", "2"]) == 0
-        doc = json.loads(capsys.readouterr().out)
+        doc = strict_json(capsys.readouterr().out)
         assert doc["status"] == "pass"
         assert abs(doc["witness"][0] - 1) < 1e-9
+
+    def test_overflowing_pairing_is_invalid_input(self, tmp_path, capsys):
+        # not a hypothesis violation, which a campaign would count as passed
+        a = write(tmp_path, "a.json", _HUGE_A)
+        b = write(tmp_path, "b.json", _HUGE_B)
+        region = write(tmp_path, "r.json", {"kind": "disk", "center": [0, 0], "radius": 2})
+        assert main(["grace", "--a", a, "--b", b, "--region", region]) == 2
+        doc = strict_json(capsys.readouterr().out)
+        assert doc["status"] == "error"
+        assert doc["diagnostic"].startswith("InvalidInput: the apolarity pairing overflows")
 
 
 class TestCoincidence:
@@ -117,7 +163,7 @@ class TestCoincidence:
         code = main(["coincidence", "--multiaffine", ma, "--points", pts,
                      "--region", unit_disk])
         assert code == 0
-        doc = json.loads(capsys.readouterr().out)
+        doc = strict_json(capsys.readouterr().out)
         assert doc["status"] == "pass"
         assert abs(doc["witness"][0]) < 1e-10
         assert doc["hypothesis"]["holds"] is True
@@ -130,7 +176,7 @@ class TestCoincidence:
         code = main(["coincidence", "--multiaffine", ma, "--points", pts,
                      "--region", region])
         assert code == 0
-        doc = json.loads(capsys.readouterr().out)
+        doc = strict_json(capsys.readouterr().out)
         assert doc["status"] == "hypothesis-violation"
 
     def test_total_degree_n_reports_the_points(self, tmp_path, unit_disk, capsys):
@@ -140,9 +186,22 @@ class TestCoincidence:
         pts = write(tmp_path, "w.json", points)
         assert main(["coincidence", "--multiaffine", ma, "--points", pts,
                      "--region", unit_disk]) == 0
-        doc = json.loads(capsys.readouterr().out)
+        doc = strict_json(capsys.readouterr().out)
         assert doc["status"] == "pass"
         assert doc["hypothesis"]["derivative_roots"] == points
+
+    # Walsh's hypothesis is theorem 1's at m = n, so it has the same cap on
+    # the number of points, wherever the points lie
+    @pytest.mark.parametrize("where", [0.5, 5.0])
+    def test_classic_above_n_max_is_invalid_input(self, tmp_path, unit_disk, capsys, where):
+        n = 61
+        ma = write(tmp_path, "ma.json", {"n": n, "E": [[0, 0]] * n + [[1, 0]]})
+        pts = write(tmp_path, "w.json", [[where, 0]] * n)
+        assert main(["coincidence", "--multiaffine", ma, "--points", pts,
+                     "--region", unit_disk, "--classic"]) == 2
+        doc = strict_json(capsys.readouterr().out)
+        assert doc["status"] == "error"
+        assert doc["diagnostic"] == "DegreeTooLarge: n=61 exceeds N_MAX=60"
 
     def test_forced_solve_finds_no_witness(self, tmp_path, capsys):
         ma, pts = self.fixture_files(tmp_path)
@@ -151,7 +210,7 @@ class TestCoincidence:
         code = main(["coincidence", "--multiaffine", ma, "--points", pts,
                      "--region", region, "--force"])
         assert code == 1
-        doc = json.loads(capsys.readouterr().out)
+        doc = strict_json(capsys.readouterr().out)
         assert doc["status"] == "theorem-violation"
 
 
@@ -162,7 +221,7 @@ class TestTheorem2:
                      "--radius", "1.0", "--outer-distance", "3.0",
                      "--json-out", str(out)]) == 0
         assert main(["theorem2", "--instance", str(out), "--k", "1"]) == 0
-        doc = json.loads(capsys.readouterr().out)
+        doc = strict_json(capsys.readouterr().out)
         assert doc["satisfied"] is True
         assert doc["count_in_disk"] >= doc["bound"]
 
@@ -195,6 +254,17 @@ class TestTheorem2:
     def test_generate_degree_bound(self, capsys, n, code):
         assert main(["theorem2", "--generate", "--n", str(n)]) == code
         assert (capsys.readouterr().out == "") == (code == 2)
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--generate"], "--generate requires --n"),
+        (["--k", "1"], "need --instance and --k (or --generate)"),
+        (["--instance", "{list}", "--k", "1"], "a theorem2 instance must be a JSON object"),
+    ], ids=["generate-without-n", "neither", "instance-a-list"])
+    def test_argument_errors(self, tmp_path, capsys, argv, message):
+        listed = write(tmp_path, "inst.json", [[0, 0], [1, 0]])
+        assert main(["theorem2"] + [a.format(list=listed) for a in argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {message}\n"
 
 
 class TestUnwritableOutput:
@@ -238,7 +308,7 @@ class TestFuzzAndReplay:
                        "center": [0, 0], "radius": 1},
         })
         assert main(["replay", "--instance", inst]) == 0
-        doc = json.loads(capsys.readouterr().out)
+        doc = strict_json(capsys.readouterr().out)
         assert doc["status"] == "hypothesis-violation"
 
 
@@ -276,6 +346,13 @@ class TestPlot:
         assert "not finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_convergent_zeros_are_a_numerical_failure(self, tmp_path, capsys):
+        poly = write(tmp_path, "p.json", {"coeffs": [[-1.5e308, -1.5e308], [1, 0]]})
+        out = tmp_path / "o.svg"
+        assert main(["plot", "--poly", poly, "--svg-out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("error: residuals above tol")
+        assert not out.exists()
+
 
 def _disk(center, radius, kind="disk"):
     return {"kind": kind, "closed": True, "center": center, "radius": radius}
@@ -283,6 +360,9 @@ def _disk(center, radius, kind="disk"):
 
 _QUAD_A = {"coeffs": [[1, 0], [-2, 0], [1, 0]]}
 _QUAD_B = {"coeffs": [[0, 0], [-1, 0], [1, 0]]}
+# a pair whose apolarity pairing overflows to (inf+nanj)
+_HUGE_A = {"coeffs": [[1e308, 0], [0, 0], [1e308, 0]]}
+_HUGE_B = {"coeffs": [[1e308, 0], [1e308, 0], [1e308, 0]]}
 _LINEAR_P = {"n": 2, "E": [[0, 0], [1, 0]]}
 # p(w) = w: total degree n = 1, so theorem 1's hypothesis is the point itself
 _IDENTITY_P = {"n": 1, "E": [[0, 0], [1, 0]]}
@@ -405,10 +485,10 @@ class TestSubcommandAgreesWithReplay:
         inst, code, status = AGREEMENT_CASES[case]
         if case not in REPLAY_ONLY:
             assert main(subcommand_argv(tmp_path, inst)) == code
-            direct = json.loads(capsys.readouterr().out)
+            direct = strict_json(capsys.readouterr().out)
             assert direct["status"] == status
         assert main(["replay", "--instance", write(tmp_path, "inst.json", inst)]) == code
-        replayed = json.loads(capsys.readouterr().out)
+        replayed = strict_json(capsys.readouterr().out)
         assert replayed["status"] == status
 
     def test_missing_key_is_invalid_input(self, tmp_path, capsys):
@@ -517,7 +597,7 @@ class TestWrongShapeInput:
             "theorem2-70-zeros", "theorem2-200-zeros", "gauss-lucas-degree-200"])
     def test_replay_reads_integer_fields(self, tmp_path, capsys, inst, code):
         assert main(["replay", "--instance", write(tmp_path, "inst.json", inst)]) == code
-        assert json.loads(capsys.readouterr().out)["status"] == ("pass" if code == 0 else "error")
+        assert strict_json(capsys.readouterr().out)["status"] == ("pass" if code == 0 else "error")
 
     def test_replay_of_an_array(self, tmp_path):
         assert main(["replay", "--instance", write(tmp_path, "inst.json", [1, 2])]) == 2

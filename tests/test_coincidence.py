@@ -13,8 +13,9 @@ from polygeom.coincidence import (
     theorem1_hypothesis,
 )
 from polygeom.errors import HypothesisViolated, InvalidInput, TheoremViolation
+from polygeom.jsonio import multiaffine_from_json
 from polygeom.poly import from_roots
-from polygeom.regions import disk, exterior_disk, smallest_enclosing_disk
+from polygeom.regions import contains, disk, exterior_disk, half_plane, smallest_enclosing_disk
 from polygeom.rootfind import find_roots
 
 
@@ -84,7 +85,7 @@ class TestHypothesis:
         rep = theorem1_hypothesis([0, 1, 2], 2, disk(1, 0.6))
         assert rep.holds
         expected = sorted([1 - 1 / math.sqrt(3), 1 + 1 / math.sqrt(3)])
-        got = sorted(r.real for r in rep.derivative_roots.roots)
+        got = sorted(r.real for r in rep.derivative_roots)
         assert all(abs(a - b) <= 1e-10 for a, b in zip(got, expected))
 
     def test_m_equals_n_uses_points_themselves(self):
@@ -130,6 +131,31 @@ class TestWitness:
         P = SymmetricMultiaffine(3, [4 + 1j], trim=False)
         S = disk(2, 1)
         assert coincidence_witness(P, [0, 1, 2], S) == S.center
+
+    # a constant P makes the diagonal equation an identity, so any member
+    # of the region is a witness: the representative point of each kind,
+    # open or closed, with points whose mean (the zero of q') lies inside
+    @pytest.mark.parametrize("region,points", [
+        (exterior_disk(0, 1, closed=True), [3, 5]),
+        (exterior_disk(0, 1, closed=False), [3, 5]),
+        (half_plane(1, 0, closed=True), [-1, -3]),
+        (half_plane(1j, 2, closed=False), [-1j, -3j]),
+    ], ids=["exterior-closed", "exterior-open", "halfplane-closed", "halfplane-open"])
+    @pytest.mark.parametrize("classic", [False, True])
+    def test_constant_witness_is_the_representative_point(self, region, points, classic):
+        P = multiaffine_from_json({"n": 2, "E": [[1, 0]]})
+        w = coincidence_witness(P, points, region, classic=classic)
+        assert w == region.representative_point()
+        assert contains(region, w)
+
+    def test_classic_hypothesis_is_theorem1_at_m_equals_n(self):
+        P = SymmetricMultiaffine(3, [1, 0, 1])
+        w, region = [0, 0.5, 3], disk(0, 1)
+        assert theorem1_hypothesis(w, 3, region).outside == (3,)
+        with pytest.raises(HypothesisViolated, match=r"^points outside region: \[3\]$") as exc:
+            coincidence_witness(P, w, region, classic=True)
+        # the classic check returns no report
+        assert exc.value.report is None
 
 
 class TestProofIdentity:

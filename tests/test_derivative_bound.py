@@ -48,7 +48,7 @@ class TestCheckTheorem2:
         assert rep.satisfied
         assert rep.mean_residual <= 1e-12
         expected = sorted([(20 + math.sqrt(412)) / 6, (20 - math.sqrt(412)) / 6])
-        got = sorted(r.real for r in rep.derivative_roots.roots)
+        got = sorted(r.real for r in rep.derivative_roots)
         assert all(abs(a - b) <= 1e-9 for a, b in zip(got, expected))
 
     def test_all_roots_inside_gives_full_count(self):
@@ -107,7 +107,7 @@ class TestCheckTheorem2:
                                               outer_distance=rng.uniform(1.5, 20.0))
             rep = check_theorem2(inst, k)
             c, r = inst.disk.center, inst.disk.radius
-            for w in rep.derivative_roots.roots:
+            for w in rep.derivative_roots:
                 if abs(w - c) > r + 1e-7 * (1 + abs(w)):
                     scaled = (n / k) * w
                     if abs(scaled - c) > r + 1e-6 * (1 + abs(scaled)):

@@ -1,3 +1,4 @@
+import json
 import math
 import struct
 
@@ -5,7 +6,13 @@ import numpy as np
 import pytest
 
 from polygeom.errors import InvalidInput
-from polygeom.jsonio import complex_from_json, points_from_json, poly_from_json
+from polygeom.jsonio import (
+    complex_from_json,
+    dumps,
+    load_file,
+    points_from_json,
+    poly_from_json,
+)
 from polygeom.poly import Polynomial
 
 
@@ -78,3 +85,20 @@ class TestOnePassDecoder:
         assert per_entry(ENTRIES["bools"]) == "expected a number, got True"
         assert per_entry(ENTRIES["pair-of-three"]) == "expected [re, im], got [1.0, 2.0, 3.0]"
         assert per_entry(ENTRIES["nan"]) == "expected a finite number, got nan"
+
+
+class TestDumps:
+    def test_finite_document_keeps_its_bytes(self):
+        doc = {"b": [1.5, -0.0, 1e308], "a": {"z": [[2.0, 3.0]], "n": None}, "k": 3}
+        assert dumps(doc) == json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+    def test_non_finite_floats_are_null(self, tmp_path):
+        doc = {"value": [math.inf, math.nan], "residuals": (np.float64(-math.inf), 1.0),
+               "nested": [{"r": [[math.nan, 0.0]]}], "flag": True, "count": 2}
+        text = dumps(doc)
+        assert text == ('{"count":2,"flag":true,"nested":[{"r":[[null,0.0]]}],'
+                        '"residuals":[null,1.0],"value":[null,null]}')
+        # which load_file, which rejects NaN and Infinity, reads back
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        assert load_file(str(path))["value"] == [None, None]

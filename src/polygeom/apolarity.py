@@ -43,19 +43,22 @@ def apolarity_functional(a: Polynomial, b: Polynomial, n: int) -> complex:
 
 
 def apolarity_residual(a: Polynomial, b: Polynomial, n: int) -> float:
-    """|A(a, b)| relative to its magnitude scale sum |a_k b_{n-k}| / C(n,k)
-    (0 when that scale is 0). A modulus beyond the largest float is inf."""
+    """|A(a, b)| relative to its scale sum |a_k b_{n-k}| / C(n,k) over the terms
+    with no zero factor (0 when that scale is 0); inf where a modulus, or the
+    scale of a nonzero A, is beyond the largest float."""
     value = _modulus(apolarity_functional(a, b, n))
-    ac = _framed(a, n)
-    bc = _framed(b, n)
-    scale = sum(_modulus(ac[k]) * _modulus(bc[n - k]) / binomial(n, k) for k in range(n + 1))
+    ac, bc = _framed(a, n), _framed(b, n)
+    scale = sum(_modulus(ac[k]) * _modulus(bc[n - k]) / binomial(n, k)
+                for k in range(n + 1) if ac[k] and bc[n - k])
+    if value and scale == math.inf:
+        return math.inf
     return value / scale if scale > 0 else value
 
 
 def is_apolar(a: Polynomial, b: Polynomial, n: int) -> bool:
     """True iff the pairing vanishes relative to its own magnitude scale.
-    A residual that is NaN or inf, where the pairing overflows, decides
-    nothing: that pair is invalid input."""
+    A residual that is NaN or inf, where the pairing or its scale
+    overflows, decides nothing: that pair is invalid input."""
     res = apolarity_residual(a, b, n)
     if not math.isfinite(res):
         raise InvalidInput(f"the apolarity pairing overflows: A(a,b) = "

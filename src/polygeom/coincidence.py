@@ -108,7 +108,7 @@ def _hypothesis_core(points: Sequence[complex], m: int, region: CircularRegion):
     if not 1 <= m <= n:
         raise InvalidInput(f"need 1 <= m <= {n}, got m={m}")
     if m == n:
-        droots = tuple(points)
+        droots = tuple(complex(w) for w in points)
     else:
         droots = (yield Polynomial((yield Product(points))).derivative(n - m)).roots
     outside = tuple(r for r in droots if not contains(region, r))

@@ -173,10 +173,7 @@ def dumps(obj: Any) -> str:
     """Canonical serialization: sorted keys, minimal separators. A float
     that is NaN or infinite, which strict JSON cannot hold and load_file
     rejects, is written as null."""
-    try:
-        return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
-    except ValueError:
-        return json.dumps(_nulled(obj), sort_keys=True, separators=(",", ":"))
+    return json.dumps(_nulled(obj), sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def _reject_constant(name: str) -> Any:

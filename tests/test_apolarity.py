@@ -55,10 +55,10 @@ class TestIsApolar:
         assert is_apolar(zn, zn, n)
 
     def test_overflowing_pairing_is_invalid_input(self):
-        # A(a, b) = (inf+nanj) over a scale of inf: the residual is NaN
+        # A(a, b) = (inf+nanj) over a scale of inf: the residual is inf
         a = Polynomial([1e308, 0, 1e308])
         b = Polynomial([1e308, 1e308, 1e308])
-        assert math.isnan(apolarity_residual(a, b, 2))
+        assert apolarity_residual(a, b, 2) == math.inf
         with pytest.raises(InvalidInput, match="apolarity pairing overflows"):
             is_apolar(a, b, 2)
         with pytest.raises(InvalidInput, match="apolarity pairing overflows"):
@@ -71,6 +71,25 @@ class TestIsApolar:
         b = Polynomial([1, 0, -1])
         assert apolarity_residual(a, b, 2) == 0.0
         assert is_apolar(a, b, 2)
+
+    def test_nonzero_pairing_over_an_overflowing_scale_is_invalid_input(self):
+        # A(a, b) = 1e308 - 0.99e308 is finite, but its scale 1.99e308 is
+        # not: A / scale would read 0, apolar, where it is 0.005
+        a = Polynomial([1e308, 0, 1e308])
+        b = Polynomial([1, 0, -0.99])
+        assert apolarity_residual(a, b, 2) == math.inf
+        with pytest.raises(InvalidInput, match="apolarity pairing overflows"):
+            is_apolar(a, b, 2)
+
+    def test_overflowing_coefficient_paired_with_zero(self):
+        # |1.5e308+1.5e308j| is inf, but its partner b_1 is 0, so the term is
+        # exactly 0 in A and in the scale: A = 2e-9 over a scale of 2e-9
+        a = Polynomial([1e-9, 1.5e308 + 1.5e308j, 1e-9])
+        b = Polynomial([1, 0, 1])
+        assert apolarity_residual(a, b, 2) == 1.0
+        assert not is_apolar(a, b, 2)
+        with pytest.raises(HypothesisViolated, match="pair is not apolar"):
+            grace_witness(a, b, 2, disk(0, 2))
 
 
 class TestMakeApolar:

@@ -130,6 +130,16 @@ class TestApolar:
         assert doc["apolar"] is True and doc["value"] == [0.0, 0.0]
 
 
+    def test_overflowing_coefficient_paired_with_zero(self, tmp_path, capsys):
+        # |1.5e308+1.5e308j| is inf, but it pairs with b_1 = 0: A = 2e-9 is the
+        # whole of its scale, not apolar
+        a = write(tmp_path, "a.json", _HUGE_MIDDLE_A)
+        b = write(tmp_path, "b.json", _ZERO_MIDDLE_B)
+        assert main(["apolar", "--a", a, "--b", b, "--n", "2"]) == 0
+        doc = strict_json(capsys.readouterr().out)
+        assert doc["apolar"] is False
+
+
 class TestGrace:
     def test_witness(self, tmp_path, capsys):
         a = write(tmp_path, "a.json", {"coeffs": [[1, 0], [-2, 0], [1, 0]]})
@@ -150,6 +160,15 @@ class TestGrace:
         doc = strict_json(capsys.readouterr().out)
         assert doc["status"] == "error"
         assert doc["diagnostic"].startswith("InvalidInput: the apolarity pairing overflows")
+
+    def test_overflowing_coefficient_paired_with_zero(self, tmp_path, capsys):
+        a = write(tmp_path, "a.json", _HUGE_MIDDLE_A)
+        b = write(tmp_path, "b.json", _ZERO_MIDDLE_B)
+        region = write(tmp_path, "r.json", {"kind": "disk", "center": [0, 0], "radius": 2})
+        assert main(["grace", "--a", a, "--b", b, "--region", region]) == 0
+        doc = strict_json(capsys.readouterr().out)
+        assert doc["status"] == "hypothesis-violation"
+        assert doc["diagnostic"] == "pair is not apolar: A(a,b) = (2e-09+0j)"
 
 
 class TestCoincidence:
@@ -363,6 +382,9 @@ _QUAD_B = {"coeffs": [[0, 0], [-1, 0], [1, 0]]}
 # a pair whose apolarity pairing overflows to (inf+nanj)
 _HUGE_A = {"coeffs": [[1e308, 0], [0, 0], [1e308, 0]]}
 _HUGE_B = {"coeffs": [[1e308, 0], [1e308, 0], [1e308, 0]]}
+# a pair whose one overflowing modulus, |a_1|, pairs with b_1 = 0
+_HUGE_MIDDLE_A = {"coeffs": [[1e-9, 0], [1.5e308, 1.5e308], [1e-9, 0]]}
+_ZERO_MIDDLE_B = {"coeffs": [[1, 0], [0, 0], [1, 0]]}
 _LINEAR_P = {"n": 2, "E": [[0, 0], [1, 0]]}
 # p(w) = w: total degree n = 1, so theorem 1's hypothesis is the point itself
 _IDENTITY_P = {"n": 1, "E": [[0, 0], [1, 0]]}

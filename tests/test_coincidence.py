@@ -151,8 +151,13 @@ class TestWitness:
     def test_classic_hypothesis_is_theorem1_at_m_equals_n(self):
         P = SymmetricMultiaffine(3, [1, 0, 1])
         w, region = [0, 0.5, 3], disk(0, 1)
-        assert theorem1_hypothesis(w, 3, region).outside == (3,)
-        with pytest.raises(HypothesisViolated, match=r"^points outside region: \[3\]$") as exc:
+        rep = theorem1_hypothesis(w, 3, region)
+        # the zeros tested are complex, whatever numbers the points were
+        assert [type(z) for z in rep.derivative_roots] == [complex] * 3
+        assert rep.derivative_roots == (0j, 0.5 + 0j, 3 + 0j)
+        assert rep.outside == (3 + 0j,)
+        with pytest.raises(HypothesisViolated,
+                           match=r"^points outside region: \[\(3\+0j\)\]$") as exc:
             coincidence_witness(P, w, region, classic=True)
         # the classic check returns no report
         assert exc.value.report is None

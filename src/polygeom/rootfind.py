@@ -166,14 +166,15 @@ def _circle_start(cr: np.ndarray) -> list[complex]:
     at the angles 2*pi*(j/m + i/d) + _START_ROTATION.
 
     Only scalar math on the row's own coefficients, so that a row gets the
-    same start in any batch.
+    same start in any batch. A modulus that overflows reads inf, and such
+    a row's sweeps give no certificate.
     """
     d = len(cr) - 1
     hull: list[tuple[int, float]] = []
-    for k, a in enumerate(reversed(cr.tolist())):
+    for k, a in enumerate(np.abs(cr[::-1]).tolist()):
         if a == 0:
             continue
-        y = math.log(abs(a))
+        y = math.log(a)
         # drop the last vertex while it lies on or below the chord to (k, y)
         while len(hull) >= 2 and ((hull[-1][0] - hull[-2][0]) * (y - hull[-2][1])
                                   >= (hull[-1][1] - hull[-2][1]) * (k - hull[-2][0])):

@@ -70,6 +70,16 @@ class TestRoots:
         assert doc["residuals"] == [None]
         assert doc["roots"] == [[1.5e308, 1.5e308]]
 
+    def test_overflowing_coefficient_modulus_is_a_numerical_failure(self, tmp_path, capsys):
+        # |a_0| of this degree-16 polynomial overflows a float: a numerical
+        # failure under roots and under replay, not a crash
+        coeffs = {"coeffs": [[1.5e308, 1.5e308]] + [[0, 0]] * 15 + [[1, 0]]}
+        assert main(["roots", "--poly", write(tmp_path, "p.json", coeffs)]) == 3
+        assert strict_json(capsys.readouterr().out)["error"] == "non-convergence"
+        inst = {"property": "gauss_lucas", "poly": coeffs}
+        assert main(["replay", "--instance", write(tmp_path, "i.json", inst)]) == 3
+        assert strict_json(capsys.readouterr().out)["status"] == "error"
+
 
 class TestTolerance:
     @pytest.mark.parametrize("tol", ["inf", "1e400", "nan"])

@@ -526,6 +526,14 @@ class TestStart:
         assert ([outcome(m) for m in find_roots_many(ps)]
                 == [outcome(eigvals_start(p)) for p in ps])
 
+    def test_overflowing_modulus_is_non_convergence(self):
+        # |a_0| overflows a float: the circle start reads it as inf, and
+        # the row ends uncertified without stopping the row beside it
+        p = Polynomial([complex(1.5e308, 1.5e308)] + [0] * 15 + [1])
+        bad, good = find_roots_many([p, from_roots([1, 2j, -3])])
+        assert isinstance(bad, NonConvergence) and len(bad.roots) == 16
+        assert isinstance(good, rootfind.RootSet)
+
     def test_circle_start_follows_the_newton_polygon(self):
         # 1 + 1e-10 z^10 + 1e-30 z^20: the hull's vertices are at k = 0, 10
         # and 20, so 10 points start on |z| = 10 and 10 on |z| = 100, the

@@ -375,6 +375,12 @@ class TestPlot:
         assert "not finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_nothing_to_draw_is_an_empty_frame(self, tmp_path):
+        out = tmp_path / "o.svg"
+        assert main(["plot", "--svg-out", str(out)]) == 0
+        svg = out.read_text()
+        assert "<rect" in svg and "<circle" not in svg and "<line" not in svg
+
     def test_non_convergent_zeros_are_a_numerical_failure(self, tmp_path, capsys):
         poly = write(tmp_path, "p.json", {"coeffs": [[-1.5e308, -1.5e308], [1, 0]]})
         out = tmp_path / "o.svg"
@@ -424,6 +430,10 @@ AGREEMENT_CASES = {
                                  "inner_zeros": [[0, 0], [0, 0]], "outer_zero": [3, 0],
                                  "disk": {"center": [0, 0], "radius": r}}, 2, "error")
        for r in (0, -1)},
+    # an inner zero outside the disk: not a theorem 2 instance
+    "theorem2-inner-zero-outside": ({"property": "theorem2", "k": 1,
+                                     "inner_zeros": [[2, 0], [-2, 0]], "outer_zero": [3, 0],
+                                     "disk": {"center": [0, 0], "radius": 1}}, 2, "error"),
     # a = (z - 1)^2 with the roots it was built from
     "grace-a-roots-pass": ({"property": "grace", "n": 2, "a": _QUAD_A,
                             "a_roots": [[1, 0], [1, 0]], "b": _QUAD_B,
@@ -435,12 +445,18 @@ AGREEMENT_CASES = {
     "grace-a-roots-mismatch": ({"property": "grace", "n": 2, "a": _QUAD_A,
                                 "a_roots": [[1, 0], [2, 0]], "b": _QUAD_B,
                                 "region": _disk([1, 0], 0.1)}, 2, "error"),
-    # a multiaffine n that is not an integer: invalid input from both
+    # a multiaffine n that is not an integer or is 0, an empty E, or a
+    # total degree above n: invalid input from both
     **{f"coincidence-n-{n!r}": ({"property": "theorem1_convex",
                                  "multiaffine": {"n": n, "E": [[0, 0], [1, 0]]},
                                  "points": [[-1, 0], [1, 0]], "region": _disk([0, 0], 1),
                                  "classic": False}, 2, "error")
-       for n in (2.7, "2", True)},
+       for n in (2.7, "2", True, 0)},
+    **{f"coincidence-{name}": ({"property": "theorem1_convex",
+                                "multiaffine": {"n": 2, "E": E},
+                                "points": [[-1, 0], [1, 0]], "region": _disk([0, 0], 1),
+                                "classic": False}, 2, "error")
+       for name, E in (("empty-E", []), ("degree-above-n", [[0, 0]] * 3 + [[1, 0]]))},
     # b of degree n+1: invalid input from both
     "grace-degree-mismatch": ({"property": "grace", "n": 2, "a": _QUAD_A,
                                "b": {"coeffs": [[0, 0], [-1, 0], [1, 0], [1, 0]]},

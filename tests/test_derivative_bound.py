@@ -15,7 +15,7 @@ from polygeom.derivative_bound import (
 )
 from polygeom.errors import DegreeTooLarge, InvalidInput, InvalidInstance, NonConvergence
 from polygeom.poly import N_MAX, Polynomial, from_roots
-from polygeom.regions import disk
+from polygeom.regions import convex_hull, disk
 from polygeom.rootfind import find_roots
 
 
@@ -171,6 +171,11 @@ class TestGaussLucas:
 
     def test_cubic_roots_of_unity(self):
         assert gauss_lucas_check(Polynomial([-1, 0, 0, 1]))
+
+    def test_triple_root_has_a_one_point_hull(self):
+        # the zeros and the critical points collapse onto 1
+        assert convex_hull(find_roots(from_roots([1, 1, 1])).roots) == [1]
+        assert gauss_lucas_check(from_roots([1, 1, 1]))
 
     def test_random_campaign(self):
         rng = random.Random(77)

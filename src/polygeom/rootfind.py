@@ -1,24 +1,30 @@
 """All-roots solver: Aberth-Ehrlich sweeps from companion eigenvalues or
 Newton-polygon circles, for a batch of polynomials in one pass.
 
-The start depends on a row's degree once its zeros at the origin come
-off. Up to _EIGVALS_MAX_DEGREE (15) it is the eigenvalues of the companion
-matrix that ``np.roots`` builds (backward stable by Edelman & Murakami
-1995), one stacked ``eigvals`` call per degree. Above it, the O(d^3)
-eigenvalues give way to Bini's (1996) start: circles whose radii come
-from the upper convex hull of (k, log|a_k|), built per row with scalar
-math. A row above the cutoff that this start leaves uncertified is solved
-once more from its companion eigenvalues, in the same call, and gets that
-outcome. Aberth-Ehrlich sweeps run over the roots that are still active,
-across every polynomial of the batch; a root freezes once its step is
-negligible or its scaled residual is within tol (Bini 1996), and a sweep
-computes p', the Newton quotient and the Aberth sum only for the roots
-whose residual is not. Every root gets one vectorized Newton polish, and
-near-coincident approximations of a multiple root are collapsed onto a
-refined representative before multiplicity clustering; a row of
-singletons gets its clusters in bulk. A root set is
-certified only when the scaled residual of every root under the original
-polynomial is within tol; a NaN or inf residual fails.
+Every row takes one path. Its exact zeros at the origin come off, and
+the start depends on the degree d left, d >= 1. Up to _EIGVALS_MAX_DEGREE
+(15) it is the eigenvalues of the companion matrix that ``np.roots``
+builds (backward stable by Edelman & Murakami 1995), one stacked
+``eigvals`` call per degree. Above it, the O(d^3) eigenvalues give way to
+Bini's (1996) start: circles whose radii come from the upper convex hull
+of (k, log|a_k|), built per row with scalar math. Aberth-Ehrlich sweeps
+run over the roots that are still active, across every polynomial of the
+batch; a root freezes once its step is negligible or its scaled residual
+is within tol (Bini 1996), and a sweep computes p', the Newton quotient
+and the Aberth sum only for the roots whose residual is not. Every root
+gets one vectorized Newton polish. Near-coincident approximations of a
+multiple root are collapsed onto a refined representative, which the
+collapse keeps only when its scaled residual is within tol; a group whose
+derivatives overflow is left as it is, so the collapse never raises. One
+stable sort then orders every row, and a row of singletons gets its
+clusters in bulk.
+
+One certificate decides every row: the scaled residual of each root
+under the original polynomial is within tol; a NaN or inf residual
+fails. A row that its start leaves uncertified (a companion matrix that
+is not finite, say) is solved once more, in the same call, from the
+other start, eigenvalues for circles or circles for eigenvalues, and
+that second outcome is the row's.
 
 A batch of many degrees is one pass, not one pass per degree: each row's
 coefficients are padded with leading zeros to the batch's largest degree,
@@ -190,15 +196,16 @@ def _circle_start(cr: np.ndarray) -> list[complex]:
     return start
 
 
-def _aberth(cs: list[np.ndarray], tol: float, eigvals_max: float) -> np.ndarray:
+def _aberth(cs: list[np.ndarray], tol: float, other_start: bool) -> np.ndarray:
     """Roots of the polynomials whose coefficients, in descending order,
-    are cs (degree >= 2, no zero root, sorted by degree): row r holds the
+    are cs (degree >= 1, no zero root, sorted by degree): row r holds the
     roots of cs[r], then NaN pads.
 
-    Rows of degree at most eigvals_max start from the eigenvalues of their
-    companion matrices, one stacked call per degree; the others start on
-    _circle_start's circles. The coefficients are padded with leading
-    zeros to the largest degree. The active roots of all polynomials form
+    Rows of degree at most _EIGVALS_MAX_DEGREE start from the eigenvalues
+    of their companion matrices, one stacked call per degree, and the
+    others on _circle_start's circles; with other_start, each row takes
+    the start that this rule does not give it. The coefficients are
+    padded with leading zeros to the largest degree. The active roots of all polynomials form
     one flat set, ordered by degree; each sweep gathers their
     coefficients, drops the roots whose scaled residual is within tol,
     and sums 1/(x_i - x_j) for the others over the roots of each degree's
@@ -216,7 +223,7 @@ def _aberth(cs: list[np.ndarray], tol: float, eigvals_max: float) -> np.ndarray:
     bounds = [r for r in range(rows) if r == 0 or deg[r] != deg[r - 1]] + [rows]
     degs = [deg[r] for r in bounds[:-1]]
     for d, lo, hi in zip(degs, bounds[:-1], bounds[1:]):
-        if d <= eigvals_max:
+        if (d <= _EIGVALS_MAX_DEGREE) != other_start:
             x[lo:hi, :d] = _companion_eigvals(c[dmax - d:, lo:hi])
         else:
             for r in range(lo, hi):
@@ -296,19 +303,23 @@ def _collapse_multiple(rc: np.ndarray, roots: list[complex], tol: float) -> list
     A size-m group is refined by Newton on the (m-1)-th derivative (simple
     zero there); the collapse is accepted only when the refined point is a
     residual-certified root of p and the group's spread is consistent with
-    an order-m zero at working precision. rc holds p's coefficients in
-    descending order.
+    an order-m zero at working precision. A group whose derivatives
+    overflow is left as it is. rc holds p's coefficients in descending
+    order.
     """
     p = Polynomial(rc[::-1].tolist())
+    c = rc[:, None]
     out = list(roots)
     for g in _single_linkage(np.asarray(roots), _GROUP_RADIUS):
         m = len(g)
         if m < 2:
             continue
-        center = sum(roots[i] for i in g) / m
-        q = p.derivative(m - 1)
-        dq = q.derivative()
-        z = center
+        try:
+            q = p.derivative(m - 1)
+            dq = q.derivative()
+        except InvalidInput:
+            continue
+        z = sum(roots[i] for i in g) / m
         for _ in range(30):
             dv = dq(z)
             if dv == 0:
@@ -319,68 +330,56 @@ def _collapse_multiple(rc: np.ndarray, roots: list[complex], tol: float) -> list
                 break
         spread_cap = 10.0 * (1.0 + abs(z)) * (1e-13) ** (1.0 / m)
         spread = max(abs(roots[i] - z) for i in g)
-        # the scaled residual, as _evaluate takes it: a NaN z fails
-        certified = (np.abs(np.polyval(rc, z))
-                     / np.polyval(np.abs(rc), np.maximum(1.0, np.abs(z)))) <= tol
+        # a NaN z fails
+        certified = _evaluate(c, np.abs(c), np.zeros(1, dtype=int), np.array([z]))[1][0] <= tol
         if spread <= spread_cap and certified:
             for i in g:
                 out[i] = z
     return out
 
 
-def _stripped_degree(cr: np.ndarray) -> int:
-    """The degree left once the exact zeros at the origin come off the
-    polynomial with coefficients cr, in descending order."""
-    return int(np.flatnonzero(cr)[-1])
-
-
-def _solve(cs: list[np.ndarray], tol: float) -> list[RootSet | PolygeomError]:
+def _solve(cs: list[np.ndarray], tol: float) -> list[RootSet | NonConvergence]:
     """Root sets of the polynomials whose coefficients, in descending
     order, are cs (degree >= 1).
 
-    A row whose stripped degree is above _EIGVALS_MAX_DEGREE and which
-    the circle start leaves uncertified is solved once more from its
-    companion eigenvalues, and that second outcome is the row's.
+    A row that its start leaves uncertified is solved once more from the
+    other start, and that second outcome is the row's.
     """
-    out = _solve_pass(cs, tol, _EIGVALS_MAX_DEGREE)
-    redo = [r for r, res in enumerate(out)
-            if isinstance(res, NonConvergence) and _stripped_degree(cs[r]) > _EIGVALS_MAX_DEGREE]
+    out = _solve_pass(cs, tol, False)
+    redo = [r for r, res in enumerate(out) if isinstance(res, NonConvergence)]
     if redo:
-        for r, res in zip(redo, _solve_pass([cs[r] for r in redo], tol, math.inf)):
+        for r, res in zip(redo, _solve_pass([cs[r] for r in redo], tol, True)):
             out[r] = res
     return out
 
 
 def _solve_pass(cs: list[np.ndarray], tol: float,
-                eigvals_max: float) -> list[RootSet | PolygeomError]:
-    """_solve in one padded pass, with the rows of stripped degree above
-    eigvals_max started on circles.
+                other_start: bool) -> list[RootSet | NonConvergence]:
+    """_solve in one padded pass, each row started as _aberth starts it
+    at other_start, with no retry.
 
     Each row's coefficients get leading zeros up to the largest degree;
     Horner's rule passes them through bit for bit (0*z + 0 = 0 for finite
     z). Each row's roots get NaN pads, which no test counts: a NaN is
-    adjacent to nothing and sorts last. A row whose multiple-root
-    collapse raises gets that error as its outcome.
+    adjacent to nothing and sorts last.
     """
     rows = len(cs)
     n = [len(c) - 1 for c in cs]
     nmax = max(n)
     c = np.zeros((nmax + 1, rows), dtype=complex)
     z = np.full((rows, nmax), complex(np.nan, np.nan))
-    # the rows left with degree d >= 2 once their exact zeros at the
+    # the rows left with degree d >= 1 once their exact zeros at the
     # origin come off, as (d, row)
     big = []
     for r, cr in enumerate(cs):
         c[nmax - n[r]:, r] = cr
         z[r, :n[r]] = 0.0
-        d = _stripped_degree(cr)
-        if d == 1:
-            z[r, n[r] - 1] = -cr[1] / cr[0]
-        elif d >= 2:
+        d = int(np.flatnonzero(cr)[-1])
+        if d:
             big.append((d, r))
     if big:
         big.sort()
-        xs = _aberth([cs[r][:d + 1] for d, r in big], tol, eigvals_max)
+        xs = _aberth([cs[r][:d + 1] for d, r in big], tol, other_start)
         for (d, r), xr in zip(big, xs):
             z[r, n[r] - d:n[r]] = xr[:d]
 
@@ -390,25 +389,18 @@ def _solve_pass(cs: list[np.ndarray], tol: float,
     z[own] = _newton_polish(c, row, z[own])
 
     # rows with a candidate multiple-root group, or a non-finite value (no
-    # longer adjacent to itself), take the per-root path; the others are
-    # sorted by (real, imag) here (a stable sort, as list.sort is), and
-    # their roots are also singleton clusters, _CLUSTER_RADIUS being the
-    # smaller radius
+    # longer adjacent to itself), go through the collapse; the others'
+    # roots are also singleton clusters, _CLUSTER_RADIUS being the smaller
+    # radius
     lone = np.empty(rows, dtype=bool)
     block = max(1, _BLOCK_ENTRIES // (nmax * nmax))
     for lo in range(0, rows, block):
         adj = _adjacency(z[lo:lo + block], _GROUP_RADIUS)
         lone[lo:lo + block] = adj.sum(axis=(1, 2)) == n[lo:lo + block]
-    z[lone] = np.sort(z[lone], axis=-1, kind="stable")
-    failed: dict[int, PolygeomError] = {}
     for r in (~lone).nonzero()[0].tolist():
-        try:
-            roots = _collapse_multiple(cs[r], z[r, :n[r]].tolist(), tol)
-        except PolygeomError as e:
-            failed[r] = e
-            continue
-        roots.sort(key=lambda x: (x.real, x.imag))
-        z[r, :n[r]] = roots
+        z[r, :n[r]] = _collapse_multiple(cs[r], z[r, :n[r]].tolist(), tol)
+    # every row by (real, imag), stably; the NaN pads sort last
+    z = np.sort(z, axis=-1, kind="stable")
 
     flat = z[own]
     residuals = _evaluate(c, np.abs(c), row, flat)[1]
@@ -418,12 +410,9 @@ def _solve_pass(cs: list[np.ndarray], tol: float,
     # a singleton's cluster is ((0 + z) / 1, 1): z with its negative zeros
     # cleared, and a lone row's roots are already in cluster order
     all_means = (flat + 0.0).tolist()
-    out: list[RootSet | PolygeomError] = []
+    out: list[RootSet | NonConvergence] = []
     for r, (lo, hi) in enumerate(zip([0, *ends], ends)):
         roots, res = all_roots[lo:hi], all_res[lo:hi]
-        if r in failed:
-            out.append(failed[r])
-            continue
         if not certified[r]:
             out.append(NonConvergence(
                 f"residuals above tol={tol} after {MAX_ITER} iterations",

@@ -70,6 +70,12 @@ class TestRoots:
         assert doc["residuals"] == [None]
         assert doc["roots"] == [[1.5e308, 1.5e308]]
 
+    def test_overflowing_companion_matrix_is_solved(self, tmp_path, capsys):
+        # 1e200 + 1e-200 z^3: -a_0/a_3 overflows, and the roots do not
+        poly = write(tmp_path, "p.json", {"coeffs": [[1e200, 0], [0, 0], [0, 0], [1e-200, 0]]})
+        assert main(["roots", "--poly", poly]) == 0
+        assert len(strict_json(capsys.readouterr().out)["roots"]) == 3
+
     def test_overflowing_coefficient_modulus_is_a_numerical_failure(self, tmp_path, capsys):
         # |a_0| of this degree-16 polynomial overflows a float: a numerical
         # failure under roots and under replay, not a crash

@@ -385,13 +385,14 @@ class TestBatch:
         assert isinstance(a, rootfind.RootSet) and a is b
         assert isinstance(e, InvalidDegree) and e is f
 
-    def test_collapse_error_fails_only_its_row(self):
-        # the multiple-root collapse of the second row overflows its
-        # derivative: that row gets the error, the first its root set
-        a = 1.5e308
-        ps = [from_roots([1, 2, 3]), Polynomial([0.01 * a, -0.2 * a, a])]
+    def test_overflowing_collapse_is_decided_by_the_certificate(self):
+        # 1e308 (z - 0.1)^2: its derivative overflows, so the collapse
+        # leaves the pair as it is, and the residuals certify the row
+        ps = [from_roots([1, 2, 3]), Polynomial([1e306, -2e307, 1e308])]
         many = find_roots_many(ps)
-        assert isinstance(many[1], InvalidInput)
+        (rep, mult), = many[1].clusters
+        assert mult == 2 and rep == pytest.approx(0.1, rel=1e-15)
+        assert all(0 < r <= 1e-12 for r in many[1].residuals)
         assert [outcome(m) for m in many] == [outcome(alone(p)) for p in ps]
 
     def test_singleton_test_blocks(self, monkeypatch):
@@ -455,24 +456,29 @@ class TestBatch:
             assert np.array(m.residuals).tobytes() == np.array(one.residuals).tobytes()
             assert cluster_bytes(m.clusters) == cluster_bytes(one.clusters)
 
-    def test_non_finite_companion_is_non_convergence(self):
-        # -a_0/a_2 overflows, so there is no finite companion matrix
-        with pytest.raises(NonConvergence) as exc:
-            find_roots(Polynomial([1e10, 0, 1e-300]))
-        assert len(exc.value.roots) == 2
+    def test_non_finite_companion_is_solved_on_circles(self):
+        # -a_0/a_n overflows, so there is no finite companion matrix: the
+        # row is solved again from Bini's circles, and certified there
+        rs = find_roots(Polynomial([1e10, 0, 1e-300]))
+        match_multisets(rs.roots, [1e155j, -1e155j], 1e-15 * 1e155)
+        rs = find_roots(Polynomial([1e200, 0, 0, 1e-200]))
+        r = 1e133 * 10 ** (1 / 3)
+        match_multisets(rs.roots, [cmath.rect(r, math.pi * (2 * k + 1) / 3) for k in range(3)],
+                        1e-15 * r)
 
 
-def one_pass(p, eigvals_max, tol=1e-12):
-    """p's outcome from one pass, started on circles above degree
-    eigvals_max, with no fallback."""
+def one_pass(p, other_start, tol=1e-12):
+    """p's outcome from one pass, from the start the degree rule gives it
+    or from the other start, with no fallback."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         return rootfind._solve_pass([np.array(p.coeffs[::-1], dtype=complex)], tol,
-                                    eigvals_max)[0]
+                                    other_start)[0]
 
 
 def eigvals_start(p):
-    """p's outcome with every row started from companion eigenvalues."""
-    return one_pass(p, math.inf)
+    """p's outcome from one pass started from its companion eigenvalues
+    (p has no zero at the origin)."""
+    return one_pass(p, p.degree() > rootfind._EIGVALS_MAX_DEGREE)
 
 
 def hard_rows(seed, count):
@@ -503,7 +509,7 @@ class TestStart:
         rng = random.Random(46)
         p = Polynomial([complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
                         * 10 ** rng.uniform(-8, 8) for _ in range(41)])
-        circles = one_pass(p, rootfind._EIGVALS_MAX_DEGREE)
+        circles = one_pass(p, False)
         assert p.degree() == 40 and isinstance(circles, NonConvergence)
         assert outcome(alone(p)) == outcome(eigvals_start(p))
         assert isinstance(alone(p), rootfind.RootSet)
@@ -546,7 +552,7 @@ class TestStart:
                 == pytest.approx([10.0] * 10 + [100.0] * 10, rel=1e-9))
 
 
-def aberth_reference(cs, tol, eigvals_max):
+def aberth_reference(cs, tol, other_start):
     """rootfind._aberth as it was before converged roots left the active
     set: every active root got p', w and an Aberth sum, and a converged
     root's correction was then set to 0."""
@@ -561,7 +567,7 @@ def aberth_reference(cs, tol, eigvals_max):
     bounds = [r for r in range(rows) if r == 0 or deg[r] != deg[r - 1]] + [rows]
     degs = [deg[r] for r in bounds[:-1]]
     for d, lo, hi in zip(degs, bounds[:-1], bounds[1:]):
-        if d <= eigvals_max:
+        if (d <= rootfind._EIGVALS_MAX_DEGREE) != other_start:
             x[lo:hi, :d] = rootfind._companion_eigvals(c[dmax - d:, lo:hi])
         else:
             for r in range(lo, hi):
@@ -596,16 +602,16 @@ class TestSweep:
     # only the roots that still move get a correction; the others' p', w
     # and Aberth sums were computed and thrown away, so the roots are the
     # same bits
-    @pytest.mark.parametrize("eigvals_max", [rootfind._EIGVALS_MAX_DEGREE, math.inf])
+    @pytest.mark.parametrize("other_start", [False, True])
     @pytest.mark.parametrize("tol", [1e-12, 1e-30])
-    def test_equal_to_the_sweep_that_corrected_every_root(self, eigvals_max, tol):
+    def test_equal_to_the_sweep_that_corrected_every_root(self, other_start, tol):
         rng = random.Random(21)
         ps = hard_rows(22, 30) + [Polynomial(random_unit_box(rng, d)) for d in range(2, 61, 3)]
         cs = sorted((np.array(p.coeffs[::-1], dtype=complex) for p in ps), key=len)
         cs = [cr for cr in cs if cr[-1] != 0]
         with np.errstate(all="ignore"):
-            got = rootfind._aberth(cs, tol, eigvals_max)
-            want = aberth_reference(cs, tol, eigvals_max)
+            got = rootfind._aberth(cs, tol, other_start)
+            want = aberth_reference(cs, tol, other_start)
         assert got.tobytes() == want.tobytes()
 
 

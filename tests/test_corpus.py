@@ -19,7 +19,6 @@ To regenerate the committed file after an intended change:
     PYTHONPATH=src python tests/test_corpus.py
 """
 
-import concurrent.futures
 import hashlib
 import json
 import os
@@ -30,6 +29,7 @@ import pytest
 
 from polygeom import campaign, jsonio
 from polygeom.campaign import CampaignConfig, run_campaign
+from test_campaign import fake_pool
 
 CORPUS_FILE = os.path.join(os.path.dirname(__file__), "data", "outcome_corpus.json")
 
@@ -55,23 +55,6 @@ def digest(lines) -> str:
     return h.hexdigest()
 
 
-class SerialPool:
-    """A stand-in for ProcessPoolExecutor that runs the chunks in order in
-    this process."""
-
-    def __init__(self, max_workers):
-        pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, *iterables):
-        return map(fn, *iterables)
-
-
 def build(jobs: int, serial: bool = True) -> dict:
     """Each campaign's report bytes and, when its chunks run in this
     process (serial), its status and outcome digests, at jobs, as on 2
@@ -88,11 +71,13 @@ def build(jobs: int, serial: bool = True) -> dict:
             records.extend(chunk)
             return chunk
 
+        # the chunks of jobs on 2 CPUs
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(campaign.os, "cpu_count", lambda: 2)
             if serial:
-                mp.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+                fake_pool(mp, 2)
                 mp.setattr(campaign, "_run_chunk", recording)
+            else:
+                mp.setattr(campaign.os, "cpu_count", lambda: 2)
             report = jsonio.dumps(run_campaign(cfg).to_json())
         entry = {"report": report}
         if serial:
@@ -112,12 +97,11 @@ def committed():
 
 @pytest.fixture(scope="module", params=[1, 2], ids=["jobs1", "jobs2"])
 def rebuilt(request):
-    return request.param, build(request.param)
+    return build(request.param)
 
 
 def test_reports_and_statuses(committed, rebuilt):
-    jobs, got = rebuilt
-    want = committed["campaigns"]
+    got, want = rebuilt, committed["campaigns"]
     assert list(got) == list(want)
     assert {k: v["report"] for k, v in got.items()} == {k: v["report"] for k, v in want.items()}
     assert ({k: v["statuses"] for k, v in got.items()}
@@ -134,8 +118,7 @@ def test_outcome_digests(committed, rebuilt):
     if this_platform() != committed["reference"]:
         pytest.skip(f"outcome digests are pinned on {committed['reference']}, "
                     f"not {this_platform()}")
-    jobs, got = rebuilt
-    assert ({k: v["outcomes"] for k, v in got.items()}
+    assert ({k: v["outcomes"] for k, v in rebuilt.items()}
             == {k: v["outcomes"] for k, v in committed["campaigns"].items()})
 
 
@@ -143,5 +126,5 @@ if __name__ == "__main__":
     doc = {"reference": this_platform(), "campaigns": build(1)}
     os.makedirs(os.path.dirname(CORPUS_FILE), exist_ok=True)
     with open(CORPUS_FILE, "w", encoding="utf-8") as f:
-        json.dump(doc, f, indent=1, sort_keys=False)
+        json.dump(doc, f, indent=1)
         f.write("\n")

@@ -26,7 +26,6 @@ from .coincidence import (
 )
 from .derivative_bound import (
     MEAN_RESIDUAL_TOL,
-    Theorem2Instance,
     _gauss_lucas_core,
     _theorem2_core,
     _theorem2_instance_core,
@@ -228,7 +227,7 @@ def _gen_walsh_classic(rng: random.Random, cfg: CampaignConfig):
     region = disk(sed.center, max(sed.radius, 1e-9))
     return {
         "property": "walsh_classic",
-        "multiaffine": {"n": n, "E": jsonio.points_to_json(P.E)},
+        "multiaffine": jsonio.multiaffine_to_json(P),
         "points": jsonio.points_to_json(w),
         "region": jsonio.region_to_json(region),
         "classic": True,
@@ -282,7 +281,7 @@ def _gen_theorem1(rng: random.Random, cfg: CampaignConfig, exterior: bool, ahead
 
     return {
         "property": "theorem1_exterior" if exterior else "theorem1_convex",
-        "multiaffine": {"n": n, "E": jsonio.points_to_json(P.E)},
+        "multiaffine": jsonio.multiaffine_to_json(P),
         "points": jsonio.points_to_json(w),
         "region": jsonio.region_to_json(region),
         "classic": False,
@@ -314,21 +313,11 @@ def _gen_theorem2(rng: random.Random, cfg: CampaignConfig):
         outer_distance=radius * factor,
         center=2.0 * _unit_box(rng),
     )
-    return {
-        "property": "theorem2",
-        "k": k,
-        "inner_zeros": jsonio.points_to_json(inst.inner_zeros),
-        "outer_zero": jsonio.complex_to_json(inst.outer_zero),
-        "disk": jsonio.disk_to_json(inst.disk),
-    }
+    return {"property": "theorem2", "k": k, **jsonio.theorem2_instance_to_json(inst)}
 
 
 def _check_theorem2(inst: dict):
-    t2 = Theorem2Instance(
-        tuple(jsonio.points_from_json(inst["inner_zeros"])),
-        jsonio.complex_from_json(inst["outer_zero"]),
-        jsonio.disk_from_json(inst["disk"]),
-    )
+    t2 = jsonio.theorem2_instance_from_json(inst)
     report = yield from _theorem2_core(t2, jsonio.integer_from_json(inst["k"]))
     if not report.satisfied:
         return Verdict(FAIL, (

@@ -140,10 +140,7 @@ def _cmd_theorem2(args) -> int:
             args.n, seed=args.seed, radius=args.radius,
             outer_distance=args.outer_distance,
         )
-        _emit({"schema": jsonio.SCHEMA,
-               "inner_zeros": jsonio.points_to_json(inst.inner_zeros),
-               "outer_zero": jsonio.complex_to_json(inst.outer_zero),
-               "disk": jsonio.disk_to_json(inst.disk)}, args)
+        _emit({"schema": jsonio.SCHEMA, **jsonio.theorem2_instance_to_json(inst)}, args)
         return EXIT_OK
 
     if args.instance is None or args.k is None:

@@ -94,7 +94,7 @@ def _theorem2_core(inst: Theorem2Instance, k: int):
     p = Polynomial((yield Product(_disk_frame_points(inst))))
     d = p.derivative(k)
     droots = yield d
-    count = sum(mult for rep, mult in droots.clusters if contains(_UNIT_DISK, rep, _COUNT_TOL))
+    count = sum(contains(_UNIT_DISK, z, _COUNT_TOL) for z in droots.roots)
 
     mu_p = mean_of_roots(p)
     mu_d = mean_of_roots(d)

@@ -11,6 +11,7 @@ import numbers
 from typing import Any, Sequence
 
 from .coincidence import SymmetricMultiaffine
+from .derivative_bound import Theorem2Instance
 from .errors import InvalidInput
 from .poly import Polynomial
 from .regions import (
@@ -141,9 +142,25 @@ def disk_from_json(d: dict) -> CircularRegion:
     return disk(complex_from_json(d["center"]), _real(d["radius"]))
 
 
+def multiaffine_to_json(P: SymmetricMultiaffine) -> dict:
+    return {"n": P.n, "E": points_to_json(P.E)}
+
+
 def multiaffine_from_json(d: dict) -> SymmetricMultiaffine:
     _object(d, "multiaffine")
     return SymmetricMultiaffine(integer_from_json(d["n"]), points_from_json(d["E"]))
+
+
+def theorem2_instance_to_json(inst: Theorem2Instance) -> dict:
+    return {"inner_zeros": points_to_json(inst.inner_zeros),
+            "outer_zero": complex_to_json(inst.outer_zero),
+            "disk": disk_to_json(inst.disk)}
+
+
+def theorem2_instance_from_json(d: dict) -> Theorem2Instance:
+    _object(d, "theorem2 instance")
+    return Theorem2Instance(tuple(points_from_json(d["inner_zeros"])),
+                            complex_from_json(d["outer_zero"]), disk_from_json(d["disk"]))
 
 
 def rootset_to_json(rs: RootSet) -> dict:

@@ -11,13 +11,13 @@ of (k, log|a_k|), built per row with scalar math. Aberth-Ehrlich sweeps
 run over the roots that are still active, across every polynomial of the
 batch; a root freezes once its step is negligible or its scaled residual
 is within tol (Bini 1996), and a sweep computes p', the Newton quotient
-and the Aberth sum only for the roots whose residual is not. Every root
-gets one vectorized Newton polish. Near-coincident approximations of a
-multiple root are collapsed onto a refined representative, which the
-collapse keeps only when its scaled residual is within tol; a group whose
-derivatives overflow is left as it is, so the collapse never raises. One
-stable sort then orders every row, and a row of singletons gets its
-clusters in bulk.
+and the Aberth sum only for the roots whose residual is not. Every
+approximate root gets one vectorized Newton polish. Near-coincident
+approximations of a multiple root are collapsed onto one refined point,
+kept only when its scaled residual is within tol; this is the one place
+that decides multiplicity, as a root set's clusters are its runs of equal
+roots. The exact zeros at the origin are written after the collapse, and
+one stable sort orders every row.
 
 One certificate decides every row: the scaled residual of each root
 under the original polynomial is within tol; a NaN or inf residual
@@ -86,8 +86,6 @@ _START_ROTATION = 0.7
 # single-linkage threshold for detecting a candidate multiple-root group,
 # well below the 1e-2 separation the round-trip contract assumes
 _GROUP_RADIUS = 1e-3
-# single-linkage threshold for the multiplicity clusters of a root set
-_CLUSTER_RADIUS = 1e-6
 # entries that one block of a pass holds: of the (rows, n, n) adjacency
 # of the singleton test, whose complex differences then take about 1 MB,
 # and of the coefficient columns a Horner evaluation gathers, one per root
@@ -98,7 +96,14 @@ _BLOCK_ENTRIES = 1 << 16
 class RootSet:
     roots: tuple[complex, ...]
     residuals: tuple[float, ...]
-    clusters: tuple[tuple[complex, int], ...]
+
+    @property
+    def clusters(self) -> tuple[tuple[complex, int], ...]:
+        """Each run of equal roots as (root, length), in the sorted order
+        of the roots: the collapse gives every root of a multiple group
+        the same value. A representative's negative zeros are cleared."""
+        return tuple((complex(z.real + 0.0, z.imag + 0.0), len(list(run)))
+                     for z, run in itertools.groupby(self.roots))
 
 
 def _valid_tol(tol) -> bool:
@@ -284,8 +289,6 @@ def _single_linkage(points: np.ndarray, scale: float) -> list[list[int]]:
     n = len(points)
     adj = _adjacency(points, scale)
     np.fill_diagonal(adj, True)
-    if np.count_nonzero(adj) == n:
-        return [[i] for i in range(n)]
     # each point takes the smallest label among its neighbours until the
     # labels settle: a label is then its component's smallest index
     label = np.arange(n)
@@ -303,11 +306,14 @@ def _collapse_multiple(rc: np.ndarray, roots: list[complex], tol: float) -> list
     A size-m group is refined by Newton on the (m-1)-th derivative (simple
     zero there); the collapse is accepted only when the refined point is a
     residual-certified root of p and the group's spread is consistent with
-    an order-m zero at working precision. A group whose derivatives
-    overflow is left as it is. rc holds p's coefficients in descending
-    order.
+    an order-m zero at working precision. rc holds p's coefficients in
+    descending order; Newton runs on them times 2**-e, 2**e above their
+    largest modulus (e >= -1023, so that 2**-e is finite): every step
+    keeps its bits, and a derivative overflows only where math.perm does,
+    which leaves the group as it is.
     """
-    p = Polynomial(rc[::-1].tolist())
+    e = max(int(np.frexp(np.max(np.abs(rc)))[1]), -1023)
+    p = Polynomial((rc[::-1] * 2.0 ** -e).tolist())
     c = rc[:, None]
     out = list(roots)
     for g in _single_linkage(np.asarray(roots), _GROUP_RADIUS):
@@ -361,73 +367,58 @@ def _solve_pass(cs: list[np.ndarray], tol: float,
     Each row's coefficients get leading zeros up to the largest degree;
     Horner's rule passes them through bit for bit (0*z + 0 = 0 for finite
     z). Each row's roots get NaN pads, which no test counts: a NaN is
-    adjacent to nothing and sorts last.
+    adjacent to nothing and sorts last. A row's exact zeros at the origin
+    are NaN, and so out of the polish, test and collapse, until written
+    as 0.0 after the collapse.
     """
     rows = len(cs)
     n = [len(c) - 1 for c in cs]
+    # each row's degree once its exact zeros at the origin come off
+    d = [int(np.flatnonzero(cr)[-1]) for cr in cs]
     nmax = max(n)
     c = np.zeros((nmax + 1, rows), dtype=complex)
     z = np.full((rows, nmax), complex(np.nan, np.nan))
-    # the rows left with degree d >= 1 once their exact zeros at the
-    # origin come off, as (d, row)
-    big = []
     for r, cr in enumerate(cs):
         c[nmax - n[r]:, r] = cr
-        z[r, :n[r]] = 0.0
-        d = int(np.flatnonzero(cr)[-1])
-        if d:
-            big.append((d, r))
+    # the rows left with degree >= 1, as (degree, row)
+    big = sorted((d[r], r) for r in range(rows) if d[r])
     if big:
-        big.sort()
-        xs = _aberth([cs[r][:d + 1] for d, r in big], tol, other_start)
-        for (d, r), xr in zip(big, xs):
-            z[r, n[r] - d:n[r]] = xr[:d]
+        xs = _aberth([cs[r][:dr + 1] for dr, r in big], tol, other_start)
+        for (dr, r), xr in zip(big, xs):
+            z[r, n[r] - dr:n[r]] = xr[:dr]
 
-    # each row's own roots, flattened, and the row each belongs to
-    own = np.arange(nmax) < np.array(n)[:, None]
-    row = np.repeat(np.arange(rows), n)
-    z[own] = _newton_polish(c, row, z[own])
+    # each row's own places, and those of its zeros at the origin
+    col = np.arange(nmax)
+    own = col < np.array(n)[:, None]
+    origin = col < np.subtract(n, d)[:, None]
+    approx = own & ~origin
+    z[approx] = _newton_polish(c, np.repeat(np.arange(rows), d), z[approx])
 
     # rows with a candidate multiple-root group, or a non-finite value (no
-    # longer adjacent to itself), go through the collapse; the others'
-    # roots are also singleton clusters, _CLUSTER_RADIUS being the smaller
-    # radius
+    # longer adjacent to itself), go through the collapse
     lone = np.empty(rows, dtype=bool)
     block = max(1, _BLOCK_ENTRIES // (nmax * nmax))
     for lo in range(0, rows, block):
         adj = _adjacency(z[lo:lo + block], _GROUP_RADIUS)
-        lone[lo:lo + block] = adj.sum(axis=(1, 2)) == n[lo:lo + block]
+        lone[lo:lo + block] = adj.sum(axis=(1, 2)) == d[lo:lo + block]
     for r in (~lone).nonzero()[0].tolist():
-        z[r, :n[r]] = _collapse_multiple(cs[r], z[r, :n[r]].tolist(), tol)
+        own_r = slice(n[r] - d[r], n[r])
+        z[r, own_r] = _collapse_multiple(cs[r], z[r, own_r].tolist(), tol)
+    z[origin] = 0.0
     # every row by (real, imag), stably; the NaN pads sort last
     z = np.sort(z, axis=-1, kind="stable")
 
     flat = z[own]
-    residuals = _evaluate(c, np.abs(c), row, flat)[1]
+    residuals = _evaluate(c, np.abs(c), np.repeat(np.arange(rows), n), flat)[1]
     ends = list(itertools.accumulate(n))
     certified = np.logical_and.reduceat(residuals <= tol, [0, *ends[:-1]])
     all_roots, all_res = flat.tolist(), residuals.tolist()
-    # a singleton's cluster is ((0 + z) / 1, 1): z with its negative zeros
-    # cleared, and a lone row's roots are already in cluster order
-    all_means = (flat + 0.0).tolist()
     out: list[RootSet | NonConvergence] = []
-    for r, (lo, hi) in enumerate(zip([0, *ends], ends)):
+    for ok, lo, hi in zip(certified, [0, *ends], ends):
         roots, res = all_roots[lo:hi], all_res[lo:hi]
-        if not certified[r]:
-            out.append(NonConvergence(
-                f"residuals above tol={tol} after {MAX_ITER} iterations",
-                roots=roots, residuals=res))
-            continue
-        clusters = (tuple(zip(all_means[lo:hi], itertools.repeat(1))) if lone[r]
-                    else _clusters(roots, _single_linkage(flat[lo:hi], _CLUSTER_RADIUS)))
-        out.append(RootSet(tuple(roots), tuple(res), clusters))
+        out.append(RootSet(tuple(roots), tuple(res)) if ok else NonConvergence(
+            f"residuals above tol={tol} after {MAX_ITER} iterations", roots=roots, residuals=res))
     return out
-
-
-def _clusters(roots: list[complex], groups: list[list[int]]) -> tuple[tuple[complex, int], ...]:
-    """Each group of roots as (mean, size), sorted by (real, imag)."""
-    return tuple(sorted(((sum(roots[i] for i in g) / len(g), len(g)) for g in groups),
-                        key=lambda cl: (cl[0].real, cl[0].imag)))
 
 
 def _coeff_row(p: Polynomial) -> np.ndarray:

@@ -17,6 +17,10 @@ process on 2 CPUs for the digests, so that every trial's record is seen.
 To regenerate the committed file after an intended change:
 
     PYTHONPATH=src python tests/test_corpus.py
+
+which first prints each campaign whose report, status digest or outcome
+digest differs from the committed file, with those fields, or that none
+does.
 """
 
 import hashlib
@@ -122,8 +126,36 @@ def test_outcome_digests(committed, rebuilt):
             == {k: v["outcomes"] for k, v in committed["campaigns"].items()})
 
 
+def differences(old: dict, new: dict) -> list[str]:
+    """For each campaign of either corpus whose report, status digest or
+    outcome digest differs between them: its key and those fields."""
+    out = []
+    for key in list(new) + [k for k in old if k not in new]:
+        was, now = old.get(key, {}), new.get(key, {})
+        fields = [f for f in ("report", "statuses", "outcomes") if was.get(f) != now.get(f)]
+        if fields:
+            out.append(f"{key}: {', '.join(fields)}")
+    return out
+
+
+def test_differences_name_each_changed_field():
+    old = {"a": {"report": "r", "statuses": "s", "outcomes": "o"}, "gone": {"report": "r"}}
+    new = {"a": {"report": "r", "statuses": "s", "outcomes": "o2"}, "added": {"report": "r"}}
+    assert differences(old, old) == []
+    assert differences(old, new) == ["a: outcomes", "added: report", "gone: report"]
+
+
 if __name__ == "__main__":
     doc = {"reference": this_platform(), "campaigns": build(1)}
+    try:
+        with open(CORPUS_FILE, encoding="utf-8") as f:
+            old = json.load(f)
+    except FileNotFoundError:
+        old = {"reference": None, "campaigns": {}}
+    if old["reference"] != doc["reference"]:
+        print(f"reference platform: {old['reference']} -> {doc['reference']}")
+    changed = differences(old["campaigns"], doc["campaigns"])
+    print("\n".join(changed) if changed else "no campaign differs from the committed corpus")
     os.makedirs(os.path.dirname(CORPUS_FILE), exist_ok=True)
     with open(CORPUS_FILE, "w", encoding="utf-8") as f:
         json.dump(doc, f, indent=1)

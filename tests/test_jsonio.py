@@ -5,13 +5,19 @@ import struct
 import numpy as np
 import pytest
 
+from polygeom.coincidence import SymmetricMultiaffine
+from polygeom.derivative_bound import generate_theorem2_instance
 from polygeom.errors import InvalidInput
 from polygeom.jsonio import (
     complex_from_json,
     dumps,
     load_file,
+    multiaffine_from_json,
+    multiaffine_to_json,
     points_from_json,
     poly_from_json,
+    theorem2_instance_from_json,
+    theorem2_instance_to_json,
 )
 from polygeom.poly import Polynomial
 
@@ -102,3 +108,22 @@ class TestDumps:
         path = tmp_path / "doc.json"
         path.write_text(text)
         assert load_file(str(path))["value"] == [None, None]
+
+
+class TestInstanceFormats:
+    # each instance format has one encoder and one decoder
+    def test_multiaffine_round_trip(self):
+        P = SymmetricMultiaffine(4, [1 + 2j, -0.5, 3j])
+        doc = json.loads(dumps(multiaffine_to_json(P)))
+        assert doc == {"n": 4, "E": [[1.0, 2.0], [-0.5, 0.0], [0.0, 3.0]]}
+        assert multiaffine_from_json(doc) == P
+
+    def test_theorem2_instance_round_trip(self):
+        inst = generate_theorem2_instance(7, seed=3, radius=0.5, center=1 - 2j)
+        doc = json.loads(dumps(theorem2_instance_to_json(inst)))
+        assert sorted(doc) == ["disk", "inner_zeros", "outer_zero"]
+        assert theorem2_instance_from_json(doc) == inst
+
+    def test_theorem2_instance_must_be_an_object(self):
+        with pytest.raises(InvalidInput, match="theorem2 instance JSON must be an object"):
+            theorem2_instance_from_json([1.0])

@@ -79,6 +79,16 @@ class TestFindRoots:
         assert sum(1 for r in rs.roots if r == 0) == 3
         match_multisets(rs.roots, [0, 0, 0, -1], 1e-12)
 
+    def test_zeros_at_origin_stay_out_of_the_collapse(self):
+        # z^3 (z - 1e-4) and z^9 (z - 6.7e-6): the simple root lies within
+        # the collapse's linkage radius of the zeros at the origin, which
+        # are exact, so it is not merged with them
+        for zeros, root in ((3, 1e-4), (9, 6.7e-6)):
+            rs = find_roots(Polynomial([0] * zeros + [-root, 1]))
+            (zero, m0), (rep, m1) = rs.clusters
+            assert (zero, m0, m1) == (0, zeros, 1)
+            assert rep == pytest.approx(root, rel=1e-12)
+
     def test_rejects_constant(self):
         with pytest.raises(InvalidDegree):
             find_roots(Polynomial([1]))
@@ -385,11 +395,13 @@ class TestBatch:
         assert isinstance(a, rootfind.RootSet) and a is b
         assert isinstance(e, InvalidDegree) and e is f
 
-    def test_overflowing_collapse_is_decided_by_the_certificate(self):
-        # 1e308 (z - 0.1)^2: its derivative overflows, so the collapse
-        # leaves the pair as it is, and the residuals certify the row
+    def test_overflowing_derivative_is_collapsed_at_a_smaller_scale(self):
+        # 1e308 (z - 0.1)^2: its derivative overflows, but the collapse
+        # runs on the coefficients times 2**-1024, where it does not, and
+        # collapses the pair onto one certified root
         ps = [from_roots([1, 2, 3]), Polynomial([1e306, -2e307, 1e308])]
         many = find_roots_many(ps)
+        assert many[1].roots[0] == many[1].roots[1]
         (rep, mult), = many[1].clusters
         assert mult == 2 and rep == pytest.approx(0.1, rel=1e-15)
         assert all(0 < r <= 1e-12 for r in many[1].residuals)
@@ -621,9 +633,15 @@ def cluster_bytes(clusters):
     return b"".join(struct.pack("<ddq", c.real, c.imag, m) for c, m in clusters)
 
 
-class TestSingletonClusters:
-    # a row whose roots are all singletons builds its clusters in bulk:
-    # the same bits as one _clusters group per root
+def nearest_centres(clusters, centres):
+    """Each cluster as (index of its nearest centre, multiplicity), sorted."""
+    return sorted((min(range(len(centres)), key=lambda i: abs(rep - centres[i])), m)
+                  for rep, m in clusters)
+
+
+class TestClusters:
+    # a root set's clusters are its runs of equal roots, which only the
+    # collapse makes
     @staticmethod
     def signed_zero_parts(monkeypatch):
         """Set the parts within 1e-9 of zero of the polished roots to exact
@@ -639,7 +657,7 @@ class TestSingletonClusters:
 
         monkeypatch.setattr(rootfind, "_newton_polish", polishing)
 
-    def test_bulk_clusters_equal_one_group_per_root(self, monkeypatch):
+    def test_representatives_clear_negative_zeros(self, monkeypatch):
         self.signed_zero_parts(monkeypatch)
         # roots on the axes (zero parts, tied real parts), conjugate pairs
         # and a zero at the origin
@@ -654,9 +672,38 @@ class TestSingletonClusters:
             signed += sum(math.copysign(1.0, x) < 0 for z in roots for x in (z.real, z.imag)
                           if x == 0)
             assert (cluster_bytes(rs.clusters)
-                    == cluster_bytes(rootfind._clusters(roots, [[i] for i in range(len(roots))])))
-        # the rows hold negative zeros, which a singleton's mean clears
+                    == cluster_bytes([(complex(z.real + 0.0, z.imag + 0.0), 1) for z in roots]))
+        # the rows hold negative zeros, which a representative clears
         assert signed > 0
+
+    def test_multiplicities_equal_the_construction(self):
+        # 1-5 centres at least 0.5 apart in the box of half-width 2, each
+        # of multiplicity 1-3
+        rng = random.Random(22)
+        table = []
+        for _ in range(1000):
+            centres = []
+            for _ in range(rng.randint(1, 5)):
+                c = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+                while any(abs(c - o) < 0.5 for o in centres):
+                    c = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+                centres.append(c)
+            table.append((centres, [rng.randint(1, 3) for _ in centres]))
+        ps = [from_roots([c for c, m in zip(centres, mults) for _ in range(m)])
+              for centres, mults in table]
+        for rs, (centres, mults) in zip(find_roots_many(ps), table):
+            assert nearest_centres(rs.clusters, centres) == list(enumerate(mults))
+
+    def test_quadruple_roots_at_a_large_scale(self):
+        # degree 17 with three quadruple roots, scaled by 1e300: p'''
+        # overflows, so the collapse decides these groups only on
+        # coefficients scaled below modulus 1
+        centres = [-1.2 - 1.3j, -0.4 + 1.3j, -2.0 + 1.5j, -0.8 + 0.3j, -0.1 - 1.5j]
+        mults = [4, 4, 4, 3, 2]
+        p = from_roots([c for c, m in zip(centres, mults) for _ in range(m)])
+        p = Polynomial([c * 1e300 for c in p.coeffs])
+        assert 2.7e305 < max(map(abs, p.coeffs)) < 2.8e305
+        assert nearest_centres(find_roots(p).clusters, centres) == list(enumerate(mults))
 
 
 class TestDrive:

@@ -213,7 +213,7 @@ def convex_hull(points: Sequence[complex]) -> list[complex]:
             upper.pop()
         upper.append(p)
     hull = lower[:-1] + upper[:-1]
-    return hull if len(hull) >= 3 else pts[:1] if len(pts) == 1 else [pts[0], pts[-1]]
+    return hull if len(hull) >= 3 else [pts[0], pts[-1]]
 
 
 def _segment_distance(a: complex, b: complex, z: complex) -> float:

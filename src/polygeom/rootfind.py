@@ -32,8 +32,8 @@ which ``np.polyval`` passes through unchanged, and each row's roots are
 followed by NaN pads, which no test counts. Every operation is
 elementwise or per row, and each sum over a row's roots has that row's
 own length, so a polynomial gets the same bits in any batch as alone.
-What a pass holds does not grow with the batch: the singleton test runs
-over blocks of rows whose (rows, n, n) adjacency keeps near 1 MB, and
+What a pass holds does not grow with the batch: the linkage runs over
+blocks of rows whose (rows, n, n) adjacency keeps near 1 MB, and
 ``_horner``, through which every evaluation over the batch runs (p, p',
 and the scale of each residual), gathers the coefficient columns of its
 points in blocks of as many entries.
@@ -83,11 +83,12 @@ _EIGVALS_MAX_DEGREE = 15
 # the angle by which Bini's start circles are turned (Bini 1996)
 _START_ROTATION = 0.7
 
-# single-linkage threshold for detecting a candidate multiple-root group,
-# well below the 1e-2 separation the round-trip contract assumes
-_GROUP_RADIUS = 1e-3
+# single-linkage radius of a candidate multiple-root group: at tol 1e-12
+# a quadruple root's approximations lie up to 1.5e-2 from it, and the
+# collapse's spread cap and certificate keep simple roots this close apart
+_GROUP_RADIUS = 1e-2
 # entries that one block of a pass holds: of the (rows, n, n) adjacency
-# of the singleton test, whose complex differences then take about 1 MB,
+# of the linkage, whose complex differences then take about 1 MB,
 # and of the coefficient columns a Horner evaluation gathers, one per root
 _BLOCK_ENTRIES = 1 << 16
 
@@ -274,49 +275,46 @@ def _newton_polish(c: np.ndarray, row: np.ndarray, z: np.ndarray) -> np.ndarray:
     return np.where((dv != 0) & np.isfinite(cand) & better, cand, z)
 
 
-def _adjacency(z: np.ndarray, scale: float) -> np.ndarray:
-    """|z_i - z_j| <= scale * (1 + max(|z_i|, |z_j|)) over the last axis."""
-    radius = scale * (1.0 + np.abs(z))
-    return (np.abs(z[..., :, None] - z[..., None, :])
-            <= np.maximum(radius[..., :, None], radius[..., None, :]))
-
-
-def _single_linkage(points: np.ndarray, scale: float) -> list[list[int]]:
-    """Groups of points chained by |z_i - z_j| <= scale * (1 + max(|z_i|, |z_j|)).
-
-    Groups are ordered by their smallest index, members ascending.
-    """
-    n = len(points)
-    adj = _adjacency(points, scale)
-    np.fill_diagonal(adj, True)
-    # each point takes the smallest label among its neighbours until the
-    # labels settle: a label is then its component's smallest index
-    label = np.arange(n)
+def _linkage(z: np.ndarray, d) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of the block z that may hold a multiple root, and their
+    labels. z_i and z_j are linked when |z_i - z_j| <= _GROUP_RADIUS *
+    (1 + max(|z_i|, |z_j|)); row r is flagged unless its only links are
+    its d[r] approximations' links to themselves (a non-finite value has
+    none). A label is the smallest index a chain of links reaches."""
+    radius = _GROUP_RADIUS * (1.0 + np.abs(z))
+    adj = (np.abs(z[:, :, None] - z[:, None, :])
+           <= np.maximum(radius[:, :, None], radius[:, None, :]))
+    flagged = np.flatnonzero(adj.sum(axis=(1, 2)) != d)
+    adj = adj[flagged]
+    # each value takes the smallest label among itself and its neighbours
+    # until the labels settle
+    label = np.broadcast_to(np.arange(z.shape[1]), adj.shape[:2])
     while True:
-        nxt = np.min(np.where(adj, label[None, :], n), axis=1)
+        nxt = np.minimum(label, np.min(np.where(adj, label[:, None, :], z.shape[1]), axis=2))
         if np.array_equal(nxt, label):
-            break
+            return flagged, label
         label = nxt
-    return [np.flatnonzero(label == g).tolist() for g in np.unique(label)]
 
 
-def _collapse_multiple(rc: np.ndarray, roots: list[complex], tol: float) -> list[complex]:
+def _collapse_multiple(rc: np.ndarray, roots: list[complex], label: np.ndarray,
+                       tol: float) -> list[complex]:
     """Snap groups of approximations of one multiple root onto a single point.
 
-    A size-m group is refined by Newton on the (m-1)-th derivative (simple
-    zero there); the collapse is accepted only when the refined point is a
-    residual-certified root of p and the group's spread is consistent with
-    an order-m zero at working precision. rc holds p's coefficients in
-    descending order; Newton runs on them times 2**-e, 2**e above their
-    largest modulus (e >= -1023, so that 2**-e is finite): every step
-    keeps its bits, and a derivative overflows only where math.perm does,
-    which leaves the group as it is.
+    The roots of one label are a group. A size-m group is refined by
+    Newton on the (m-1)-th derivative (simple zero there); the collapse is
+    accepted only when the refined point is a residual-certified root of p
+    and the group's spread is consistent with an order-m zero at working
+    precision. rc holds p's coefficients in descending order; Newton runs
+    on them times 2**-e, 2**e above their largest modulus (e >= -1023, so
+    that 2**-e is finite): every step keeps its bits, and a derivative
+    overflows only where math.perm does, which leaves the group as it is.
     """
     e = max(int(np.frexp(np.max(np.abs(rc)))[1]), -1023)
     p = Polynomial((rc[::-1] * 2.0 ** -e).tolist())
     c = rc[:, None]
     out = list(roots)
-    for g in _single_linkage(np.asarray(roots), _GROUP_RADIUS):
+    for k in np.unique(label):
+        g = np.flatnonzero(label == k).tolist()
         m = len(g)
         if m < 2:
             continue
@@ -367,8 +365,8 @@ def _solve_pass(cs: list[np.ndarray], tol: float,
     Each row's coefficients get leading zeros up to the largest degree;
     Horner's rule passes them through bit for bit (0*z + 0 = 0 for finite
     z). Each row's roots get NaN pads, which no test counts: a NaN is
-    adjacent to nothing and sorts last. A row's exact zeros at the origin
-    are NaN, and so out of the polish, test and collapse, until written
+    linked to nothing and sorts last. A row's exact zeros at the origin
+    are NaN, and so out of the polish, linkage and collapse, until written
     as 0.0 after the collapse.
     """
     rows = len(cs)
@@ -394,16 +392,14 @@ def _solve_pass(cs: list[np.ndarray], tol: float,
     approx = own & ~origin
     z[approx] = _newton_polish(c, np.repeat(np.arange(rows), d), z[approx])
 
-    # rows with a candidate multiple-root group, or a non-finite value (no
-    # longer adjacent to itself), go through the collapse
-    lone = np.empty(rows, dtype=bool)
+    # rows with a candidate multiple-root group, or a non-finite value, go
+    # through the collapse
     block = max(1, _BLOCK_ENTRIES // (nmax * nmax))
     for lo in range(0, rows, block):
-        adj = _adjacency(z[lo:lo + block], _GROUP_RADIUS)
-        lone[lo:lo + block] = adj.sum(axis=(1, 2)) == d[lo:lo + block]
-    for r in (~lone).nonzero()[0].tolist():
-        own_r = slice(n[r] - d[r], n[r])
-        z[r, own_r] = _collapse_multiple(cs[r], z[r, own_r].tolist(), tol)
+        flagged, labels = _linkage(z[lo:lo + block], d[lo:lo + block])
+        for r, label in zip((flagged + lo).tolist(), labels):
+            own_r = slice(n[r] - d[r], n[r])
+            z[r, own_r] = _collapse_multiple(cs[r], z[r, own_r].tolist(), label[own_r], tol)
     z[origin] = 0.0
     # every row by (real, imag), stably; the NaN pads sort last
     z = np.sort(z, axis=-1, kind="stable")

@@ -60,6 +60,12 @@ class TestRoots:
         assert main(["roots", "--poly", str(tmp_path)]) == 2
         assert "cannot read" in capsys.readouterr().err
 
+    def test_file_that_is_not_json_is_invalid_input(self, tmp_path, capsys):
+        poly = tmp_path / "p.json"
+        poly.write_text("coeffs: [1, 2]")
+        assert main(["roots", "--poly", str(poly)]) == 2
+        assert "not valid JSON" in capsys.readouterr().err
+
     def test_non_finite_residual_is_written_as_null(self, tmp_path, capsys):
         # the root's scaled residual is NaN: strict JSON has no literal for
         # it, so it is null, and the document still parses
@@ -128,6 +134,13 @@ class TestApolar:
         doc = strict_json(capsys.readouterr().out)
         assert doc["apolar"] is True
         assert abs(doc["value"][0]) < 1e-12
+
+    def test_frame_degree_0_is_invalid_input(self, tmp_path, capsys):
+        a = write(tmp_path, "a.json", _QUAD_A)
+        b = write(tmp_path, "b.json", _QUAD_B)
+        assert main(["apolar", "--a", a, "--b", b, "--n", "0"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "frame degree must be >= 1" in err
 
     def test_overflowing_pairing_is_invalid_input(self, tmp_path, capsys):
         # A(a, b) is (inf+nanj): no residual, so no answer either way
@@ -412,6 +425,8 @@ _LINEAR_P = {"n": 2, "E": [[0, 0], [1, 0]]}
 _IDENTITY_P = {"n": 1, "E": [[0, 0], [1, 0]]}
 # Re(z) <= 0
 _HALF_PLANE = {"kind": "halfplane", "closed": True, "direction": [1, 0], "offset": 0}
+_CONVEX_PASS = {"property": "theorem1_convex", "multiaffine": _LINEAR_P,
+                "points": [[-1, 0], [1, 0]], "region": _disk([0, 0], 1), "classic": False}
 
 # (replay instance, exit code, status) for the direct subcommand and replay
 AGREEMENT_CASES = {
@@ -420,9 +435,16 @@ AGREEMENT_CASES = {
     "walsh-classic-pass": ({"property": "walsh_classic", "multiaffine": _LINEAR_P,
                             "points": [[-1, 0], [1, 0]], "region": _disk([0, 0], 1),
                             "classic": True}, 0, "pass"),
-    "theorem1-convex-pass": ({"property": "theorem1_convex", "multiaffine": _LINEAR_P,
-                              "points": [[-1, 0], [1, 0]], "region": _disk([0, 0], 1),
-                              "classic": False}, 0, "pass"),
+    "theorem1-convex-pass": (_CONVEX_PASS, 0, "pass"),
+    # a point count other than n, points that are not a list, a region of
+    # no known kind, an exterior disk of radius 0 or a half-plane with no
+    # direction: invalid input from both
+    **{f"coincidence-{name}": ({**_CONVEX_PASS, key: v}, 2, "error") for name, key, v in (
+        ("two-points-for-n-3", "multiaffine", {"n": 3, "E": [[0, 0], [1, 0]]}),
+        ("points-a-number", "points", 5),
+        ("annulus", "region", _disk([0, 0], 1, "annulus")),
+        ("exterior-radius-0", "region", _disk([0, 0], 0, "exterior")),
+        ("half-plane-no-direction", "region", {**_HALF_PLANE, "direction": [0, 0]}))},
     "theorem1-exterior-pass": ({"property": "theorem1_exterior", "multiaffine": _LINEAR_P,
                                 "points": [[3, 0], [5, 0]],
                                 "region": _disk([0, 0], 1, "exterior"),
@@ -436,6 +458,13 @@ AGREEMENT_CASES = {
                                  "inner_zeros": [[0, 0], [0, 0]], "outer_zero": [3, 0],
                                  "disk": {"center": [0, 0], "radius": r}}, 2, "error")
        for r in (0, -1)},
+    # one inner zero (n = 2): not a theorem 2 instance
+    "theorem2-one-inner-zero": ({"property": "theorem2", "k": 1, "inner_zeros": [[0, 0]],
+                                 "outer_zero": [3, 0], "disk": {"center": [0, 0], "radius": 1}},
+                                2, "error"),
+    # the derivative identity at k = n: invalid input
+    "derivative-identity-k-equal-n": ({"property": "derivative_identity", "n": 3, "k": 3,
+                                       "y": [1, 0]}, 2, "error"),
     # an inner zero outside the disk: not a theorem 2 instance
     "theorem2-inner-zero-outside": ({"property": "theorem2", "k": 1,
                                      "inner_zeros": [[2, 0], [-2, 0]], "outer_zero": [3, 0],
@@ -511,8 +540,9 @@ AGREEMENT_CASES = {
 
 # the grace subcommand reads the coefficients of a, not a_roots, so it
 # cannot state a mismatch between them; the coincidence subcommand sets
-# classic and force from flags, so it cannot give them a wrong type
-REPLAY_ONLY = {"grace-a-roots-mismatch",
+# classic and force from flags, so it cannot give them a wrong type; no
+# subcommand but replay checks the derivative identity
+REPLAY_ONLY = {"grace-a-roots-mismatch", "derivative-identity-k-equal-n",
                *(f"{key}-{v!r}" for key in ("classic", "force") for v in ("false", 1))}
 
 

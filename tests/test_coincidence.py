@@ -94,6 +94,10 @@ class TestHypothesis:
         sed = smallest_enclosing_disk(w)
         assert theorem1_hypothesis(w, 5, disk(sed.center, sed.radius + 1e-9)).holds
 
+    def test_m_below_1_is_invalid_input(self):
+        with pytest.raises(InvalidInput, match="need 1 <= m <= 2, got m=0"):
+            theorem1_hypothesis([-1, 1], 0, disk(0, 1))
+
     def test_counterexample_hypothesis_fails(self):
         rep = theorem1_hypothesis([-1, 1], 1, exterior_disk(0, 1))
         assert not rep.holds
@@ -169,6 +173,12 @@ class TestProofIdentity:
         # 0*2/1 - 2*0/1 = 0
         P = SymmetricMultiaffine(2, [0, 1])
         assert theorem1_apolarity_residual(P, [-1, 1]) <= 1e-15
+
+    def test_total_degree_0_and_a_wrong_point_count_are_invalid_input(self):
+        with pytest.raises(InvalidInput, match="total degree"):
+            theorem1_apolarity_residual(SymmetricMultiaffine(2, [1, 0]), [-1, 1])
+        with pytest.raises(InvalidInput, match="expected 2 points, got 3"):
+            theorem1_apolarity_residual(SymmetricMultiaffine(2, [0, 1]), [-1, 0, 1])
 
     def test_random_instances(self):
         rng = random.Random(8)

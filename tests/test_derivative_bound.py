@@ -142,6 +142,10 @@ class TestFactorizationRoots:
     def test_y_zero(self):
         assert factorization_roots(5, 2, 0) == [0, 0, 0]
 
+    def test_k_equal_n_is_invalid_input(self):
+        with pytest.raises(InvalidInput, match="need 1 <= k <= n-1"):
+            factorization_roots(3, 3, 1)
+
     def test_half_point(self):
         roots = factorization_roots(4, 2, 2j)
         assert roots == [2j, 1j]

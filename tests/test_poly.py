@@ -69,6 +69,23 @@ class TestEval:
         approx_complex(p(2), 0)
 
 
+class TestArithmetic:
+    def test_sum_of_a_shorter_and_a_longer_polynomial(self):
+        assert (Polynomial([1, 2]) + Polynomial([3, 4, 5])).coeffs == (4, 6, 5)
+
+    def test_difference_and_negation(self):
+        assert (Polynomial([1, 2, 3]) - Polynomial([1, 1])).coeffs == (0, 1, 3)
+        assert (-Polynomial([1, -2])).coeffs == (-1, 2)
+
+    def test_product_with_the_zero_polynomial(self):
+        assert (Polynomial([1, 2]) * Polynomial(())).is_zero
+        assert (Polynomial(()) * Polynomial([1, 2])).is_zero
+
+    def test_shifted_constant_of_the_zero_polynomial(self):
+        assert Polynomial(()).shifted_constant(2j).coeffs == (2j,)
+        assert Polynomial([1, 1]).shifted_constant(2).coeffs == (3, 1)
+
+
 class TestDerivative:
     def test_power_rule(self):
         p = Polynomial([0, 0, 0, 1]).derivative(2)
@@ -81,6 +98,10 @@ class TestDerivative:
     def test_term_wise(self):
         p = Polynomial([0, 2, -3, 1]).derivative()
         assert p.coeffs == (2 + 0j, -6 + 0j, 3 + 0j)
+
+    def test_negative_order_is_invalid_input(self):
+        with pytest.raises(InvalidInput):
+            Polynomial([1, 1]).derivative(-1)
 
     def test_order_above_degree_is_zero(self):
         assert Polynomial([1, 1]).derivative(5).is_zero

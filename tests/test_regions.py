@@ -28,6 +28,10 @@ class TestContains:
     def test_origin_outside_closed_exterior(self):
         assert not contains(exterior_disk(0, 1), 0)
 
+    def test_negative_tol_is_invalid_input(self):
+        with pytest.raises(InvalidInput):
+            contains(disk(0, 1), 0, tol=-1e-9)
+
     def test_half_plane_side_convention(self):
         hp = half_plane(1, 0.0)  # Re(z) <= 0
         assert contains(hp, -1)
@@ -200,10 +204,21 @@ class TestConvexHull:
     def test_collinear_points_collapse(self):
         assert convex_hull([0, 1, 2, 3]) == [0, 3]
 
+    def test_no_points_is_invalid_input(self):
+        with pytest.raises(InvalidInput):
+            convex_hull([])
+
 
 class TestHullDistance:
     def test_on_segment(self):
         assert hull_distance([-1, 1], 0) == 0
+
+    def test_empty_hull_is_invalid_input(self):
+        with pytest.raises(InvalidInput):
+            hull_distance([], 0)
+
+    def test_segment_of_equal_ends(self):
+        assert hull_distance([1, 1], 2) == 1
 
     def test_above_segment(self):
         assert abs(hull_distance([-1, 1], 1j) - 1) <= 1e-12

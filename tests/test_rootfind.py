@@ -21,7 +21,7 @@ from polygeom.errors import (
 from polygeom.poly import Polynomial, from_roots
 from polygeom.rootfind import (
     Product,
-    _single_linkage,
+    _linkage,
     cauchy_bound,
     drive,
     drive_many,
@@ -207,7 +207,8 @@ class TestHighPrecisionOracle:
 
 
 def union_find_groups(points, scale):
-    """Loop reference for _single_linkage: the same chaining rule and order."""
+    """Loop reference for _linkage's groups: the same chaining rule, in
+    the order of their smallest index."""
     parent = list(range(len(points)))
 
     def find(i):
@@ -227,7 +228,7 @@ def union_find_groups(points, scale):
 
 
 class TestArrayHelpers:
-    def test_single_linkage_matches_loop_reference(self):
+    def test_single_linkage_matches_loop_reference(self, monkeypatch):
         rng = random.Random(5)
         for _ in range(100):
             centers = [complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
@@ -235,7 +236,24 @@ class TestArrayHelpers:
             pts = [rng.choice(centers) + complex(rng.gauss(0, 1e-3), rng.gauss(0, 1e-3))
                    for _ in range(rng.randint(1, 30))]
             for scale in (1e-6, 1e-3, 1e-2):
-                assert _single_linkage(np.asarray(pts), scale) == union_find_groups(pts, scale)
+                monkeypatch.setattr(rootfind, "_GROUP_RADIUS", scale)
+                want = union_find_groups(pts, scale)
+                # a row with no link but each point's to itself is not
+                # flagged, and holds only singletons
+                flagged, labels = _linkage(np.asarray([pts]), [len(pts)])
+                assert flagged.tolist() == ([0] if len(want) < len(pts) else [])
+                label = labels[0] if flagged.size else np.arange(len(pts))
+                assert [np.flatnonzero(label == g).tolist() for g in np.unique(label)] == want
+
+    def test_linkage_flags_non_finite_rows(self):
+        # NaN pads count as no approximation; a non-finite approximation is
+        # not linked to itself, so its row is flagged
+        nan, inf = complex(np.nan, np.nan), complex(np.inf, 0)
+        z = np.array([[1, 2j, nan], [1, nan, nan], [1, inf, nan], [1, 1, nan]])
+        with np.errstate(invalid="ignore"):
+            flagged, labels = _linkage(z, [2, 2, 2, 2])
+        assert flagged.tolist() == [1, 2, 3]
+        assert labels[0].tolist() == [0, 1, 2] and labels[2].tolist() == [0, 0, 2]
 
     def test_scaled_residuals_match_loop_reference(self):
         # away from the roots there is no cancellation, so only the order
@@ -409,7 +427,7 @@ class TestBatch:
 
     def test_singleton_test_blocks(self, monkeypatch):
         # rows with multiple roots, on both sides of each block boundary
-        # of the singleton test, take the collapse path as they do alone
+        # of the linkage, take the collapse path as they do alone
         block = rootfind._BLOCK_ENTRIES // 60 ** 2
         multiple = {0, block - 1, block, 2 * block - 1, 2 * block, 39}
         rng = random.Random(40)
@@ -426,9 +444,9 @@ class TestBatch:
         collapsed = []
         collapse = rootfind._collapse_multiple
 
-        def recording(rc, roots, tol):
+        def recording(rc, roots, label, tol):
             collapsed.append(rc[::-1].tobytes())
-            return collapse(rc, roots, tol)
+            return collapse(rc, roots, label, tol)
 
         monkeypatch.setattr(rootfind, "_collapse_multiple", recording)
         many = find_roots_many(ps)
@@ -704,6 +722,41 @@ class TestClusters:
         p = Polynomial([c * 1e300 for c in p.coeffs])
         assert 2.7e305 < max(map(abs, p.coeffs)) < 2.8e305
         assert nearest_centres(find_roots(p).clusters, centres) == list(enumerate(mults))
+
+    @pytest.mark.parametrize("centres, mults", [
+        ([0.5, 1j], [6, 6]),
+        ([0.784 + 0.442j, -0.861 + 0.286j, 0.687 - 0.759j, 0.509 - 0.483j, -0.403 - 0.997j],
+         [3, 4, 4, 4, 2]),
+        ([0.704 - 0.051j, 0.547 - 0.348j, -0.453 - 0.422j, 0.001 + 0.347j, -0.309 + 0.875j],
+         [4, 3, 2, 4, 3]),
+    ])
+    def test_high_multiplicities_are_linked(self, centres, mults):
+        # at tol 1e-12 the approximations of a quadruple or sextuple root
+        # lie up to about 1.5e-2 from their centre: a 1e-3 linkage left
+        # them split, (z - 0.5)^6 (z - i)^6 as twelve singletons
+        p = from_roots([c for c, m in zip(centres, mults) for _ in range(m)])
+        assert nearest_centres(find_roots(p).clusters, centres) == list(enumerate(mults))
+
+    def test_close_simple_roots_stay_apart(self):
+        # the product over 60 points of |z - 0.5| = 0.05 rounds to a
+        # polynomial whose certified roots are simple, some 8.6e-3 apart:
+        # linked, but the spread cap keeps them apart (without it, five
+        # merge)
+        circle = [0.5 + cmath.rect(0.05, 2 * math.pi * k / 60) for k in range(60)]
+        assert [m for _, m in find_roots(from_roots(circle)).clusters] == [1] * 60
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "the scale sum |a_k| max(1, |z|)**k overflows to inf, so |p(z)| / inf "
+        "reads 0 and roots 0.227 from the true ones are certified (ROADMAP item 10)"))
+    def test_overflowing_scale_does_not_certify(self):
+        # 8.6e306 (1 + z + ... + z^20): its roots are the 21st roots of
+        # unity other than 1
+        true = [cmath.rect(1, 2 * math.pi * k / 21) for k in range(1, 21)]
+        try:
+            rs = find_roots(Polynomial([8.6e306] * 21))
+        except NonConvergence:
+            return
+        assert all(min(abs(r - w) for w in true) <= 1e-6 for r in rs.roots)
 
 
 class TestDrive:

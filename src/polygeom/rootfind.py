@@ -84,8 +84,8 @@ _EIGVALS_MAX_DEGREE = 15
 _START_ROTATION = 0.7
 
 # single-linkage radius of a candidate multiple-root group: at tol 1e-12
-# a quadruple root's approximations lie up to 1.5e-2 from it, and the
-# collapse's spread cap and certificate keep simple roots this close apart
+# a quadruple root's approximations lie up to 1.5e-2 from it; simple roots
+# this close are linked too, and the collapse's certificate keeps them apart
 _GROUP_RADIUS = 1e-2
 # entries that one block of a pass holds: of the (rows, n, n) adjacency
 # of the linkage, whose complex differences then take about 1 MB,
@@ -301,44 +301,47 @@ def _collapse_multiple(rc: np.ndarray, roots: list[complex], label: np.ndarray,
     """Snap groups of approximations of one multiple root onto a single point.
 
     The roots of one label are a group. A size-m group is refined by
-    Newton on the (m-1)-th derivative (simple zero there); the collapse is
-    accepted only when the refined point is a residual-certified root of p
-    and the group's spread is consistent with an order-m zero at working
-    precision. rc holds p's coefficients in descending order; Newton runs
-    on them times 2**-e, 2**e above their largest modulus (e >= -1023, so
-    that 2**-e is finite): every step keeps its bits, and a derivative
-    overflows only where math.perm does, which leaves the group as it is.
+    Newton on the (m-1)-th derivative, and collapsed only when the refined
+    point is a residual-certified zero of p, ..., p^(m-1) (simple roots s
+    apart leave p^(m-2) a residual of order s**2) and the group's spread
+    is consistent with an order-m zero at working precision. rc holds p's
+    coefficients in descending order; both run on them times 2**-e, 2**e
+    above their largest modulus (e >= -1023, so that 2**-e is finite):
+    every step keeps its bits, and a derivative overflows only where
+    math.perm does, which leaves the group as it is.
     """
     e = max(int(np.frexp(np.max(np.abs(rc)))[1]), -1023)
-    p = Polynomial((rc[::-1] * 2.0 ** -e).tolist())
-    c = rc[:, None]
+    rs = rc * 2.0 ** -e
+    p = Polynomial(rs[::-1].tolist())
     out = list(roots)
     for k in np.unique(label):
         g = np.flatnonzero(label == k).tolist()
-        m = len(g)
-        if m < 2:
-            continue
-        try:
-            q = p.derivative(m - 1)
-            dq = q.derivative()
-        except InvalidInput:
-            continue
-        z = sum(roots[i] for i in g) / m
-        for _ in range(30):
-            dv = dq(z)
-            if dv == 0:
+        while len(g) > 1:
+            m = len(g)
+            try:
+                q = p.derivative(m - 1)
+                dq = q.derivative()
+            except InvalidInput:
                 break
-            step = q(z) / dv
-            z -= step
-            if abs(step) <= 1e-16 * (1.0 + abs(z)):
+            z = sum(roots[i] for i in g) / m
+            for _ in range(30):
+                dv = dq(z)
+                step = q(z) / dv if dv else 0
+                z -= step
+                if abs(step) <= 1e-16 * (1.0 + abs(z)):
+                    break
+            dist = [abs(roots[i] - z) for i in g]
+            # column j holds p^(j), led by zeros; a NaN z fails
+            ders, col = np.zeros((len(rs), m), dtype=complex), rs
+            for j in range(m):
+                ders[j:, j], col = col, _polyder(col)
+            res = _evaluate(ders, np.abs(ders), np.arange(m), np.full(m, z))[1]
+            if max(dist) <= 10.0 * (1.0 + abs(z)) * (1e-13) ** (1.0 / m) and np.all(res <= tol):
+                for i in g:
+                    out[i] = z
                 break
-        spread_cap = 10.0 * (1.0 + abs(z)) * (1e-13) ** (1.0 / m)
-        spread = max(abs(roots[i] - z) for i in g)
-        # a NaN z fails
-        certified = _evaluate(c, np.abs(c), np.zeros(1, dtype=int), np.array([z]))[1][0] <= tol
-        if spread <= spread_cap and certified:
-            for i in g:
-                out[i] = z
+            # the member farthest from z may be a simple root: try the rest
+            g.pop(dist.index(max(dist)))
     return out
 
 

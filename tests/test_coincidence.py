@@ -174,11 +174,13 @@ class TestProofIdentity:
         P = SymmetricMultiaffine(2, [0, 1])
         assert theorem1_apolarity_residual(P, [-1, 1]) <= 1e-15
 
-    def test_total_degree_0_and_a_wrong_point_count_are_invalid_input(self):
-        with pytest.raises(InvalidInput, match="total degree"):
-            theorem1_apolarity_residual(SymmetricMultiaffine(2, [1, 0]), [-1, 1])
-        with pytest.raises(InvalidInput, match="expected 2 points, got 3"):
-            theorem1_apolarity_residual(SymmetricMultiaffine(2, [0, 1]), [-1, 0, 1])
+    @pytest.mark.parametrize("E, points, text", [
+        ([1, 0], [-1, 1], "total degree"),
+        ([0, 1], [-1, 0, 1], "expected 2 points, got 3"),
+    ], ids=["total-degree-0", "wrong-point-count"])
+    def test_invalid_input(self, E, points, text):
+        with pytest.raises(InvalidInput, match=text):
+            theorem1_apolarity_residual(SymmetricMultiaffine(2, E), points)
 
     def test_random_instances(self):
         rng = random.Random(8)

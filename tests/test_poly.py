@@ -70,20 +70,18 @@ class TestEval:
 
 
 class TestArithmetic:
-    def test_sum_of_a_shorter_and_a_longer_polynomial(self):
-        assert (Polynomial([1, 2]) + Polynomial([3, 4, 5])).coeffs == (4, 6, 5)
-
-    def test_difference_and_negation(self):
-        assert (Polynomial([1, 2, 3]) - Polynomial([1, 1])).coeffs == (0, 1, 3)
-        assert (-Polynomial([1, -2])).coeffs == (-1, 2)
-
-    def test_product_with_the_zero_polynomial(self):
-        assert (Polynomial([1, 2]) * Polynomial(())).is_zero
-        assert (Polynomial(()) * Polynomial([1, 2])).is_zero
-
-    def test_shifted_constant_of_the_zero_polynomial(self):
-        assert Polynomial(()).shifted_constant(2j).coeffs == (2j,)
-        assert Polynomial([1, 1]).shifted_constant(2).coeffs == (3, 1)
+    @pytest.mark.parametrize("value, coeffs", [
+        (Polynomial([1, 2]) + Polynomial([3, 4, 5]), (4, 6, 5)),
+        (Polynomial([1, 2, 3]) - Polynomial([1, 1]), (0, 1, 3)),
+        (-Polynomial([1, -2]), (-1, 2)),
+        (Polynomial([1, 2]) * Polynomial(()), ()),
+        (Polynomial(()) * Polynomial([1, 2]), ()),
+        (Polynomial(()).shifted_constant(2j), (2j,)),
+        (Polynomial([1, 1]).shifted_constant(2), (3, 1)),
+    ], ids=["shorter-plus-longer", "minus", "negation", "times-zero", "zero-times",
+            "shifted-zero", "shifted"])
+    def test_coefficients(self, value, coeffs):
+        assert value.coeffs == coeffs
 
 
 class TestDerivative:

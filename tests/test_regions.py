@@ -28,10 +28,6 @@ class TestContains:
     def test_origin_outside_closed_exterior(self):
         assert not contains(exterior_disk(0, 1), 0)
 
-    def test_negative_tol_is_invalid_input(self):
-        with pytest.raises(InvalidInput):
-            contains(disk(0, 1), 0, tol=-1e-9)
-
     def test_half_plane_side_convention(self):
         hp = half_plane(1, 0.0)  # Re(z) <= 0
         assert contains(hp, -1)
@@ -112,6 +108,16 @@ class TestConstructors:
     def test_non_finite_parameters_rejected(self, make, args):
         with pytest.raises(InvalidInput):
             make(*args)
+
+
+@pytest.mark.parametrize("call, args", [
+    (contains, (disk(0, 1), 0, -1e-9)),
+    (convex_hull, ([],)),
+    (hull_distance, ([], 0)),
+], ids=["contains-negative-tol", "convex-hull-no-points", "hull-distance-empty-hull"])
+def test_invalid_arguments_rejected(call, args):
+    with pytest.raises(InvalidInput):
+        call(*args)
 
 
 class TestIsConvex:
@@ -204,18 +210,10 @@ class TestConvexHull:
     def test_collinear_points_collapse(self):
         assert convex_hull([0, 1, 2, 3]) == [0, 3]
 
-    def test_no_points_is_invalid_input(self):
-        with pytest.raises(InvalidInput):
-            convex_hull([])
-
 
 class TestHullDistance:
     def test_on_segment(self):
         assert hull_distance([-1, 1], 0) == 0
-
-    def test_empty_hull_is_invalid_input(self):
-        with pytest.raises(InvalidInput):
-            hull_distance([], 0)
 
     def test_segment_of_equal_ends(self):
         assert hull_distance([1, 1], 2) == 1

@@ -228,32 +228,33 @@ def union_find_groups(points, scale):
 
 
 class TestArrayHelpers:
-    def test_single_linkage_matches_loop_reference(self, monkeypatch):
+    def test_linkage_matches_loop_reference(self, monkeypatch):
+        # (values, count of approximations d, radius): random rows at three
+        # radii, then rows led by d approximations and padded with NaN,
+        # which counts as none; a non-finite approximation is not linked
+        # to itself, so its row is flagged
         rng = random.Random(5)
+        table = []
         for _ in range(100):
             centers = [complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
                        for _ in range(rng.randint(1, 6))]
             pts = [rng.choice(centers) + complex(rng.gauss(0, 1e-3), rng.gauss(0, 1e-3))
                    for _ in range(rng.randint(1, 30))]
-            for scale in (1e-6, 1e-3, 1e-2):
-                monkeypatch.setattr(rootfind, "_GROUP_RADIUS", scale)
-                want = union_find_groups(pts, scale)
-                # a row with no link but each point's to itself is not
-                # flagged, and holds only singletons
-                flagged, labels = _linkage(np.asarray([pts]), [len(pts)])
-                assert flagged.tolist() == ([0] if len(want) < len(pts) else [])
-                label = labels[0] if flagged.size else np.arange(len(pts))
-                assert [np.flatnonzero(label == g).tolist() for g in np.unique(label)] == want
-
-    def test_linkage_flags_non_finite_rows(self):
-        # NaN pads count as no approximation; a non-finite approximation is
-        # not linked to itself, so its row is flagged
+            table += [(pts, len(pts), scale) for scale in (1e-6, 1e-3, 1e-2)]
         nan, inf = complex(np.nan, np.nan), complex(np.inf, 0)
-        z = np.array([[1, 2j, nan], [1, nan, nan], [1, inf, nan], [1, 1, nan]])
-        with np.errstate(invalid="ignore"):
-            flagged, labels = _linkage(z, [2, 2, 2, 2])
-        assert flagged.tolist() == [1, 2, 3]
-        assert labels[0].tolist() == [0, 1, 2] and labels[2].tolist() == [0, 0, 2]
+        table += [([1, 2j, nan], 2, 1e-3), ([1, nan, nan], 2, 1e-3), ([1, inf, nan], 2, 1e-3),
+                  ([1, 1, nan], 2, 1e-3)]
+        for pts, d, scale in table:
+            monkeypatch.setattr(rootfind, "_GROUP_RADIUS", scale)
+            want = union_find_groups(pts, scale)
+            # a row whose only links are its approximations' links to
+            # themselves is not flagged, and holds only singletons
+            with np.errstate(invalid="ignore"):
+                flagged, labels = _linkage(np.asarray([pts]), [d])
+            lone = all(len(g) == 1 for g in want) and np.isfinite(pts[:d]).all()
+            assert flagged.tolist() == ([] if lone else [0])
+            label = labels[0] if flagged.size else np.arange(len(pts))
+            assert [np.flatnonzero(label == g).tolist() for g in np.unique(label)] == want
 
     def test_scaled_residuals_match_loop_reference(self):
         # away from the roots there is no cancellation, so only the order
@@ -737,6 +738,21 @@ class TestClusters:
         p = from_roots([c for c, m in zip(centres, mults) for _ in range(m)])
         assert nearest_centres(find_roots(p).clusters, centres) == list(enumerate(mults))
 
+    @pytest.mark.parametrize("centres, mults", [
+        ([1, 1.012], [3, 1]),
+        ([1, 1.012], [2, 1]),
+        ([-0.7 + 1.2j, -0.7 + 1.215j], [4, 1]),
+        ([0.3 - 0.4j, 0.315 - 0.4j], [3, 1]),
+        ([0.5, 0.514, 0.528], [2, 1, 1]),
+    ])
+    def test_multiple_root_beside_simple_roots(self, centres, mults):
+        # the linkage joins simple roots 1.2e-2 to 1.5e-2 away to the
+        # multiple root's group, which fails as a whole; the collapse
+        # drops the member farthest from its refined point until the rest
+        # is certified
+        p = from_roots([c for c, m in zip(centres, mults) for _ in range(m)])
+        assert nearest_centres(find_roots(p).clusters, centres) == list(enumerate(mults))
+
     def test_close_simple_roots_stay_apart(self):
         # the product over 60 points of |z - 0.5| = 0.05 rounds to a
         # polynomial whose certified roots are simple, some 8.6e-3 apart:
@@ -744,6 +760,23 @@ class TestClusters:
         # merge)
         circle = [0.5 + cmath.rect(0.05, 2 * math.pi * k / 60) for k in range(60)]
         assert [m for _, m in find_roots(from_roots(circle)).clusters] == [1] * 60
+
+    @pytest.mark.parametrize("start, count, bound", [
+        (1, 5, 1e-7), (1, 6, 1e-6), (-1.5 + 1j, 7, 1e-3)])
+    def test_chains_of_simple_roots_stay_apart(self, start, count, bound):
+        # simple roots 0.015 apart chain at radius 1e-2 into one group
+        # whose spread passes the cap, and whose mean (a root at odd
+        # count) certifies p: only the order-m certificate keeps them and
+        # each smaller group the collapse tries apart. Each chain's roots
+        # round-trip as well as its conditioning allows
+        pts = [start + 0.015 * k for k in range(count)]
+        rs = find_roots(from_roots(pts))
+        assert [m for _, m in rs.clusters] == [1] * count
+        found = list(rs.roots)
+        for w in pts:
+            best = min(found, key=lambda r: abs(r - w))
+            assert abs(best - w) <= bound
+            found.remove(best)
 
     @pytest.mark.xfail(strict=True, reason=(
         "the scale sum |a_k| max(1, |z|)**k overflows to inf, so |p(z)| / inf "

@@ -524,6 +524,93 @@ def _chunk_report(cfg: CampaignConfig, start: int, stop: int) -> CampaignReport:
 _CHUNK_TRIALS = 128
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one (a cpuset of 2 on a 64-CPU host is 2), else the
+    host's count, or 1 when that is unknown."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _pool_worker(cfg: CampaignConfig, starts, stops, counter, conn) -> None:
+    """A pool worker: it claims the next chunk index from the shared
+    counter and runs the chunk, until no chunk is left, then sends back
+    its (index, partial report) pairs, or the exception a chunk raised
+    with its traceback's text, which does not survive pickling."""
+    done = []
+    try:
+        while True:
+            with counter.get_lock():
+                i = counter.value
+                counter.value = i + 1
+            if i >= len(starts):
+                break
+            done.append((i, _chunk_report(cfg, starts[i], stops[i])))
+    except Exception as e:
+        import traceback
+
+        done = (e, traceback.format_exc())
+    conn.send(done)
+    conn.close()
+
+
+def _pool_reports(cfg: CampaignConfig, starts, stops, workers: int) -> list[CampaignReport]:
+    """The partial reports of the chunks starts[i]..stops[i]-1, in chunk
+    order, from `workers` processes of the default multiprocessing
+    context that this call starts and joins, so that what a worker runs
+    at fork and at exit (a tracer's hooks, say) has run when it returns.
+    A chunk's exception is raised here, and a worker that exits without
+    sending its reports raises a RuntimeError naming its exit code; on
+    any error, KeyboardInterrupt too, the other workers are terminated."""
+    # imported here, so that importing the package, as every CLI start
+    # does, loads no pool modules
+    import multiprocessing
+    from multiprocessing.connection import wait
+
+    ctx = multiprocessing.get_context()
+    counter = ctx.Value("q", 0)
+    procs, readers = [], {}
+    try:
+        for _ in range(workers):
+            reader, writer = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_pool_worker, args=(cfg, starts, stops, counter, writer))
+            proc.start()
+            procs.append(proc)
+            readers[reader] = proc
+            # the worker now holds the only writer, so the reader sees EOF
+            # if it exits without sending, and no later worker inherits it
+            writer.close()
+        parts = [None] * len(starts)
+        pending = dict(readers)
+        while pending:
+            for reader in wait(pending):
+                proc = pending.pop(reader)
+                try:
+                    sent = reader.recv()
+                except EOFError:
+                    proc.join()
+                    raise RuntimeError(f"campaign worker {proc.pid} exited with code "
+                                       f"{proc.exitcode} without sending its reports") from None
+                if isinstance(sent, tuple):
+                    error, trace = sent
+                    raise error from RuntimeError(f"in campaign worker {proc.pid}:\n{trace}")
+                for i, part in sent:
+                    parts[i] = part
+        # a worker that has sent may still run its exit handlers (a
+        # tracer writes its spans then): wait for it, do not terminate it
+        for proc in procs:
+            proc.join()
+        return parts
+    finally:
+        for proc in procs:
+            if proc.is_alive():
+                proc.terminate()
+            proc.join()
+        for reader in readers:
+            reader.close()
+
+
 def run_campaign(config: CampaignConfig) -> CampaignReport:
     config.validate()
     # a chunk finds its roots in one _solve call, so a bigger
@@ -533,24 +620,17 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
     # the trials are split evenly into chunks of at most _CHUNK_TRIALS,
     # and into at least 8 per CPU when more than one can run (no more
     # than there are CPUs), to balance the workers' load
-    cpus = min(config.jobs, os.cpu_count() or 1)
+    cpus = min(config.jobs, _usable_cpus())
     chunks = max(-(-config.trials // _CHUNK_TRIALS), 8 * cpus if cpus > 1 else 1)
     size = -(-config.trials // chunks)
     starts = range(0, config.trials, size)
     stops = [min(s + size, config.trials) for s in starts]
-    cfgs = [config] * len(starts)
-    # the pool forks all its workers at the first submit: no more than
-    # there are chunks to run or CPUs to run them on
+    # no more workers than there are chunks to run or CPUs to run them on
     workers = min(cpus, len(starts))
     if workers > 1:
-        # imported here, so that importing the package, as every CLI start
-        # does, loads no pool modules
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_chunk_report, cfgs, starts, stops))
+        parts = _pool_reports(config, starts, stops, workers)
     else:
-        parts = map(_chunk_report, cfgs, starts, stops)
+        parts = map(_chunk_report, [config] * len(starts), starts, stops)
 
     report = CampaignReport(config=config)
     for part in parts:

@@ -1,8 +1,11 @@
-import concurrent.futures
 import dataclasses
 import math
+import multiprocessing
+import multiprocessing.connection
+import os
 import random
 import re
+import time
 
 import numpy as np
 import pytest
@@ -91,27 +94,35 @@ class TestDeterminism:
         )
 
 
+def as_on_cpus(monkeypatch, cpus):
+    """Make run_campaign see `cpus` usable CPUs; None stands for a
+    platform with no affinity mask and an unknown CPU count."""
+    if cpus is None:
+        monkeypatch.delattr(campaign.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(campaign.os, "cpu_count", lambda: None)
+    else:
+        monkeypatch.setattr(campaign.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+
+
+def record_pool(monkeypatch):
+    """Run the pool's chunks in this process; returns the list of worker
+    counts the pools were started with."""
+    started = []
+
+    def pool_reports(cfg, starts, stops, workers):
+        started.append(workers)
+        return [campaign._chunk_report(cfg, a, b) for a, b in zip(starts, stops)]
+
+    monkeypatch.setattr(campaign, "_pool_reports", pool_reports)
+    return started
+
+
 def fake_pool(monkeypatch, cpus):
     """Run the pool's chunks in this process on `cpus` CPUs; returns the
     list of worker counts the pools were started with."""
-    started = []
-
-    class FakePool:
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
-    monkeypatch.setattr(campaign.os, "cpu_count", lambda: cpus)
-    return started
+    as_on_cpus(monkeypatch, cpus)
+    return record_pool(monkeypatch)
 
 
 class TestChunks:
@@ -181,6 +192,95 @@ class TestChunks:
     def test_chunk_equals_its_trials(self):
         cfg = CampaignConfig(property="theorem1_convex", trials=10, seed=4)
         assert _run_chunk(cfg, 2, 7) == [_run_chunk(cfg, i, i + 1)[0] for i in range(2, 7)]
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
+                        or len(os.sched_getaffinity(0)) < 2,
+                        reason="needs an affinity mask of two CPUs or more to pin")
+    def test_cpus_are_read_from_the_affinity_mask(self, monkeypatch):
+        # pinned to one of the host's CPUs, jobs=8 runs in the process, as
+        # on a one-CPU host: 8 chunks of 125, not 8 workers
+        started = record_pool(monkeypatch)
+        sizes = []
+        run_chunk = campaign._run_chunk
+
+        def recording(cfg, start, stop):
+            sizes.append(stop - start)
+            return run_chunk(cfg, start, stop)
+
+        monkeypatch.setattr(campaign, "_run_chunk", recording)
+        mask = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {min(mask)})
+        try:
+            report = run_campaign(CampaignConfig(property="derivative_identity", trials=1000,
+                                                 jobs=8))
+        finally:
+            os.sched_setaffinity(0, mask)
+        assert report.passed == 1000
+        assert started == [] and sizes == [125] * 8
+
+
+# a chunk patched in this process runs in the workers only when they are forked
+fork_only = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                               reason="the default start method is not fork")
+
+
+class TestPool:
+    CFG = CampaignConfig(property="derivative_identity", trials=1000, jobs=2)
+
+    @staticmethod
+    def patch_chunk(monkeypatch, second):
+        """Run `second` on the second chunk, in place of its report, and
+        make every other chunk sleep, so that the other worker is busy
+        then. The worker started last most likely claims the second chunk."""
+        def chunk_report(cfg, start, stop):
+            if start == stop - start:
+                second()
+            time.sleep(60)
+
+        monkeypatch.setattr(campaign, "_chunk_report", chunk_report)
+
+    def test_campaign_leaves_no_child(self, monkeypatch):
+        as_on_cpus(monkeypatch, 2)
+        assert run_campaign(self.CFG).passed == 1000
+        assert multiprocessing.active_children() == []
+
+    @fork_only
+    def test_chunk_error_is_raised(self, monkeypatch):
+        as_on_cpus(monkeypatch, 2)
+
+        def fail():
+            raise ValueError("chunk 1 failed")
+
+        self.patch_chunk(monkeypatch, fail)
+        began = time.monotonic()
+        with pytest.raises(ValueError, match="^chunk 1 failed$") as raised:
+            run_campaign(self.CFG)
+        # the worker's traceback is kept as the cause
+        assert 'raise ValueError("chunk 1 failed")' in str(raised.value.__cause__)
+        # the sleeping worker was terminated, not waited for
+        assert time.monotonic() - began < 30
+        assert multiprocessing.active_children() == []
+
+    @fork_only
+    def test_worker_exit_is_raised(self, monkeypatch):
+        as_on_cpus(monkeypatch, 2)
+        self.patch_chunk(monkeypatch, lambda: os._exit(3))
+        began = time.monotonic()
+        with pytest.raises(RuntimeError, match="exited with code 3 without sending"):
+            run_campaign(self.CFG)
+        assert time.monotonic() - began < 30
+        assert multiprocessing.active_children() == []
+
+    def test_interrupt_terminates_the_workers(self, monkeypatch):
+        as_on_cpus(monkeypatch, 2)
+
+        def interrupted(conns):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(multiprocessing.connection, "wait", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run_campaign(self.CFG)
+        assert multiprocessing.active_children() == []
 
 
 def coeff_row(p: Polynomial) -> bytes:

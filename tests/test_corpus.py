@@ -33,7 +33,7 @@ import pytest
 
 from polygeom import campaign, jsonio
 from polygeom.campaign import CampaignConfig, run_campaign
-from test_campaign import fake_pool
+from test_campaign import as_on_cpus, fake_pool
 
 CORPUS_FILE = os.path.join(os.path.dirname(__file__), "data", "outcome_corpus.json")
 
@@ -81,7 +81,7 @@ def build(jobs: int, serial: bool = True) -> dict:
                 fake_pool(mp, 2)
                 mp.setattr(campaign, "_run_chunk", recording)
             else:
-                mp.setattr(campaign.os, "cpu_count", lambda: 2)
+                as_on_cpus(mp, 2)
             report = jsonio.dumps(run_campaign(cfg).to_json())
         entry = {"report": report}
         if serial:

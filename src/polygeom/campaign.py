@@ -616,7 +616,7 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
     # a chunk finds its roots in one _solve call, so a bigger
     # chunk makes fewer calls, whose sweeps have a fixed cost each, but
     # holds more checks and root requests alive at once (the solver's
-    # gathers are blocked, so its memory does not grow with the batch):
+    # evaluations hold only arrays the size of their points):
     # the trials are split evenly into chunks of at most _CHUNK_TRIALS,
     # and into at least 8 per CPU when more than one can run (no more
     # than there are CPUs), to balance the workers' load

@@ -218,10 +218,14 @@ def convex_hull(points: Sequence[complex]) -> list[complex]:
 
 def _segment_distance(a: complex, b: complex, z: complex) -> float:
     ab = b - a
-    denom = abs(ab) ** 2
-    if denom == 0:
+    try:
+        t = ((z - a) * ab.conjugate()).real / abs(ab) ** 2
+    except ZeroDivisionError:
         return abs(z - a)
-    t = ((z - a) * ab.conjugate()).real / denom
+    except OverflowError:
+        # |ab|**2 overflows past an edge of about 1.3e154: the quotient
+        # does not
+        t = ((z - a) / ab).real
     t = min(1.0, max(0.0, t))
     return abs(z - (a + t * ab))
 

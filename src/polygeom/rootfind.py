@@ -28,15 +28,16 @@ that second outcome is the row's.
 
 A batch of many degrees is one pass, not one pass per degree: each row's
 coefficients are padded with leading zeros to the batch's largest degree,
-which ``np.polyval`` passes through unchanged, and each row's roots are
+which Horner's rule passes through unchanged, and each row's roots are
 followed by NaN pads, which no test counts. Every operation is
 elementwise or per row, and each sum over a row's roots has that row's
 own length, so a polynomial gets the same bits in any batch as alone.
 What a pass holds does not grow with the batch: the linkage runs over
 blocks of rows whose (rows, n, n) adjacency keeps near 1 MB, and
 ``_horner``, through which every evaluation over the batch runs (p, p',
-and the scale of each residual), gathers the coefficient columns of its
-points in blocks of as many entries.
+and the scale of each residual), gathers one coefficient row at its
+points' columns per Horner step, so that it holds only arrays the size
+of its points.
 
 Checks and campaign generators that need roots or products are written
 as generators (cores): a core yields a Polynomial and is sent its
@@ -87,9 +88,8 @@ _START_ROTATION = 0.7
 # a quadruple root's approximations lie up to 1.5e-2 from it; simple roots
 # this close are linked too, and the collapse's certificate keeps them apart
 _GROUP_RADIUS = 1e-2
-# entries that one block of a pass holds: of the (rows, n, n) adjacency
-# of the linkage, whose complex differences then take about 1 MB,
-# and of the coefficient columns a Horner evaluation gathers, one per root
+# entries of the (rows, n, n) adjacency that one block of the linkage
+# holds, whose complex differences then take about 1 MB
 _BLOCK_ENTRIES = 1 << 16
 
 
@@ -131,17 +131,13 @@ def _polyder(c: np.ndarray) -> np.ndarray:
 
 
 def _horner(c: np.ndarray, row: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """np.polyval(c[:, row], z): the only gather of coefficient columns,
-    one column per point, made in blocks of points whose columns hold at
-    most _BLOCK_ENTRIES entries (at least one point each), so that what an
-    evaluation gathers does not grow with the batch. The same bits as one
-    gather, as every step of the evaluation is elementwise."""
-    out = np.empty_like(z)
-    step = max(1, _BLOCK_ENTRIES // len(c))
-    for lo in range(0, z.size, step):
-        b = slice(lo, lo + step)
-        out[b] = np.polyval(c[:, row[b]], z[b])
-    return out
+    """np.polyval(c[:, row], z) in the same steps, each gathering one
+    coefficient row at the points' columns: the only gather of
+    coefficients, and it holds no more than the points."""
+    y = np.zeros_like(z)
+    for ck in c:
+        y = y * z + ck[row]
+    return y
 
 
 def _evaluate(c: np.ndarray, ac: np.ndarray, row: np.ndarray,

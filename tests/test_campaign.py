@@ -271,6 +271,23 @@ class TestPool:
         assert time.monotonic() - began < 30
         assert multiprocessing.active_children() == []
 
+    def test_spawn_workers_give_the_serial_report(self, monkeypatch):
+        # spawn, the default start method on macOS and Windows: a worker
+        # imports the package afresh and is sent its config by pickle
+        as_on_cpus(monkeypatch, 2)
+        cfg = CampaignConfig(property="grace", trials=60, seed=31, n_max=12, jobs=2)
+        serial = jsonio.dumps(run_campaign(dataclasses.replace(cfg, jobs=1)).to_json())
+        spawn, methods = multiprocessing.get_context("spawn"), []
+
+        def get_context(method=None):
+            methods.append(method)
+            return spawn
+
+        monkeypatch.setattr(multiprocessing, "get_context", get_context)
+        assert jsonio.dumps(run_campaign(cfg).to_json()) == serial
+        assert methods == [None]
+        assert multiprocessing.active_children() == []
+
     def test_interrupt_terminates_the_workers(self, monkeypatch):
         as_on_cpus(monkeypatch, 2)
 

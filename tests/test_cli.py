@@ -359,6 +359,16 @@ class TestFuzzAndReplay:
         doc = strict_json(capsys.readouterr().out)
         assert doc["status"] == "hypothesis-violation"
 
+    @pytest.mark.parametrize("a1", [-1e150, -1e200])
+    def test_replay_gauss_lucas_with_a_long_hull_edge(self, tmp_path, capsys, a1):
+        # roots near 1/a1 and a1: at -1e200 the hull edge's squared length
+        # overflows a float, and the verdict is still a pass, not a traceback
+        inst = write(tmp_path, "gl.json", {"property": "gauss_lucas",
+                                           "poly": {"coeffs": [[1, 0], [a1, 0], [1, 0]]}})
+        assert main(["replay", "--instance", inst]) == 0
+        doc = strict_json(capsys.readouterr().out)
+        assert doc["property"] == "gauss_lucas" and doc["status"] == "pass"
+
 
 class TestPlot:
     def test_byte_stable_svg(self, tmp_path, unit_disk):

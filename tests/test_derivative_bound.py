@@ -181,6 +181,12 @@ class TestGaussLucas:
         assert convex_hull(find_roots(from_roots([1, 1, 1])).roots) == [1]
         assert gauss_lucas_check(from_roots([1, 1, 1]))
 
+    @pytest.mark.parametrize("a1", [-1e150, -1e200])
+    def test_hull_edge_whose_squared_length_overflows(self, a1):
+        # zeros near 1/a1 and a1, the critical point a1/2 on the edge
+        # between them; at -1e200 the edge's squared length overflows
+        assert gauss_lucas_check(Polynomial([1, a1, 1]))
+
     def test_random_campaign(self):
         rng = random.Random(77)
         for _ in range(100):

@@ -228,3 +228,17 @@ class TestHullDistance:
 
     def test_inside_is_zero(self):
         assert hull_distance(convex_hull([0, 1, 1j]), 0.25 + 0.25j) == 0
+
+    @pytest.mark.parametrize("z,expected", [
+        (5e199, 0.0), (5e199 + 3e199j, 3e199), (-2e200, 2e200), (3e200j, 3e200),
+    ])
+    def test_edge_whose_squared_length_overflows(self, z, expected):
+        # |b - a|**2 overflows a float: the projection is made through the
+        # quotient, not raised
+        assert hull_distance([0, 1e200], z) == pytest.approx(expected, rel=1e-15)
+
+    def test_squared_length_that_fits_keeps_its_bits(self):
+        a, b, z = 0.3 + 0.1j, 1e150 + 2e149j, 3e149 + 7e149j
+        ab = b - a
+        t = min(1.0, max(0.0, ((z - a) * ab.conjugate()).real / abs(ab) ** 2))
+        assert hull_distance([a, b], z) == abs(z - (a + t * ab))

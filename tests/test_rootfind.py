@@ -3,6 +3,7 @@ import math
 import random
 import struct
 import traceback
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -455,32 +456,50 @@ class TestBatch:
         assert sorted(rows.index(c) for c in collapsed) == sorted(multiple)
         assert [outcome(m) for m in many] == [outcome(alone(p)) for p in ps]
 
-    def test_gathers_span_blocks(self, monkeypatch):
-        # 60 rows of degree 60: the sweep's first evaluations, the polish
-        # and the residual pass gather 3600 coefficient columns of 61
-        # entries, in several blocks; a row alone fits in one. spans holds,
-        # for each _horner call, the entries of each block it gathered
-        spans, gathered = [], []
-        horner, polyval = rootfind._horner, np.polyval
+    @pytest.mark.parametrize("coeffs,points", [
+        ("complex", "complex"), ("real", "real"), ("real", "complex"), ("complex", "empty"),
+    ])
+    def test_horner_is_polyval_of_the_gathered_columns(self, coeffs, points):
+        # one coefficient row per step takes the same steps as np.polyval
+        # of the points' columns, at NaN and inf points too
+        rng = np.random.default_rng(61)
+        c = rng.uniform(-1, 1, (9, 5))
+        if coeffs == "complex":
+            c = c + 1j * rng.uniform(-1, 1, (9, 5))
+        z = rng.uniform(-2, 2, 40)
+        if points == "complex":
+            z = z + 1j * rng.uniform(-2, 2, 40)
+        z[:4] = [np.nan, np.inf, -np.inf, 1e300]
+        if points == "empty":
+            z = z[:0].astype(complex)
+        row = rng.integers(0, 5, z.size)
+        with np.errstate(all="ignore"):
+            got, want = rootfind._horner(c, row, z), np.polyval(c[:, row], z)
+        assert got.dtype == want.dtype and got.shape == want.shape == z.shape
+        assert got.tobytes() == want.tobytes()
 
-        def gathering(c, z):
-            gathered.append(c.size)
-            return polyval(c, z)
+    def test_horner_holds_no_coefficient_block(self):
+        # 3600 points at 61 coefficients: the (61, 3600) gather of their
+        # columns would take 61 * z.nbytes; the loop holds a few arrays
+        # the size of z
+        rng = np.random.default_rng(60)
+        c = rng.uniform(-1, 1, (61, 60)) + 1j * rng.uniform(-1, 1, (61, 60))
+        row = np.repeat(np.arange(60), 60)
+        z = rng.uniform(-1, 1, 3600) + 1j * rng.uniform(-1, 1, 3600)
+        tracemalloc.start()
+        try:
+            rootfind._horner(c, row, z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * z.nbytes
 
-        def recording(c, row, z):
-            start = len(gathered)
-            out = horner(c, row, z)
-            spans.append(gathered[start:])
-            return out
-
-        monkeypatch.setattr(np, "polyval", gathering)
-        monkeypatch.setattr(rootfind, "_horner", recording)
+    def test_degree_60_batch_equals_single_calls(self):
+        # 60 rows of degree 60, whose sweeps, polish and residual pass
+        # evaluate 3600 roots at once: each row gets its bits alone
         rng = random.Random(60)
         ps = [Polynomial(random_unit_box(rng, 60)) for _ in range(60)]
         many = find_roots_many(ps)
-        assert 60 * 60 >= 2 * (rootfind._BLOCK_ENTRIES // 61)
-        assert sum(len(s) >= 2 for s in spans) >= 6 and max(map(len, spans)) >= 4
-        assert all(n <= rootfind._BLOCK_ENTRIES for s in spans for n in s)
         for m, p in zip(many, ps):
             one = alone(p)
             assert np.array(m.roots).tobytes() == np.array(one.roots).tobytes()

@@ -18,6 +18,7 @@ from .errors import DegreeTooLarge, HypothesisViolated, InvalidInput, TheoremVio
 from .poly import (
     N_MAX,
     Polynomial,
+    _as_finite_complex,
     _symmetric_from_product,
     binomial,
     elementary_symmetric_all,
@@ -34,9 +35,9 @@ WITNESS_TOL = 1e-6
 class SymmetricMultiaffine:
     """p(z_1..z_n) = sum_k E_k * e_k, degree at most 1 in each variable.
 
-    Only trailing E_k that are exactly 0 are dropped, as in Polynomial, so
-    the total degree is the index of the last nonzero E_k. trim is ignored;
-    it is kept so that callers passing it keep working.
+    E is canonicalised by Polynomial, but an all-zero E keeps E_0: the
+    total degree is the index of the last nonzero E_k, or 0. trim is
+    ignored; it is kept so that callers passing it keep working.
     """
 
     n: int
@@ -45,13 +46,10 @@ class SymmetricMultiaffine:
     def __init__(self, n: int, E: Sequence[complex], trim: bool = True):
         if n < 1:
             raise InvalidInput("need at least one variable")
-        cs = tuple(complex(c) for c in E)
-        if not cs:
+        E = tuple(E)  # an iterator is read once
+        if not E:
             raise InvalidInput("E must be nonempty")
-        k = len(cs)
-        while k > 1 and cs[k - 1] == 0:
-            k -= 1
-        cs = cs[:k]
+        cs = Polynomial(E).coeffs or (complex(E[0]),)
         if len(cs) - 1 > n:
             raise InvalidInput(f"total degree {len(cs) - 1} exceeds n={n}")
         object.__setattr__(self, "n", n)
@@ -108,7 +106,7 @@ def _hypothesis_core(points: Sequence[complex], m: int, region: CircularRegion):
     if not 1 <= m <= n:
         raise InvalidInput(f"need 1 <= m <= {n}, got m={m}")
     if m == n:
-        droots = tuple(complex(w) for w in points)
+        droots = _as_finite_complex(points)
     else:
         droots = (yield Polynomial((yield Product(points))).derivative(n - m)).roots
     outside = tuple(r for r in droots if not contains(region, r))

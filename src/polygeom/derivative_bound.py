@@ -13,7 +13,7 @@ import math
 import random
 from dataclasses import dataclass
 from .errors import DegreeTooLarge, InvalidInput, InvalidInstance
-from .poly import N_MAX, Polynomial, from_roots, mean_of_roots
+from .poly import N_MAX, Polynomial, _as_finite_complex, from_roots, mean_of_roots
 from .regions import CircularRegion, contains, convex_hull, disk, hull_distance
 from .rootfind import Product, drive
 
@@ -40,11 +40,15 @@ class Theorem2Instance:
             raise InvalidInstance("need at least two inner zeros (n >= 3)")
         if m + 1 > N_MAX:
             raise DegreeTooLarge(f"n={m + 1} exceeds N_MAX={N_MAX}")
-        mean = sum(self.inner_zeros) / m
-        c = self.disk.center
-        if abs(mean - c) > _MEAN_RTOL * (1.0 + abs(c)):
+        # the mean and its test taken at 1/64 of the scale, an exact
+        # power of two, where neither overflows: m <= 59 zeros are summed
+        f = 1 / 64
+        mean = sum(z * f for z in self.inner_zeros) / m
+        c = self.disk.center * f
+        if abs(mean - c) > _MEAN_RTOL * (f + abs(c)):
             raise InvalidInstance(
-                f"disk center {c} is not the mean of the inner zeros ({mean})"
+                f"disk center {self.disk.center} is not the mean of the inner zeros "
+                f"({mean / f})"
             )
         for z in self.inner_zeros:
             if not contains(self.disk, z, _COUNT_TOL):
@@ -145,7 +149,7 @@ def factorization_roots(n: int, k: int, y: complex) -> list[complex]:
     """Zeros of the closed form: y with multiplicity n-k-1, plus (k/n) y."""
     if not 1 <= k <= n - 1:
         raise InvalidInput(f"need 1 <= k <= n-1, got n={n}, k={k}")
-    y = complex(y)
+    y, = _as_finite_complex((y,))
     return [y] * (n - k - 1) + [(k / n) * y]
 
 

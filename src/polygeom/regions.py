@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .errors import InvalidInput
+from .poly import _as_finite_complex
 
 # the membership band of every hypothesis check
 MEMBERSHIP_TOL = 1e-9
@@ -70,7 +71,12 @@ def exterior_disk(center: complex, radius: float, closed: bool = True) -> Circul
 
 
 def half_plane(direction: complex, offset: float, closed: bool = True) -> CircularRegion:
-    mag = abs(complex(direction))
+    try:
+        mag = abs(complex(direction))
+    except OverflowError:
+        # |direction| is beyond the largest float: the same half-plane,
+        # from the direction and the offset halved, where it is not
+        return half_plane(complex(direction) * 0.5, float(offset) * 0.5, closed)
     if mag == 0:
         raise InvalidInput("half-plane direction must be nonzero")
     return CircularRegion(
@@ -87,8 +93,8 @@ def contains(region: CircularRegion, z: complex, tol: float = MEMBERSHIP_TOL) ->
     largest float, the test is taken at a quarter of the scale, so it
     decides by the same geometry and never overflows.
     """
-    if tol < 0:
-        raise InvalidInput("tol must be >= 0")
+    if not tol >= 0:  # NaN too
+        raise InvalidInput(f"tol must be >= 0, got {tol!r}")
     try:
         band = tol * (1.0 + abs(z))
         s = region.signed_distance(z)
@@ -154,7 +160,7 @@ def _welzl_order(count: int) -> tuple[int, ...]:
 
 def smallest_enclosing_disk(points: Sequence[complex]) -> CircularRegion:
     """Minimal closed disk containing all points (Welzl, incremental)."""
-    pts = [complex(p) for p in points]
+    pts = _as_finite_complex(points)
     if not pts:
         raise InvalidInput("need at least one point")
     shuffled = [pts[i] for i in _welzl_order(len(pts))]
@@ -208,7 +214,7 @@ def _cross(o: complex, a: complex, b: complex) -> float:
 
 def convex_hull(points: Sequence[complex]) -> list[complex]:
     """Hull vertices in counterclockwise order; collinear points dropped."""
-    pts = sorted({(complex(p).real, complex(p).imag) for p in points})
+    pts = sorted({(p.real, p.imag) for p in _as_finite_complex(points)})
     if not pts:
         raise InvalidInput("need at least one point")
     pts = [complex(x, y) for x, y in pts]
@@ -251,7 +257,7 @@ def hull_distance(hull: Sequence[complex], z: complex) -> float:
     """0 when z is inside or on the hull, else Euclidean distance to it."""
     if not hull:
         raise InvalidInput("hull must be nonempty")
-    z = complex(z)
+    z, = _as_finite_complex((z,))
     n = len(hull)
     if n >= 3 and all(_cross(hull[i - 1], hull[i], z) >= 0 for i in range(n)):
         return 0.0

@@ -729,6 +729,24 @@ class TestReplay:
         with pytest.raises(InvalidInput):
             replay({"property": "bogus"})
 
+    @pytest.mark.parametrize("inst", [
+        {"property": "grace"},
+        {"property": "theorem2", "k": 1, "inner_zeros": [[1, 0], [-1, 0]],
+         "outer_zero": [3, 0], "disk": {"center": [0, 0]}},
+    ], ids=["top-level", "nested"])
+    def test_missing_field_of_a_plain_dict_is_invalid_input(self, inst):
+        # a plain dict is read as load_file reads a file
+        doc, v = replay_verdict(inst)
+        assert doc["status"] == "error" and isinstance(v.error, InvalidInput)
+        assert "missing field" in doc["diagnostic"]
+
+    @pytest.mark.parametrize("y,message", [([math.nan, 0], "non-finite literal NaN"),
+                                           (1 + 1j, "must be JSON data")],
+                             ids=["nan", "complex"])
+    def test_value_a_json_file_cannot_hold_is_invalid_input(self, y, message):
+        with pytest.raises(InvalidInput, match=message):
+            replay({"property": "derivative_identity", "n": 3, "k": 1, "y": y})
+
     def test_failure_replays_at_its_campaign_tolerance(self):
         rep = run_campaign(CampaignConfig(property="grace", trials=2, seed=1, root_tol=1e-30))
         inst = rep.failures[0]["instance"]

@@ -718,6 +718,97 @@ class TestWrongShapeInput:
         assert main(subcommand_argv(tmp_path, inst)) == 2
 
 
+# the JSON numbers at and near the ends of the float range that every
+# subcommand is fed: moduli, sums and products of these overflow or
+# underflow
+EXTREME_VALUES = (1.7e308, -1.7e308, 1.5e308, 1e308, 1e200, 1e154, 1e-320, 5e-324)
+# a half-plane whose direction's modulus is beyond the largest float
+_HUGE_HALF_PLANE = {"kind": "halfplane", "direction": [1.5e308, 1.5e308], "offset": 1.0}
+# a valid theorem 2 instance whose centre's modulus, and the sum of whose
+# inner zeros, is beyond the largest float
+_HUGE_THEOREM2 = {"inner_zeros": [[1.5e308, 1.5e308], [1.4e308, 1.4e308]],
+                  "outer_zero": [0, 0], "disk": {"center": [1.45e308, 1.45e308], "radius": 1e307}}
+
+
+def _extreme_argvs(tmp_path, v):
+    """The argument lists of every subcommand on inputs built from v."""
+    put = lambda name, doc: write(tmp_path, f"{name}.json", doc)
+    z, w = [v, v], [v, -v]
+    a, b = {"coeffs": [z, [1, 0], [1, 0]]}, {"coeffs": [[1, 0], w, [v, 0]]}
+    regions = [put("r0", {"kind": "disk", "center": z, "radius": abs(v)}),
+               put("r1", {"kind": "exterior", "center": w, "radius": 1}),
+               put("r2", {"kind": "halfplane", "direction": z, "offset": v})]
+    multiaffine, points = {"n": 2, "E": [[1, 0], z]}, [z, [-v, 1]]
+    t2 = {"inner_zeros": [z, [v / 2, v / 2]], "outer_zero": [-v, 0],
+          "disk": {"center": [v * 0.75, v * 0.75], "radius": abs(v) / 2}}
+    insts = [
+        {"property": "grace", "n": 2, "a": a, "b": b,
+         "region": {"kind": "disk", "center": z, "radius": 1}},
+        *({"property": prop, "multiaffine": multiaffine, "points": points,
+           "region": {"kind": "halfplane", "direction": w, "offset": v},
+           "classic": prop == "walsh_classic"}
+          for prop in ("walsh_classic", "theorem1_convex", "theorem1_exterior")),
+        {"property": "theorem2", "k": 1, **t2},
+        {"property": "apolarity_identity", "n": 2, "a": [z, [1, 0]], "a2": [w],
+         "b": [[1, 0], z, w], "alpha": w, "c": z},
+        {"property": "derivative_identity", "n": 3, "k": 1, "y": z},
+        {"property": "gauss_lucas", "poly": {"coeffs": [z, w, [1, 0]]}},
+    ]
+    a, b, points = put("a", a), put("b", b), put("w", points)
+    coincidence = [["coincidence", "--multiaffine", put("ma", multiaffine),
+                    "--points", points, "--region", r] for r in regions]
+    return {
+        "roots": [["roots", "--poly", p] for p in (a, b)],
+        "apolar": [["apolar", "--a", a, "--b", p, "--n", "2"] for p in (a, b)],
+        "grace": [["grace", "--a", a, "--b", b, "--region", r] for r in regions],
+        "coincidence": coincidence,
+        "coincidence-classic": [argv + ["--classic"] for argv in coincidence],
+        "theorem2": [["theorem2", "--instance", put("t2", t2), "--k", str(k)]
+                     for k in (1, 2)],
+        "replay": [["replay", "--instance", put(f"i{j}", inst)]
+                   for j, inst in enumerate(insts)],
+        "plot": [["plot", *args, "--svg-out", str(tmp_path / "o.svg")]
+                 for args in [["--poly", a]] + [["--points", points, "--region", r]
+                                                for r in regions]],
+    }
+
+
+class TestExtremeNumbers:
+    @pytest.mark.parametrize("sub", ["roots", "apolar", "grace", "coincidence",
+                                     "coincidence-classic", "theorem2", "replay", "plot"])
+    def test_no_exception_escapes_and_json_is_strict(self, tmp_path, capsys, sub):
+        for v in EXTREME_VALUES:
+            for argv in _extreme_argvs(tmp_path, v)[sub]:
+                code = main(argv)
+                out, err = capsys.readouterr()
+                assert code in (0, 1, 2, 3), (v, argv)
+                if sub == "plot":
+                    assert not out
+                elif code in (0, 1) or out:
+                    strict_json(out)
+                assert not err or err.startswith("error: "), (v, argv, err)
+
+    @pytest.mark.parametrize("classic", [False, True])
+    def test_half_plane_direction_beyond_the_largest_float(self, tmp_path, capsys, classic):
+        points = write(tmp_path, "w.json", [[-1, 0], [-2, 0]])
+        region = write(tmp_path, "r.json", _HUGE_HALF_PLANE)
+        argv = ["coincidence", "--multiaffine", write(tmp_path, "ma.json", _LINEAR_P),
+                "--points", points, "--region", region]
+        assert main(argv + (["--classic"] if classic else [])) == 0
+        assert strict_json(capsys.readouterr().out)["status"] == "pass"
+        assert main(["plot", "--points", points, "--region", region,
+                     "--svg-out", str(tmp_path / "o.svg")]) == 0
+
+    def test_theorem2_center_and_sum_beyond_the_largest_float(self, tmp_path, capsys):
+        path = write(tmp_path, "t2.json", _HUGE_THEOREM2)
+        assert main(["theorem2", "--instance", path, "--k", "1"]) == 0
+        doc = strict_json(capsys.readouterr().out)
+        assert (doc["status"], doc["bound"], doc["count_in_disk"]) == ("pass", 1, 1)
+        inst = write(tmp_path, "inst.json", {"property": "theorem2", "k": 1, **_HUGE_THEOREM2})
+        assert main(["replay", "--instance", inst]) == 0
+        assert strict_json(capsys.readouterr().out)["status"] == "pass"
+
+
 def test_cli_start_loads_no_process_pool():
     # the pool's modules load only when a campaign starts a pool
     code = ("import sys, polygeom.cli; "

@@ -55,6 +55,35 @@ class TestTotalDegree:
     def test_trailing_exact_zero_dropped(self):
         assert SymmetricMultiaffine(2, [0, 1, 0]).total_degree == 1
 
+    def test_all_zero_E_keeps_one_coefficient(self):
+        assert SymmetricMultiaffine(2, [0, 0, 0]).E == (0j,)
+
+    def test_E_may_be_an_iterator(self):
+        assert SymmetricMultiaffine(2, iter([1, 2j, 0])).E == (1 + 0j, 2j)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+class TestNonFiniteInput:
+    # E and the points are converted as Polynomial converts coefficients:
+    # a NaN or an infinity is invalid input that names it, never a value
+    # or a hypothesis violation
+    def test_E(self):
+        with pytest.raises(InvalidInput, match=r"non-finite value \(inf\+0j\)"):
+            SymmetricMultiaffine(2, [1, INF])
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_hypothesis_points(self, m):
+        with pytest.raises(InvalidInput, match="non-finite value"):
+            theorem1_hypothesis([NAN, 1], m, disk(0, 2))
+
+    @pytest.mark.parametrize("classic", [True, False])
+    def test_witness_points(self, classic):
+        with pytest.raises(InvalidInput, match="non-finite value"):
+            coincidence_witness(SymmetricMultiaffine(2, [0, 1]), [NAN, 1], disk(0, 2),
+                                classic=classic)
+
 
 class TestDiagonal:
     def test_e1_two_variables(self):

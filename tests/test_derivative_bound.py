@@ -6,6 +6,7 @@ import pytest
 
 from polygeom.derivative_bound import (
     Theorem2Instance,
+    _disk_frame_points,
     check_theorem2,
     factorization_roots,
     gauss_lucas_check,
@@ -73,6 +74,32 @@ class TestCheckTheorem2:
         bad = Theorem2Instance((0j, 1 + 0j), 5 + 0j, disk(0j, 2.0))  # mean is 0.5
         with pytest.raises(InvalidInstance):
             check_theorem2(bad, 1)
+
+    def test_center_whose_modulus_is_beyond_the_largest_float(self):
+        # |c| is about 2.05e308, and so is the sum of the inner zeros: the
+        # mean test is taken where neither overflows, and the instance,
+        # valid, reaches a verdict
+        c = complex(1.45e308, 1.45e308)
+        inst = Theorem2Instance((complex(1.5e308, 1.5e308), complex(1.4e308, 1.4e308)),
+                                0j, disk(c, 1e307))
+        assert _disk_frame_points(inst) == [
+            pytest.approx(0.5 + 0.5j), pytest.approx(-0.5 - 0.5j),
+            pytest.approx(-14.5 - 14.5j)]
+        rep = check_theorem2(inst, 1)
+        assert rep.bound == 1 and rep.count_in_disk == 1 and rep.satisfied
+
+    def test_inner_zeros_whose_sum_is_beyond_the_largest_float(self):
+        # |c| = 1e308 is finite, the sum of the inner zeros, 2e308, is not
+        inst = Theorem2Instance((complex(1e308 + 1e306), complex(1e308 - 1e306)), 0j,
+                                disk(complex(1e308), 1e307))
+        rep = check_theorem2(inst, 1)
+        assert rep.bound == 1 and rep.satisfied
+
+    def test_mean_far_from_a_huge_center_rejected(self):
+        inst = Theorem2Instance((complex(1.5e308, 1.5e308), complex(1.3e308, 1.3e308)),
+                                0j, disk(complex(1.45e308, 1.45e308), 1e307))
+        with pytest.raises(InvalidInstance, match="is not the mean"):
+            check_theorem2(inst, 1)
 
     def test_rigid_motion_invariance(self):
         rng = random.Random(33)
@@ -145,6 +172,11 @@ class TestFactorizationRoots:
     def test_k_equal_n_is_invalid_input(self):
         with pytest.raises(InvalidInput, match="need 1 <= k <= n-1"):
             factorization_roots(3, 3, 1)
+
+    @pytest.mark.parametrize("y", [math.nan, complex(math.inf, 0)])
+    def test_non_finite_y_is_invalid_input(self, y):
+        with pytest.raises(InvalidInput, match="non-finite value"):
+            factorization_roots(3, 1, y)
 
     def test_half_point(self):
         roots = factorization_roots(4, 2, 2j)

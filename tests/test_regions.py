@@ -111,12 +111,36 @@ class TestConstructors:
         with pytest.raises(InvalidInput):
             make(*args)
 
+    def test_half_plane_direction_beyond_the_largest_float(self):
+        # |direction| overflows: built from the direction and the offset
+        # halved, the same half-plane Re(z * conj(u)) <= 1 / |direction|
+        hp = half_plane(complex(1.5e308, 1.5e308), 1.0)
+        assert hp.direction == pytest.approx(complex(math.sqrt(0.5), math.sqrt(0.5)))
+        assert hp.offset == pytest.approx(0.5 / abs(complex(0.75e308, 0.75e308)))
+        assert contains(hp, -1) and not contains(hp, 1)
+
+
+class TestNonFinitePoints:
+    # every point set is converted by poly._as_finite_complex: a NaN or
+    # an infinity is invalid input, never a hull, a disk or a distance
+    @pytest.mark.parametrize("call", [
+        lambda bad: convex_hull([0, 1, bad]),
+        lambda bad: smallest_enclosing_disk([0, bad]),
+        lambda bad: hull_distance([0, 1, 1j], bad),
+    ], ids=["convex-hull", "smallest-enclosing-disk", "hull-distance"])
+    @pytest.mark.parametrize("bad", [NAN, complex(0, INF)], ids=["nan", "inf"])
+    def test_rejected(self, call, bad):
+        with pytest.raises(InvalidInput, match="non-finite value"):
+            call(bad)
+
 
 @pytest.mark.parametrize("call, args", [
     (contains, (disk(0, 1), 0, -1e-9)),
+    (contains, (disk(0, 1), 0, NAN)),
     (convex_hull, ([],)),
     (hull_distance, ([], 0)),
-], ids=["contains-negative-tol", "convex-hull-no-points", "hull-distance-empty-hull"])
+], ids=["contains-negative-tol", "contains-nan-tol", "convex-hull-no-points",
+        "hull-distance-empty-hull"])
 def test_invalid_arguments_rejected(call, args):
     with pytest.raises(InvalidInput):
         call(*args)

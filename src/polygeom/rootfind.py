@@ -19,12 +19,18 @@ that decides multiplicity, as a root set's clusters are its runs of equal
 roots. The exact zeros at the origin are written after the collapse, and
 one stable sort orders every row.
 
+The sweeps, the polish, the collapse and the certificate run on each
+row's frame, its coefficients times the power of two ``_framed`` picks;
+only the circle start reads the row as given. A power of two moves no
+zero, and keeps each step's bits wherever no value leaves the normal
+floats, so subnormal or huge coefficients neither underflow nor overflow.
+
 One certificate decides every row: the scaled residual of each root
-under the original polynomial is within tol; a NaN or inf residual
-fails. A row that its start leaves uncertified (a companion matrix that
-is not finite, say) is solved once more, in the same call, from the
-other start, eigenvalues for circles or circles for eigenvalues, and
-that second outcome is the row's.
+under the polynomial is within tol; a NaN or inf residual fails. A row
+that its start leaves uncertified (a companion matrix that is not
+finite, say) is solved once more, in the same call, from the other
+start, eigenvalues for circles or circles for eigenvalues, and that
+second outcome is the row's.
 
 A batch of many degrees is one pass, not one pass per degree: each row's
 coefficients are padded with leading zeros to the batch's largest degree,
@@ -198,6 +204,31 @@ def _circle_start(cr: np.ndarray) -> list[complex]:
     return start
 
 
+def _framed(cs: list[np.ndarray]) -> np.ndarray:
+    """The rows cs, coefficients in descending order, as the columns of
+    one array, each padded with leading zeros to the largest degree
+    (Horner's rule passes them through unchanged) and times 2**-e: e is
+    the binary exponent of the row's largest real or imaginary part,
+    lowered as far as its smallest nonzero part needs to stay a normal
+    float, but never so far that the largest overflows. np.ldexp scales
+    each part exactly, a subnormal one too.
+    """
+    n = max(len(cr) for cr in cs)
+    c = np.zeros((n, len(cs)), dtype=complex)
+    for r, cr in enumerate(cs):
+        c[n - len(cr):, r] = cr
+    # column 2r holds row r's real parts, and 2r + 1 its imaginary parts
+    parts = c.view(float)
+    a = np.abs(parts)
+    top = np.frexp(a.max(axis=0).reshape(-1, 2).max(axis=1))[1]
+    a[a == 0] = np.inf
+    low = np.frexp(a.min(axis=0).reshape(-1, 2).min(axis=1))[1]
+    # frexp exponents: a normal float's lie in [-1021, 1024]
+    e = np.maximum(np.minimum(top, low + 1021), top - 1024)
+    np.ldexp(parts, -np.repeat(e, 2), out=parts)
+    return c
+
+
 def _aberth(cs: list[np.ndarray], tol: float, other_start: bool) -> np.ndarray:
     """Roots of the polynomials whose coefficients, in descending order,
     are cs (degree >= 1, no zero root, sorted by degree): row r holds the
@@ -205,19 +236,18 @@ def _aberth(cs: list[np.ndarray], tol: float, other_start: bool) -> np.ndarray:
 
     Rows of degree at most _EIGVALS_MAX_DEGREE start from the eigenvalues
     of their companion matrices, one stacked call per degree, and the
-    others on _circle_start's circles; with other_start, each row takes
-    the start that this rule does not give it. The coefficients are
-    padded with leading zeros to the largest degree. The active roots of all polynomials form
-    one flat set, ordered by degree; each sweep gathers their
-    coefficients, drops the roots whose scaled residual is within tol,
-    and sums 1/(x_i - x_j) for the others over the roots of each degree's
-    rows, so that every sum has its row's own length.
+    others on _circle_start's circles, drawn from the rows as given; with
+    other_start, each row takes the start that this rule does not give
+    it. The sweeps run on the rows in their frames (_framed). The active
+    roots of all polynomials form one flat set, ordered by degree; each
+    sweep gathers their coefficients, drops the roots whose scaled
+    residual is within tol, and sums 1/(x_i - x_j) for the others over the
+    roots of each degree's rows, so that every sum has its row's own
+    length.
     """
     rows, deg = len(cs), [len(cr) - 1 for cr in cs]
     dmax = deg[-1]
-    c = np.zeros((dmax + 1, rows), dtype=complex)
-    for r, cr in enumerate(cs):
-        c[dmax - deg[r]:, r] = cr
+    c = _framed(cs)
     ac, dc = np.abs(c), _polyder(c)
     x = np.full((rows, dmax), complex(np.nan, np.nan))
     flat = x.reshape(-1)
@@ -301,14 +331,10 @@ def _collapse_multiple(rc: np.ndarray, roots: list[complex], label: np.ndarray,
     point is a residual-certified zero of p, ..., p^(m-1) (simple roots s
     apart leave p^(m-2) a residual of order s**2) and the group's spread
     is consistent with an order-m zero at working precision. rc holds p's
-    coefficients in descending order; both run on them times 2**-e, 2**e
-    above their largest modulus (e >= -1023, so that 2**-e is finite):
-    every step keeps its bits, and a derivative overflows only where
-    math.perm does, which leaves the group as it is.
+    coefficients in descending order, in the row's frame (_framed); a
+    derivative that overflows leaves the group as it is.
     """
-    e = max(int(np.frexp(np.max(np.abs(rc)))[1]), -1023)
-    rs = rc * 2.0 ** -e
-    p = Polynomial(rs[::-1].tolist())
+    p = Polynomial(rc[::-1].tolist())
     out = list(roots)
     for k in np.unique(label):
         g = np.flatnonzero(label == k).tolist()
@@ -328,7 +354,7 @@ def _collapse_multiple(rc: np.ndarray, roots: list[complex], label: np.ndarray,
                     break
             dist = [abs(roots[i] - z) for i in g]
             # column j holds p^(j), led by zeros; a NaN z fails
-            ders, col = np.zeros((len(rs), m), dtype=complex), rs
+            ders, col = np.zeros((len(rc), m), dtype=complex), rc
             for j in range(m):
                 ders[j:, j], col = col, _polyder(col)
             res = _evaluate(ders, np.abs(ders), np.arange(m), np.full(m, z))[1]
@@ -361,22 +387,19 @@ def _solve_pass(cs: list[np.ndarray], tol: float,
     """_solve in one padded pass, each row started as _aberth starts it
     at other_start, with no retry.
 
-    Each row's coefficients get leading zeros up to the largest degree;
-    Horner's rule passes them through bit for bit (0*z + 0 = 0 for finite
-    z). Each row's roots get NaN pads, which no test counts: a NaN is
-    linked to nothing and sorts last. A row's exact zeros at the origin
-    are NaN, and so out of the polish, linkage and collapse, until written
-    as 0.0 after the collapse.
+    The polish, the collapse and the certificate run on the rows in their
+    frames (_framed), as the sweeps do. Each row's roots get NaN pads,
+    which no test counts: a NaN is linked to nothing and sorts last. A
+    row's exact zeros at the origin are NaN, and so out of the polish,
+    linkage and collapse, until written as 0.0 after the collapse.
     """
     rows = len(cs)
     n = [len(c) - 1 for c in cs]
     # each row's degree once its exact zeros at the origin come off
     d = [int(np.flatnonzero(cr)[-1]) for cr in cs]
     nmax = max(n)
-    c = np.zeros((nmax + 1, rows), dtype=complex)
+    c = _framed(cs)
     z = np.full((rows, nmax), complex(np.nan, np.nan))
-    for r, cr in enumerate(cs):
-        c[nmax - n[r]:, r] = cr
     # the rows left with degree >= 1, as (degree, row)
     big = sorted((d[r], r) for r in range(rows) if d[r])
     if big:
@@ -398,7 +421,8 @@ def _solve_pass(cs: list[np.ndarray], tol: float,
         flagged, labels = _linkage(z[lo:lo + block], d[lo:lo + block])
         for r, label in zip((flagged + lo).tolist(), labels):
             own_r = slice(n[r] - d[r], n[r])
-            z[r, own_r] = _collapse_multiple(cs[r], z[r, own_r].tolist(), label[own_r], tol)
+            z[r, own_r] = _collapse_multiple(c[nmax - n[r]:, r], z[r, own_r].tolist(),
+                                             label[own_r], tol)
     z[origin] = 0.0
     # every row by (real, imag), stably; the NaN pads sort last
     z = np.sort(z, axis=-1, kind="stable")

@@ -788,6 +788,23 @@ class TestExtremeNumbers:
                     strict_json(out)
                 assert not err or err.startswith("error: "), (v, argv, err)
 
+    @pytest.mark.parametrize("sub, j, v", [
+        # the half-plane r2, whose direction and offset are subnormal
+        *((sub, 2, v) for sub in ("coincidence", "coincidence-classic")
+          for v in (1e-320, 5e-324)),
+        # walsh_classic, theorem1_convex and theorem1_exterior on a
+        # half-plane of the same kind
+        *(("replay", j, v) for j in (1, 2, 3) for v in (1e-320, 5e-324)),
+        # gauss_lucas, whose far root made the scale sum overflow
+        ("replay", 7, 1e200),
+    ])
+    def test_rows_far_from_unit_scale_pass(self, tmp_path, capsys, sub, j, v):
+        # each row is solved on its power-of-two frame: these exited 3, a
+        # subnormal p(z) or an overflowing scale sum leaving a root
+        # uncertified
+        assert main(_extreme_argvs(tmp_path, v)[sub][j]) == 0
+        assert strict_json(capsys.readouterr().out)["status"] == "pass"
+
     @pytest.mark.parametrize("classic", [False, True])
     def test_half_plane_direction_beyond_the_largest_float(self, tmp_path, capsys, classic):
         points = write(tmp_path, "w.json", [[-1, 0], [-2, 0]])

@@ -210,8 +210,9 @@ def _framed(cs: list[np.ndarray]) -> np.ndarray:
     (Horner's rule passes them through unchanged) and times 2**-e: e is
     the binary exponent of the row's largest real or imaginary part,
     lowered as far as its smallest nonzero part needs to stay a normal
-    float, but never so far that the largest overflows. np.ldexp scales
-    each part exactly, a subnormal one too.
+    float, but never so far that the largest part grows past both its own
+    size and 1, where the scale of a residual could overflow. np.ldexp
+    scales each part exactly, a subnormal one too.
     """
     n = max(len(cr) for cr in cs)
     c = np.zeros((n, len(cs)), dtype=complex)
@@ -224,21 +225,22 @@ def _framed(cs: list[np.ndarray]) -> np.ndarray:
     a[a == 0] = np.inf
     low = np.frexp(a.min(axis=0).reshape(-1, 2).min(axis=1))[1]
     # frexp exponents: a normal float's lie in [-1021, 1024]
-    e = np.maximum(np.minimum(top, low + 1021), top - 1024)
+    e = np.maximum(np.minimum(top, low + 1021), np.minimum(top, 0))
     np.ldexp(parts, -np.repeat(e, 2), out=parts)
     return c
 
 
-def _aberth(cs: list[np.ndarray], tol: float, other_start: bool) -> np.ndarray:
+def _aberth(cs: list[np.ndarray], c: np.ndarray, tol: float, other_start: bool) -> np.ndarray:
     """Roots of the polynomials whose coefficients, in descending order,
-    are cs (degree >= 1, no zero root, sorted by degree): row r holds the
-    roots of cs[r], then NaN pads.
+    are cs (degree >= 1, no zero root, sorted by degree), and the columns
+    of c in their frames, as _framed(cs) holds them: row r holds the roots
+    of cs[r], then NaN pads.
 
     Rows of degree at most _EIGVALS_MAX_DEGREE start from the eigenvalues
     of their companion matrices, one stacked call per degree, and the
     others on _circle_start's circles, drawn from the rows as given; with
     other_start, each row takes the start that this rule does not give
-    it. The sweeps run on the rows in their frames (_framed). The active
+    it. The sweeps run on the rows in their frames, c. The active
     roots of all polynomials form one flat set, ordered by degree; each
     sweep gathers their coefficients, drops the roots whose scaled
     residual is within tol, and sums 1/(x_i - x_j) for the others over the
@@ -247,7 +249,6 @@ def _aberth(cs: list[np.ndarray], tol: float, other_start: bool) -> np.ndarray:
     """
     rows, deg = len(cs), [len(cr) - 1 for cr in cs]
     dmax = deg[-1]
-    c = _framed(cs)
     ac, dc = np.abs(c), _polyder(c)
     x = np.full((rows, dmax), complex(np.nan, np.nan))
     flat = x.reshape(-1)
@@ -403,7 +404,13 @@ def _solve_pass(cs: list[np.ndarray], tol: float,
     # the rows left with degree >= 1, as (degree, row)
     big = sorted((d[r], r) for r in range(rows) if d[r])
     if big:
-        xs = _aberth([cs[r][:dr + 1] for dr, r in big], tol, other_start)
+        # each row's column less its zeros at the origin, moved down to the
+        # largest degree left; a place from above the column (a negative
+        # index) reads 0
+        dmax, order = big[-1][0], [r for _, r in big]
+        idx = np.arange(dmax + 1)[:, None] + [nmax - n[r] - dmax + dr for dr, r in big]
+        xs = _aberth([cs[r][:dr + 1] for dr, r in big], np.where(idx >= 0, c[idx, order], 0),
+                     tol, other_start)
         for (dr, r), xr in zip(big, xs):
             z[r, n[r] - dr:n[r]] = xr[:dr]
 

@@ -207,15 +207,15 @@ class TestFrame:
     # every row is solved and certified on its frame, 2**-e times its
     # coefficients, which moves no zero
     def test_frame_rule(self):
-        c = rootfind._framed([np.array([3 - 5j, 0.25]), np.array([1, 2e-310]),
+        c = rootfind._framed([np.array([3 - 5j, 0.25]), np.array([1024, 2**-1020]),
                               np.array([1e308, 0, 5e-324j])])
         # padded with leading zeros to the largest degree
         assert c[0, 0] == c[0, 1] == 0
         # the largest part in [1/2, 1), where the smallest stays normal
         assert c[1:, 0].tolist() == [0.375 - 0.625j, 0.03125]
-        # lowered by 7 for 2e-310 to be normal
-        assert c[1:, 1].tolist() == [128, 2e-310 * 128]
-        # not lowered at all: the largest part would overflow
+        # lowered by 9 for 2**-1020 to stay normal
+        assert c[1:, 1].tolist() == [256, 2**-1022]
+        # not lowered below 0: the row would grow past its own size
         assert c[:, 2].tolist() == [1e308, 0, 5e-324j]
 
     @pytest.mark.parametrize("coeffs", [[-1e-310, 2e-310], [-5e-324 - 5e-324j, 1e-323 + 1e-323j]])
@@ -229,6 +229,15 @@ class TestFrame:
         # 1 + 2e-310 z: its root -5e309 has no float
         with pytest.raises(NonConvergence):
             find_roots(Polynomial([1, 2e-310]))
+
+    def test_subnormal_part_beside_huge_ones(self):
+        # 1e300 (z**21 + 1) + 5e-324 z: a frame lowered for the subnormal
+        # part would bring the row near 2**1024, where the scale sum
+        # overflows at |z| = 1 and every start reads as a certified root
+        rs = find_roots(Polynomial([1e300, 5e-324] + [0] * 19 + [1e300]))
+        for j in range(21):
+            w = cmath.exp(1j * math.pi * (2 * j + 1) / 21)
+            assert min(abs(z - w) for z in rs.roots) <= 1e-14
 
     def test_far_root_beside_near_ones(self):
         # z**4 overflowed the scale sum at 1e80 as given
@@ -734,7 +743,7 @@ class TestSweep:
         cs = sorted((np.array(p.coeffs[::-1], dtype=complex) for p in ps), key=len)
         cs = [cr for cr in cs if cr[-1] != 0]
         with np.errstate(all="ignore"):
-            got = rootfind._aberth(cs, tol, other_start)
+            got = rootfind._aberth(cs, rootfind._framed(cs), tol, other_start)
             want = aberth_reference(cs, tol, other_start)
         assert got.tobytes() == want.tobytes()
 

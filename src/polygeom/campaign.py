@@ -143,16 +143,16 @@ class CampaignReport:
 # ------------------------- instance generators -------------------------
 
 
-def _generator(make):
-    """An instance generator from its core, make(rng, cfg), which yields
-    like a check (see rootfind.drive_many) and returns the instance dict:
-    gen(rng, cfg) runs the core through rootfind.drive at cfg.root_tol and
-    returns its dict or raises its error, and gen(rng, cfg, core=True)
-    returns the core, for a campaign chunk to drive with its trial's
-    check."""
+def _generator(prop: str, make):
+    """The instance generator of prop from its core, make(rng, cfg), which
+    yields like a check (see rootfind.drive_many) and returns the
+    instance object: gen(rng, cfg, core=True) returns the core, for a
+    campaign chunk to drive with its trial's check, which takes the
+    object; gen(rng, cfg) runs the core through rootfind.drive at
+    cfg.root_tol and returns the instance dict, or raises its error."""
     def gen(rng: random.Random, cfg: CampaignConfig, core: bool = False):
         started = make(rng, cfg)
-        return started if core else drive(started, cfg.root_tol)
+        return started if core else _instance_json(prop, drive(started, cfg.root_tol))
 
     return gen
 
@@ -183,7 +183,6 @@ def _random_region_with_points(rng: random.Random, count: int):
     return region, pts
 
 
-@_generator
 def _gen_grace(rng: random.Random, cfg: CampaignConfig):
     n = rng.randint(max(2, cfg.n_min), cfg.n_max)
     region, roots = _random_region_with_points(rng, n)
@@ -191,23 +190,12 @@ def _gen_grace(rng: random.Random, cfg: CampaignConfig):
     b = make_apolar(a, n, seed=rng.getrandbits(32))
     while b.degree() != n:
         b = make_apolar(a, n, seed=rng.getrandbits(32))
-    return {
-        "property": "grace",
-        "n": n,
-        "a": jsonio.poly_to_json(a),
-        # a is built from these roots, so the check needs no root find on a
-        "a_roots": jsonio.points_to_json(roots),
-        "b": jsonio.poly_to_json(b),
-        "region": jsonio.region_to_json(region),
-    }
+    # a is built from these roots, so the check needs no root find on a
+    return jsonio.GraceTrial(n, a, b, region, tuple(roots))
 
 
-def _check_grace(inst: dict):
-    a = jsonio.poly_from_json(inst["a"])
-    b = jsonio.poly_from_json(inst["b"])
-    region = jsonio.region_from_json(inst["region"])
-    a_roots = jsonio.points_from_json(inst["a_roots"]) if "a_roots" in inst else None
-    w = yield from _grace_core(a, b, jsonio.integer_from_json(inst["n"]), region, a_roots)
+def _check_grace(inst: jsonio.GraceTrial):
+    w = yield from _grace_core(inst.a, inst.b, inst.n, inst.region, inst.a_roots)
     return Verdict(PASS, f"witness {w}", w)
 
 
@@ -218,21 +206,14 @@ def _random_multiaffine(rng: random.Random, n: int, m: int) -> SymmetricMultiaff
     return SymmetricMultiaffine(n, E)
 
 
-@_generator
 def _gen_walsh_classic(rng: random.Random, cfg: CampaignConfig):
     yield from ()  # requests nothing
     n = rng.randint(max(2, cfg.n_min), cfg.n_max)
     P = _random_multiaffine(rng, n, n)
-    w = [2.0 * _unit_box(rng) for _ in range(n)]
+    w = tuple(2.0 * _unit_box(rng) for _ in range(n))
     sed = smallest_enclosing_disk(w)
     region = disk(sed.center, max(sed.radius, 1e-9))
-    return {
-        "property": "walsh_classic",
-        "multiaffine": jsonio.multiaffine_to_json(P),
-        "points": jsonio.points_to_json(w),
-        "region": jsonio.region_to_json(region),
-        "classic": True,
-    }
+    return jsonio.CoincidenceTrial(P, w, region, classic=True)
 
 
 def _gen_theorem1(rng: random.Random, cfg: CampaignConfig, exterior: bool, ahead: bool):
@@ -280,28 +261,16 @@ def _gen_theorem1(rng: random.Random, cfg: CampaignConfig, exterior: bool, ahead
         offset = max((z * direction.conjugate()).real for z in droots)
         region = half_plane(direction, offset + 1e-9 * (1.0 + abs(offset)))
 
-    return {
-        "property": "theorem1_exterior" if exterior else "theorem1_convex",
-        "multiaffine": jsonio.multiaffine_to_json(P),
-        "points": jsonio.points_to_json(w),
-        "region": jsonio.region_to_json(region),
-        "classic": False,
-    }
+    return jsonio.CoincidenceTrial(P, tuple(w), region)
 
 
-def _check_coincidence(inst: dict):
-    P = jsonio.multiaffine_from_json(inst["multiaffine"])
-    w = jsonio.points_from_json(inst["points"])
-    region = jsonio.region_from_json(inst["region"])
-    # force (set by `polygeom coincidence --force`) solves despite a failed hypothesis
-    classic = jsonio.boolean_from_json(inst.get("classic", False))
-    force = jsonio.boolean_from_json(inst.get("force", False))
-    z, hyp = yield from _coincidence_core(P, w, region, check_hypothesis=not force,
-                                          classic=classic)
+def _check_coincidence(inst: jsonio.CoincidenceTrial):
+    z, hyp = yield from _coincidence_core(inst.multiaffine, inst.points, inst.region,
+                                          check_hypothesis=not inst.force,
+                                          classic=inst.classic)
     return Verdict(PASS, f"witness {z}", z, hyp)
 
 
-@_generator
 def _gen_theorem2(rng: random.Random, cfg: CampaignConfig):
     n = rng.randint(max(3, cfg.n_min), cfg.n_max)
     k = rng.randint(1, n - 1)
@@ -314,12 +283,11 @@ def _gen_theorem2(rng: random.Random, cfg: CampaignConfig):
         outer_distance=radius * factor,
         center=2.0 * _unit_box(rng),
     )
-    return {"property": "theorem2", "k": k, **jsonio.theorem2_instance_to_json(inst)}
+    return jsonio.Theorem2Trial(inst, k)
 
 
-def _check_theorem2(inst: dict):
-    t2 = jsonio.theorem2_instance_from_json(inst)
-    report = yield from _theorem2_core(t2, jsonio.integer_from_json(inst["k"]))
+def _check_theorem2(inst: jsonio.Theorem2Trial):
+    report = yield from _theorem2_core(inst.instance, inst.k)
     if not report.satisfied:
         return Verdict(FAIL, (
             f"count {report.count_in_disk} < bound {report.bound} "
@@ -332,32 +300,19 @@ def _check_theorem2(inst: dict):
                    report=report)
 
 
-@_generator
 def _gen_apolarity_identity(rng: random.Random, cfg: CampaignConfig):
     yield from ()  # requests nothing
     # the identities are drawn at degree 20 at most; a range above that
     # draws degree 20
     n = rng.randint(min(max(1, cfg.n_min), 20), min(cfg.n_max, 20))
-    deg_poly = lambda: [_unit_box(rng) for _ in range(n + 1)]
-    return {
-        "property": "apolarity_identity",
-        "n": n,
-        "a": jsonio.points_to_json(deg_poly()),
-        "a2": jsonio.points_to_json(deg_poly()),
-        "b": jsonio.points_to_json(deg_poly()),
-        "alpha": jsonio.complex_to_json(_unit_box(rng)),
-        "c": jsonio.complex_to_json(2.0 * _unit_box(rng)),
-    }
+    a, a2, b = (tuple(_unit_box(rng) for _ in range(n + 1)) for _ in range(3))
+    return jsonio.ApolarityIdentityTrial(n, a, a2, b, _unit_box(rng), 2.0 * _unit_box(rng))
 
 
-def _check_apolarity_identity(inst: dict):
+def _check_apolarity_identity(inst: jsonio.ApolarityIdentityTrial):
     yield from ()  # requests no roots
-    n = jsonio.integer_from_json(inst["n"])
-    a = Polynomial(jsonio.points_from_json(inst["a"]))
-    a2 = Polynomial(jsonio.points_from_json(inst["a2"]))
-    b = Polynomial(jsonio.points_from_json(inst["b"]))
-    alpha = jsonio.complex_from_json(inst["alpha"])
-    c = jsonio.complex_from_json(inst["c"])
+    n, alpha, c = inst.n, inst.alpha, inst.c
+    a, a2, b = Polynomial(inst.a), Polynomial(inst.a2), Polynomial(inst.b)
 
     lin = apolarity_functional(alpha * a + a2, b, n) - (
         alpha * apolarity_functional(a, b, n) + apolarity_functional(a2, b, n)
@@ -372,40 +327,32 @@ def _check_apolarity_identity(inst: dict):
     return Verdict(PASS, f"residual {worst:.3e}")
 
 
-@_generator
 def _gen_derivative_identity(rng: random.Random, cfg: CampaignConfig):
     yield from ()  # requests nothing
     n = rng.randint(2, 20)
-    return {
-        "property": "derivative_identity",
-        "n": n,
-        "k": rng.randint(1, n - 1),
-        "y": jsonio.complex_to_json(_unit_box(rng)),
-    }
+    k = rng.randint(1, n - 1)
+    return jsonio.DerivativeIdentityTrial(n, k, _unit_box(rng))
 
 
-def _check_derivative_identity(inst: dict):
+def _check_derivative_identity(inst: jsonio.DerivativeIdentityTrial):
     yield from ()  # requests no roots
-    n, k = jsonio.integer_from_json(inst["n"]), jsonio.integer_from_json(inst["k"])
-    res = kth_derivative_identity(n, k, jsonio.complex_from_json(inst["y"]))
+    res = kth_derivative_identity(inst.n, inst.k, inst.y)
     if res > 1e-11:
         return Verdict(FAIL, f"closed-form residual {res:.3e} above 1e-11")
     return Verdict(PASS, f"residual {res:.3e}")
 
 
-@_generator
 def _gen_gauss_lucas(rng: random.Random, cfg: CampaignConfig):
     yield from ()  # requests nothing
     deg = rng.randint(2, 15)
     coeffs = [_unit_box(rng) for _ in range(deg + 1)]
     while abs(coeffs[deg]) < 0.1:
         coeffs[deg] = _unit_box(rng)
-    return {"property": "gauss_lucas", "poly": jsonio.poly_to_json(Polynomial(coeffs))}
+    return jsonio.GaussLucasTrial(Polynomial(coeffs))
 
 
-def _check_gauss_lucas(inst: dict):
-    p = jsonio.poly_from_json(inst["poly"])
-    if (yield from _gauss_lucas_core(p)):
+def _check_gauss_lucas(inst: jsonio.GaussLucasTrial):
+    if (yield from _gauss_lucas_core(inst.poly)):
         return Verdict(PASS, "all critical points in the root hull")
     return Verdict(FAIL, "critical point outside the root hull")
 
@@ -414,28 +361,54 @@ def _theorem1_generator(exterior: bool):
     """The theorem 1 instance generator: its core, for a chunk to drive
     with the trial's check, asks for g ahead, and a plain call's does
     not."""
+    prop = "theorem1_exterior" if exterior else "theorem1_convex"
+
     def gen(rng: random.Random, cfg: CampaignConfig, core: bool = False):
         make = lambda rng, cfg: _gen_theorem1(rng, cfg, exterior, ahead=core)
-        return _generator(make)(rng, cfg, core)
+        return _generator(prop, make)(rng, cfg, core)
 
     return gen
 
 
-# property -> (instance generator, check). gen(rng, cfg) returns an
-# instance dict, and gen(rng, cfg, core=True) the core that returns it; a
-# check is a core that returns its Verdict. A core yields the polynomials
-# whose roots it needs and the point sets whose products it needs (see
-# rootfind.drive_many)
+# property -> (instance generator, check). gen(rng, cfg, core=True) is a
+# core that returns the trial's instance object, and the check a core
+# that takes that object and returns its Verdict; a core yields the
+# polynomials whose roots it needs and the point sets whose products it
+# needs (see rootfind.drive_many). An instance is JSON only where it
+# leaves a chunk: gen(rng, cfg) returns the dict, a failure record holds
+# it, and run_check and replay take it
 PROPERTIES = {
-    "grace": (_gen_grace, _check_grace),
-    "walsh_classic": (_gen_walsh_classic, _check_coincidence),
+    "grace": (_generator("grace", _gen_grace), _check_grace),
+    "walsh_classic": (_generator("walsh_classic", _gen_walsh_classic), _check_coincidence),
     "theorem1_convex": (_theorem1_generator(exterior=False), _check_coincidence),
     "theorem1_exterior": (_theorem1_generator(exterior=True), _check_coincidence),
-    "theorem2": (_gen_theorem2, _check_theorem2),
-    "apolarity_identity": (_gen_apolarity_identity, _check_apolarity_identity),
-    "derivative_identity": (_gen_derivative_identity, _check_derivative_identity),
-    "gauss_lucas": (_gen_gauss_lucas, _check_gauss_lucas),
+    "theorem2": (_generator("theorem2", _gen_theorem2), _check_theorem2),
+    "apolarity_identity": (_generator("apolarity_identity", _gen_apolarity_identity),
+                           _check_apolarity_identity),
+    "derivative_identity": (_generator("derivative_identity", _gen_derivative_identity),
+                            _check_derivative_identity),
+    "gauss_lucas": (_generator("gauss_lucas", _gen_gauss_lucas), _check_gauss_lucas),
 }
+
+_COINCIDENCE = (jsonio.coincidence_trial_to_json, jsonio.coincidence_trial_from_json)
+# property -> the (encoder, decoder) of its instance format, in jsonio
+_FORMATS = {
+    "grace": (jsonio.grace_trial_to_json, jsonio.grace_trial_from_json),
+    "walsh_classic": _COINCIDENCE,
+    "theorem1_convex": _COINCIDENCE,
+    "theorem1_exterior": _COINCIDENCE,
+    "theorem2": (jsonio.theorem2_trial_to_json, jsonio.theorem2_trial_from_json),
+    "apolarity_identity": (jsonio.apolarity_identity_trial_to_json,
+                           jsonio.apolarity_identity_trial_from_json),
+    "derivative_identity": (jsonio.derivative_identity_trial_to_json,
+                            jsonio.derivative_identity_trial_from_json),
+    "gauss_lucas": (jsonio.gauss_lucas_trial_to_json, jsonio.gauss_lucas_trial_from_json),
+}
+
+
+def _instance_json(prop: str, inst) -> dict:
+    """The instance dict of a trial of prop."""
+    return {"property": prop, **_FORMATS[prop][0](inst)}
 
 
 def _as_verdict(outcome: Verdict | PolygeomError) -> Verdict:
@@ -455,15 +428,21 @@ def _as_verdict(outcome: Verdict | PolygeomError) -> Verdict:
 
 
 def run_check(prop: str, inst: dict, root_tol: float) -> Verdict:
-    """One verification, its roots found at root_tol."""
+    """One verification of an instance dict, decoded once, its roots
+    found at root_tol. What the decoder raises is the verdict's error, as
+    what the check raises is."""
     _, check = PROPERTIES[prop]
-    return _as_verdict(drive_many([check(inst)], root_tol)[0])
+    try:
+        decoded = _FORMATS[prop][1](inst)
+    except PolygeomError as e:
+        return _as_verdict(e)
+    return _as_verdict(drive_many([check(decoded)], root_tol)[0])
 
 
 def _trial(generating, check, rec: dict):
     """One trial as a core: its generator's core, then its check on the
-    instance, which is kept in rec. A generator's error ends the trial as
-    a failed generation."""
+    instance object, which is kept in rec. A generator's error ends the
+    trial as a failed generation."""
     try:
         rec["instance"] = yield from generating
     except PolygeomError as e:
@@ -480,7 +459,9 @@ def _run_chunk(cfg: CampaignConfig, start: int, stop: int) -> list[dict]:
     generator, driven as a core, asks for q^(n-m) and its check's
     diagonal equation together, and a check that asks for roots already
     asked for gets the same outcome back, a RootSet or an error. The
-    chunk builds each product once."""
+    chunk builds each product once. A record keeps its trial's instance
+    as the object the generator returned (None after a failed
+    generation); nothing is encoded here."""
     gen, check = PROPERTIES[cfg.property]
     records = [{"trial_seed": trial_seed(cfg.seed, i), "instance": None}
                for i in range(start, stop)]
@@ -495,8 +476,9 @@ def _run_chunk(cfg: CampaignConfig, start: int, stop: int) -> list[dict]:
 
 def _chunk_report(cfg: CampaignConfig, start: int, stop: int) -> CampaignReport:
     """Trials start..stop-1 folded into a partial report: their counts,
-    failures and notes, in trial order. A pool worker sends back only
-    this, not every trial's instance."""
+    failures and notes, in trial order. Only a failed trial's instance is
+    encoded, as its failure record's dict; a pool worker sends back only
+    this report, not every trial's instance."""
     report = CampaignReport(config=cfg)
     for r in _run_chunk(cfg, start, stop):
         if r["status"] == PASS:
@@ -505,8 +487,8 @@ def _chunk_report(cfg: CampaignConfig, start: int, stop: int) -> CampaignReport:
             report.failed += r["status"] == FAIL
             report.errored += r["status"] == ERROR
             # the instance carries the tolerance that replay re-runs it at
-            inst = (None if r["instance"] is None
-                    else {**r["instance"], "root_tol": cfg.root_tol})
+            inst = (None if r["instance"] is None else
+                    {**_instance_json(cfg.property, r["instance"]), "root_tol": cfg.root_tol})
             report.failures.append(
                 {"trial_seed": r["trial_seed"], "instance": inst,
                  "diagnostic": r["diagnostic"]}

@@ -8,7 +8,7 @@ import itertools
 import json
 import math
 import numbers
-from typing import Any, Sequence
+from typing import Any, NamedTuple, Sequence
 
 from .coincidence import SymmetricMultiaffine
 from .derivative_bound import Theorem2Instance
@@ -161,6 +161,138 @@ def theorem2_instance_from_json(d: dict) -> Theorem2Instance:
     _object(d, "theorem2 instance")
     return Theorem2Instance(tuple(points_from_json(d["inner_zeros"])),
                             complex_from_json(d["outer_zero"]), disk_from_json(d["disk"]))
+
+
+# The instance formats of the campaign properties. Each has one decoder
+# (dict -> instance), which validates what it reads, and one encoder
+# (instance -> dict); neither writes or reads the "property" key. A
+# campaign trial keeps its instance as the object from its generator to
+# its check, and each decoder is the identity on what the generators
+# build, so a check sees what it would see on the encoded instance.
+
+
+class GraceTrial(NamedTuple):
+    """A and b of degree n and a region; a_roots, when known, are the
+    roots a was built from."""
+
+    n: int
+    a: Polynomial
+    b: Polynomial
+    region: CircularRegion
+    a_roots: tuple[complex, ...] | None = None
+
+
+def grace_trial_to_json(t: GraceTrial) -> dict:
+    d = {"n": t.n, "a": poly_to_json(t.a)}
+    if t.a_roots is not None:
+        d["a_roots"] = points_to_json(t.a_roots)
+    return {**d, "b": poly_to_json(t.b), "region": region_to_json(t.region)}
+
+
+def grace_trial_from_json(d: dict) -> GraceTrial:
+    a = poly_from_json(d["a"])
+    b = poly_from_json(d["b"])
+    region = region_from_json(d["region"])
+    a_roots = tuple(points_from_json(d["a_roots"])) if "a_roots" in d else None
+    return GraceTrial(integer_from_json(d["n"]), a, b, region, a_roots)
+
+
+class CoincidenceTrial(NamedTuple):
+    """P, the points w and a region, for walsh_classic (classic) and the
+    theorem 1 properties; force solves despite a failed hypothesis."""
+
+    multiaffine: SymmetricMultiaffine
+    points: tuple[complex, ...]
+    region: CircularRegion
+    classic: bool = False
+    force: bool = False
+
+
+def coincidence_trial_to_json(t: CoincidenceTrial) -> dict:
+    d = {"multiaffine": multiaffine_to_json(t.multiaffine),
+         "points": points_to_json(t.points),
+         "region": region_to_json(t.region), "classic": t.classic}
+    if t.force:
+        d["force"] = True
+    return d
+
+
+def coincidence_trial_from_json(d: dict) -> CoincidenceTrial:
+    P = multiaffine_from_json(d["multiaffine"])
+    w = tuple(points_from_json(d["points"]))
+    region = region_from_json(d["region"])
+    classic = boolean_from_json(d.get("classic", False))
+    # force is set by `polygeom coincidence --force`
+    force = boolean_from_json(d.get("force", False))
+    return CoincidenceTrial(P, w, region, classic, force)
+
+
+class Theorem2Trial(NamedTuple):
+    """A theorem 2 instance and the derivative order k it is checked at."""
+
+    instance: Theorem2Instance
+    k: int
+
+
+def theorem2_trial_to_json(t: Theorem2Trial) -> dict:
+    return {"k": t.k, **theorem2_instance_to_json(t.instance)}
+
+
+def theorem2_trial_from_json(d: dict) -> Theorem2Trial:
+    inst = theorem2_instance_from_json(d)
+    return Theorem2Trial(inst, integer_from_json(d["k"]))
+
+
+class GaussLucasTrial(NamedTuple):
+    poly: Polynomial
+
+
+def gauss_lucas_trial_to_json(t: GaussLucasTrial) -> dict:
+    return {"poly": poly_to_json(t.poly)}
+
+
+def gauss_lucas_trial_from_json(d: dict) -> GaussLucasTrial:
+    return GaussLucasTrial(poly_from_json(d["poly"]))
+
+
+class ApolarityIdentityTrial(NamedTuple):
+    """The degree n, the coefficients of a, a2 and b, ascending and as
+    drawn, and the points alpha and c."""
+
+    n: int
+    a: tuple[complex, ...]
+    a2: tuple[complex, ...]
+    b: tuple[complex, ...]
+    alpha: complex
+    c: complex
+
+
+def apolarity_identity_trial_to_json(t: ApolarityIdentityTrial) -> dict:
+    return {"n": t.n, "a": points_to_json(t.a), "a2": points_to_json(t.a2),
+            "b": points_to_json(t.b), "alpha": complex_to_json(t.alpha),
+            "c": complex_to_json(t.c)}
+
+
+def apolarity_identity_trial_from_json(d: dict) -> ApolarityIdentityTrial:
+    n = integer_from_json(d["n"])
+    a, a2, b = (tuple(points_from_json(d[key])) for key in ("a", "a2", "b"))
+    return ApolarityIdentityTrial(n, a, a2, b, complex_from_json(d["alpha"]),
+                                  complex_from_json(d["c"]))
+
+
+class DerivativeIdentityTrial(NamedTuple):
+    n: int
+    k: int
+    y: complex
+
+
+def derivative_identity_trial_to_json(t: DerivativeIdentityTrial) -> dict:
+    return {"n": t.n, "k": t.k, "y": complex_to_json(t.y)}
+
+
+def derivative_identity_trial_from_json(d: dict) -> DerivativeIdentityTrial:
+    n, k = integer_from_json(d["n"]), integer_from_json(d["k"])
+    return DerivativeIdentityTrial(n, k, complex_from_json(d["y"]))
 
 
 def rootset_to_json(rs: RootSet) -> dict:

@@ -1,4 +1,7 @@
 import dataclasses
+import hashlib
+import inspect
+import json
 import math
 import multiprocessing
 import multiprocessing.connection
@@ -24,6 +27,11 @@ from polygeom.coincidence import diagonal, theorem1_hypothesis
 from polygeom.derivative_bound import theorem2_bound
 from polygeom.errors import InvalidConfig, InvalidInput, NonConvergence
 from polygeom.poly import Polynomial
+
+
+def instance_json(cfg, rec):
+    """A chunk record's instance object as its instance dict."""
+    return campaign._instance_json(cfg.property, rec["instance"])
 
 
 class TestConfig:
@@ -345,8 +353,7 @@ class TestSolveOnce:
         generators of these trials find (none at m = n)."""
         generated = []
         for r in records:
-            P = jsonio.multiaffine_from_json(r["instance"]["multiaffine"])
-            w = jsonio.points_from_json(r["instance"]["points"])
+            P, w = r["instance"].multiaffine, r["instance"].points
             if P.total_degree < P.n:
                 generated.append(coeff_row(poly.from_roots(w).derivative(P.n - P.total_degree)))
         return generated
@@ -380,8 +387,7 @@ class TestSolveOnce:
         # the diagonal equation of every trial whose check asks for its roots
         diagonals = []
         for r in records:
-            P = jsonio.multiaffine_from_json(r["instance"]["multiaffine"])
-            w = jsonio.points_from_json(r["instance"]["points"])
+            P, w = r["instance"].multiaffine, r["instance"].points
             g = diagonal(P).shifted_constant(-coincidence.evaluate_multiaffine(P, w))
             if g.degree() >= 1:
                 diagonals.append(coeff_row(g))
@@ -403,8 +409,8 @@ class TestSolveOnce:
         assert all(r["status"] != "error" for r in records)
         if prop.startswith("theorem1"):
             # trials at m = n, whose hypothesis asks for no roots, and others
-            P = [r["instance"]["multiaffine"] for r in records]
-            m_is_n = sum(len(p["E"]) - 1 == p["n"] for p in P)
+            P = [r["instance"].multiaffine for r in records]
+            m_is_n = sum(len(p.E) - 1 == p.n for p in P)
             assert 0 < m_is_n < len(records)
         assert len(calls) == 1, calls
 
@@ -439,8 +445,7 @@ class TestSolveOnce:
 
         gs = []
         for r in records:
-            P = jsonio.multiaffine_from_json(r["instance"]["multiaffine"])
-            w = jsonio.points_from_json(r["instance"]["points"])
+            P, w = r["instance"].multiaffine, r["instance"].points
             gs.append(coincidence._diagonal_equation(P, rootfind.drive(product(w))))
         index = next(i for i, (r, g) in enumerate(zip(records, gs))
                      if r["status"] == "pass" and g.degree() >= 1)
@@ -455,7 +460,8 @@ class TestSolveOnce:
         calls = self.solve_calls(monkeypatch)
         records = _run_chunk(cfg, 0, cfg.trials)
         assert len(calls) == 1
-        alone = campaign.run_check(cfg.property, records[index]["instance"], cfg.root_tol)
+        alone = campaign.run_check(cfg.property, instance_json(cfg, records[index]),
+                                   cfg.root_tol)
         assert records[index]["status"] == alone.status == "error"
         assert records[index]["diagnostic"] == alone.diagnostic
         assert "not certified" in alone.diagnostic
@@ -535,20 +541,48 @@ class TestSolveOnce:
         assert len(asked) == len(solved) == 2
 
 
+def bits(x):
+    """x with its type at every level and each float as its hex digits,
+    so that two values compare equal only where every float has the same
+    bits (a signed zero or an ulp differs)."""
+    if isinstance(x, float):
+        return x.hex()
+    if isinstance(x, complex):
+        return x.real.hex(), x.imag.hex()
+    if isinstance(x, (tuple, list)):
+        return type(x).__name__, tuple(map(bits, x))
+    if dataclasses.is_dataclass(x):
+        return type(x).__name__, tuple(bits(getattr(x, f.name)) for f in dataclasses.fields(x))
+    return type(x).__name__, x
+
+
+def read_as_replay_reads(inst: dict):
+    """The dict replay reads from inst: its canonical text parsed back."""
+    return json.loads(jsonio.dumps(inst), object_hook=jsonio._Object,
+                      parse_constant=jsonio._reject_constant)
+
+
 class TestGeneratorCores:
     @pytest.mark.parametrize("high", [False, True])
     @pytest.mark.parametrize("prop", sorted(PROPERTIES))
     def test_plain_call_equals_the_driven_core(self, prop, high):
         # the cores of 200 trials driven together in one drive_many call,
-        # as a chunk drives them, return what each plain call returns
+        # as a chunk drives them, return instance objects that encode to
+        # the bytes of each plain call's dict, and the dict, read as replay
+        # reads it, decodes to the same object, bit for bit: a replayed
+        # failure record reruns the check the campaign ran
         lo, hi = (25, 60) if high else (3, 15) if prop == "theorem2" else (2, 12)
         cfg = CampaignConfig(property=prop, trials=200, seed=6, n_min=lo, n_max=hi)
         gen, _ = PROPERTIES[prop]
+        _, decode = campaign._FORMATS[prop]
         seeds = [trial_seed(cfg.seed, i) for i in range(cfg.trials)]
         driven = rootfind.drive_many(
             [gen(random.Random(ts), cfg, core=True) for ts in seeds], cfg.root_tol)
         for ts, inst in zip(seeds, driven):
-            assert jsonio.dumps(inst) == jsonio.dumps(gen(random.Random(ts), cfg))
+            plain = gen(random.Random(ts), cfg)
+            assert jsonio.dumps(campaign._instance_json(prop, inst)) == jsonio.dumps(plain)
+            decoded = decode(read_as_replay_reads(plain))
+            assert decoded == inst and bits(decoded) == bits(inst)
 
     @pytest.mark.parametrize("prop", sorted(PROPERTIES))
     def test_chunk_calls_each_generator_once_per_trial(self, monkeypatch, prop):
@@ -607,6 +641,100 @@ class TestGeneratorCores:
             assert (r["status"], r["diagnostic"]) == ("error", f"generation failed: {e.value}")
 
 
+def count_codec_calls(monkeypatch) -> list:
+    """The names of the public jsonio encoders and decoders (*_to_json,
+    *_from_json) called from here on, in call order."""
+    calls = []
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return counted
+
+    for name, fn in list(vars(jsonio).items()):
+        if (inspect.isfunction(fn) and not name.startswith("_")
+                and name.endswith(("_to_json", "_from_json"))):
+            monkeypatch.setattr(jsonio, name, counting(name, fn))
+    return calls
+
+
+class TestInstanceCodecs:
+    @pytest.mark.parametrize("prop", sorted(PROPERTIES))
+    def test_passing_chunk_encodes_and_decodes_nothing(self, monkeypatch, prop):
+        # an instance is an object from its generator to its check
+        calls = count_codec_calls(monkeypatch)
+        cfg = CampaignConfig(property=prop, trials=20, seed=12,
+                             n_min=3 if prop == "theorem2" else 2, n_max=12)
+        records = _run_chunk(cfg, 0, cfg.trials)
+        assert [r["status"] for r in records] == ["pass"] * cfg.trials
+        assert calls == []
+
+    def test_failure_chunk_encodes_only_its_failures(self, monkeypatch):
+        # a trial fails where y has a positive real part: only those
+        # trials' instances are encoded, once each, and nothing is decoded
+        monkeypatch.setattr(campaign, "kth_derivative_identity",
+                            lambda n, k, y: 1.0 if y.real > 0 else 0.0)
+        cfg = CampaignConfig(property="derivative_identity", trials=20, seed=12)
+        failed = [r["instance"] for r in _run_chunk(cfg, 0, cfg.trials)
+                  if r["status"] == "fail"]
+        assert 0 < len(failed) < cfg.trials
+        calls = count_codec_calls(monkeypatch)
+        report = campaign._chunk_report(cfg, 0, cfg.trials)
+        in_chunk = list(calls)
+        calls.clear()
+        want = [campaign._instance_json(cfg.property, inst) for inst in failed]
+        assert [{k: x for k, x in f["instance"].items() if k != "root_tol"}
+                for f in report.failures] == want
+        assert in_chunk == calls and calls
+        assert all(name.endswith("_to_json") for name in calls)
+
+
+# SHA-256 of jsonio.dumps(gen(random.Random(seed), cfg)), taken before
+# chunks kept their instances as objects: perfbench's CLI files and
+# replays rest on these bytes, and no corpus campaign pins them
+PLAIN_CALL_BYTES = {
+    ("apolarity_identity", 2, 12, 1): "e5deac48a3faf97e7759fb1555d7346a5aa46c02f6c11d789e36896fa9233f9f",
+    ("apolarity_identity", 2, 12, 2): "e693e4b663165dd1b4f04325080364ebbdac46b6d48b04c15c2184ffa5526dde",
+    ("derivative_identity", 2, 12, 1): "6788154a6d395452a8df27a44f4a1e8ed923e674c38c20753ee1231c3acdf0fe",
+    ("derivative_identity", 2, 12, 2): "340790ce210c15d67007510a5f06d21921d354cf1e629c67bfb6a44de4879042",
+    ("gauss_lucas", 2, 12, 1): "cf4067f03614a58f19ae1e23cbad9eabbf3a2e1292e73027141888bb9f6effa1",
+    ("gauss_lucas", 2, 12, 2): "161483db41d90f19102bf06f24fbb3b1d34ded84952d4d27aeacd1411a1eae2c",
+    ("grace", 2, 12, 1): "19cceabeccecd1102b69e5efc9fe052287cc8fb117090c1d67a2b7f838282445",
+    ("grace", 2, 12, 2): "b0efa78763cf45a062307de50bd3d8862c9195208ef033d99ec14aa8b912fe07",
+    ("grace", 25, 60, 1): "7e88683d769add96b961a26874dfc9660c062f59e0c97d0993c057308977904a",
+    ("grace", 25, 60, 2): "cc0a03e97d1bc219691db6a606d987e523876993e3a83645b7d2c55f576b3368",
+    ("theorem1_convex", 2, 12, 1): "91f950ffdefaa6d33317abc42f4db460b14f68565561deedb1f256907d6c3592",
+    ("theorem1_convex", 2, 12, 2): "fd269b0c6a2c11594b6c37a2148f676afffc8ef9883b520ff9baaf4e63ea4bb6",
+    ("theorem1_convex", 25, 60, 1): "9cc29ab1840b9021b5ac995c5b80a4fcee39af53a69adf9787c0b0bf68731b9b",
+    ("theorem1_convex", 25, 60, 2): "547bd0baa62b6a9c2ce7c56dae5460259e6788a34ec4d2f2dbd7bc90fda1f1db",
+    ("theorem1_exterior", 2, 12, 1): "1cf3dc673c853ecdec521d6132960cb4eff1122469e71b58bec9cad7eb846b73",
+    ("theorem1_exterior", 2, 12, 2): "f27927cdab9da4f5431fe2e98a7ef645d2dc4e3d84de16ffbbd2b965b1fd5a3a",
+    ("theorem1_exterior", 25, 60, 1): "bfabde02b93c0c5c673cab6f8cf47907d2f71da1475375a0a3128eb4e9690ff8",
+    ("theorem1_exterior", 25, 60, 2): "0b63d5b45af4a018b5af7e7d13ef5e7b5dbf13af2ca63363f6580556378d5c36",
+    ("theorem2", 3, 15, 1): "20d6dcba8228f60ae53374e438f61350b400380155d15a5814dd0d3b3ee59357",
+    ("theorem2", 3, 15, 2): "3ee9a4e72056cddb3c936ba64b2dc7fb3d53437de94ca7a73099d3b9cd3b9c56",
+    ("theorem2", 25, 60, 1): "61113fdb80dd6f00cb8a1f3bf1d38d3d19326ee0558858867a37ff9304c49424",
+    ("theorem2", 25, 60, 2): "957dd6b0ac1e72ca4a0a2acfa8b82ffcd5b7215e3dd9b5fabb96a9826d6adc86",
+    ("walsh_classic", 2, 12, 1): "60db70515a08c780e7111a3b328a4851a62ed027d8b103c774785a4cff9091d4",
+    ("walsh_classic", 2, 12, 2): "41fb8afd0ee2304d7e4bbd9ca92e13b984cfaf69bd9d0462a0363db2c6b01dc6",
+    ("walsh_classic", 25, 60, 1): "94114dba8b11b3aadda059eb106a9a85d4f8040c9de37b3144549e05257fc509",
+    ("walsh_classic", 25, 60, 2): "62d5ee8a5b6b3be8b6e768549fccbc4a3e65702f7ac288fef12f8e653292a91f",
+}
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("prop,lo,hi,seed", sorted(PLAIN_CALL_BYTES))
+def test_plain_call_keeps_its_bytes(prop, lo, hi, seed):
+    gen, _ = PROPERTIES[prop]
+    cfg = CampaignConfig(property=prop, trials=1, n_min=lo, n_max=hi)
+    digest = sha256(jsonio.dumps(gen(random.Random(seed), cfg)))
+    assert digest == PLAIN_CALL_BYTES[prop, lo, hi, seed]
+
+
 class TestAllProperties:
     @pytest.mark.parametrize("prop", sorted(PROPERTIES))
     def test_small_campaign_passes(self, prop):
@@ -651,7 +779,7 @@ class TestHighDegree:
                              seed=(9203 << 20) | (1 << 4) | 2, n_min=25, n_max=60)
         rec = _run_chunk(cfg, 30, 31)[0]
         assert rec["status"] == "pass"
-        verdict = replay(rec["instance"], "theorem1_convex")
+        verdict = replay(instance_json(cfg, rec), "theorem1_convex")
         assert (verdict["status"], verdict["diagnostic"]) == (rec["status"], rec["diagnostic"])
 
     def test_total_degree_n_hypothesis_is_the_points(self):
@@ -663,12 +791,12 @@ class TestHighDegree:
         rec = _run_chunk(cfg, 176, 177)[0]
         assert rec["trial_seed"] == 5489208085044210922
         inst = rec["instance"]
-        P = jsonio.multiaffine_from_json(inst["multiaffine"])
+        P = inst.multiaffine
         assert P.n == P.total_degree == 60
         assert rec["status"] == "pass"
-        assert replay(inst)["status"] == "pass"
-        w = jsonio.points_from_json(inst["points"])
-        rep = theorem1_hypothesis(w, 60, jsonio.region_from_json(inst["region"]))
+        assert replay(instance_json(cfg, rec))["status"] == "pass"
+        w = inst.points
+        rep = theorem1_hypothesis(w, 60, inst.region)
         assert rep.holds and rep.derivative_roots == tuple(w)
 
     @pytest.mark.parametrize("prop", ["theorem1_convex", "grace"])
@@ -710,7 +838,7 @@ class TestReplay:
         cfg = CampaignConfig(property="derivative_identity", trials=5, seed=9)
         for i in range(5):
             rec = _run_chunk(cfg, i, i + 1)[0]
-            verdict = replay(rec["instance"], "derivative_identity")
+            verdict = replay(instance_json(cfg, rec), "derivative_identity")
             assert verdict["status"] == rec["status"]
 
     def test_replays_paper_counterexample_as_hypothesis_violation(self):
@@ -749,6 +877,8 @@ class TestReplay:
 
     def test_failure_replays_at_its_campaign_tolerance(self):
         rep = run_campaign(CampaignConfig(property="grace", trials=2, seed=1, root_tol=1e-30))
+        assert sha256(jsonio.dumps(rep.to_json())) == (
+            "b55e52f370151f080c2eb78d1b30d2f7a8f02d8e57ff78a38f13ef28ad96e9e1")
         inst = rep.failures[0]["instance"]
         assert inst["root_tol"] == 1e-30
         doc, _ = replay_verdict(inst)
@@ -759,7 +889,7 @@ class TestReplay:
     @pytest.mark.parametrize("tol", [0, math.inf, "1e-12", None])
     def test_bad_recorded_tolerance_is_invalid_input(self, tol):
         cfg = CampaignConfig(property="derivative_identity", trials=1)
-        inst = _run_chunk(cfg, 0, 1)[0]["instance"]
+        inst = instance_json(cfg, _run_chunk(cfg, 0, 1)[0])
         with pytest.raises(InvalidInput):
             replay({**inst, "root_tol": tol})
 
@@ -772,9 +902,12 @@ class TestFailurePaths:
 
     TOL = 1e-11
 
-    def failures(self, prop, trials=6, seed=3):
+    def failures(self, prop, digest, trials=6, seed=3):
+        """The failure records; digest is the SHA-256 of the canonical
+        report, which pins every record's instance bytes."""
         cfg = CampaignConfig(property=prop, trials=trials, seed=seed, root_tol=self.TOL)
         rep = run_campaign(cfg)
+        assert sha256(jsonio.dumps(rep.to_json())) == digest
         assert (rep.passed, rep.failed, rep.errored, rep.notes) == (0, trials, 0, [])
         assert [f["trial_seed"] for f in rep.failures] == [
             trial_seed(seed, i) for i in range(trials)]
@@ -796,7 +929,8 @@ class TestFailurePaths:
     def test_theorem2_count_below_the_bound(self, monkeypatch):
         self.patch_theorem2_report(monkeypatch, lambda r: {
             "count_in_disk": r.bound - 1, "satisfied": False})
-        for f in self.failures("theorem2"):
+        for f in self.failures(
+                "theorem2", "ad9f1d899913a41f5cc2c15ab28edd1d79e3537810f5ea30696cd75237ad46b4"):
             inst = f["instance"]
             n, k = len(inst["inner_zeros"]) + 1, inst["k"]
             bound = theorem2_bound(n, k)
@@ -804,19 +938,24 @@ class TestFailurePaths:
 
     def test_theorem2_mean_residual(self, monkeypatch):
         self.patch_theorem2_report(monkeypatch, lambda r: {"mean_residual": 1.0})
-        for f in self.failures("theorem2"):
+        for f in self.failures(
+                "theorem2", "c1842d20018b4b1bc382119d52b01d40c8a6528d4f6683ad2de6439d976fae96"):
             assert f["diagnostic"] == "mean residual 1.000e+00 above 1e-12"
 
     def test_apolarity_identity(self, monkeypatch):
         real = campaign.apolarity_functional
         monkeypatch.setattr(campaign, "apolarity_functional",
                             lambda a, b, n: real(a, b, n) + 1)
-        for f in self.failures("apolarity_identity"):
+        for f in self.failures(
+                "apolarity_identity",
+                "480ec83dc50aa1cb830d9ca45c53349b003aada073149acca51c6abb91e74c09"):
             assert re.fullmatch(r"identity residual \S+ above 1e-10", f["diagnostic"])
 
     def test_derivative_identity(self, monkeypatch):
         monkeypatch.setattr(campaign, "kth_derivative_identity", lambda n, k, y: 1.0)
-        for f in self.failures("derivative_identity"):
+        for f in self.failures(
+                "derivative_identity",
+                "fa9df6a771cca57dcd88070c219606bf6c76fa75f885eef1abf5493b188dc50a"):
             assert f["diagnostic"] == "closed-form residual 1.000e+00 above 1e-11"
 
     def test_gauss_lucas(self, monkeypatch):
@@ -826,7 +965,8 @@ class TestFailurePaths:
             yield from real(p)
             return False
         monkeypatch.setattr(campaign, "_gauss_lucas_core", core)
-        for f in self.failures("gauss_lucas"):
+        for f in self.failures(
+                "gauss_lucas", "e838413bb51a8e4fe5b7ed2bfb86d49c3d0220878496456fd1a25f49493c4edc"):
             assert f["diagnostic"] == "critical point outside the root hull"
 
     def test_hypothesis_violations_are_notes(self, monkeypatch):

@@ -13,7 +13,9 @@ import json
 import math
 import os
 import random
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
 from typing import NamedTuple
 
 from . import jsonio
@@ -51,14 +53,16 @@ HYPOTHESIS_VIOLATION = "hypothesis-violation"
 
 
 class Verdict(NamedTuple):
-    """The outcome of one check, with the witness or report it computed
-    and the exception that decided a non-pass status."""
+    """The outcome of one check, with the witness or report it computed,
+    the exception that decided a non-pass status, and the instance that
+    run_check decoded."""
 
     status: str
     diagnostic: str
     witness: complex | None = None
     report: object = None
     error: PolygeomError | None = None
+    instance: object = None
 
 
 _MASK = (1 << 64) - 1
@@ -95,12 +99,9 @@ class CampaignConfig:
             raise InvalidConfig("trials must be >= 1")
         if not 1 <= self.n_min <= self.n_max <= N_MAX:
             raise InvalidConfig(f"need 1 <= n_min <= n_max <= {N_MAX}")
-        # the least degree the property's generator draws from the range
-        # (1 for the others: gauss_lucas and derivative_identity draw their own)
-        least = {"theorem2": 3, "grace": 2, "walsh_classic": 2, "theorem1_convex": 2,
-                 "theorem1_exterior": 2}.get(self.property, 1)
-        if self.n_max < least:
-            raise InvalidConfig(f"{self.property} needs n_max >= {least}")
+        claim = CLAIMS[self.property]
+        if claim.fixed is None and self.n_max < claim.least:
+            raise InvalidConfig(f"{self.property} needs n_max >= {claim.least}")
         if not _valid_tol(self.root_tol):
             raise InvalidConfig(f"root_tol must be finite and > 0, got {self.root_tol!r}")
         if self.jobs < 1:
@@ -143,15 +144,36 @@ class CampaignReport:
 # ------------------------- instance generators -------------------------
 
 
-def _generator(prop: str, make):
-    """The instance generator of prop from its core, make(rng, cfg), which
-    yields like a check (see rootfind.drive_many) and returns the
-    instance object: gen(rng, cfg, core=True) returns the core, for a
-    campaign chunk to drive with its trial's check, which takes the
-    object; gen(rng, cfg) runs the core through rootfind.drive at
-    cfg.root_tol and returns the instance dict, or raises its error."""
+class Claim(NamedTuple):
+    """Every fact about one campaign property: its generator core
+    make(rng, n), a core as its check core is (see rootfind.drive_many),
+    or make(rng, n, ahead) for one told whether a chunk drives it with its
+    check; its check core; the encoder and decoder of its jsonio instance
+    format; and its degree rule: n is drawn from the configured range
+    clipped to least..cap, or from the fixed (lo, hi) whatever the range."""
+
+    make: Callable
+    check: Callable
+    encode: Callable
+    decode: Callable
+    least: int = 1
+    cap: int = N_MAX
+    fixed: tuple[int, int] | None = None
+    ahead: bool = False
+
+
+def _generator(prop: str, claim: Claim):
+    """The instance generator of prop: gen(rng, cfg, core=False) draws n
+    by its record's rule, then starts its core with n. With core=True it
+    returns the core, for a chunk to drive with its trial's check; else it
+    runs it through rootfind.drive at cfg.root_tol and returns the
+    instance dict, or raises its error."""
+    make, least, cap, fixed, ahead = claim.make, claim.least, claim.cap, claim.fixed, claim.ahead
+
     def gen(rng: random.Random, cfg: CampaignConfig, core: bool = False):
-        started = make(rng, cfg)
+        n = (rng.randint(*fixed) if fixed else
+             rng.randint(min(max(least, cfg.n_min), cap), min(cfg.n_max, cap)))
+        started = make(rng, n, core) if ahead else make(rng, n)
         return started if core else _instance_json(prop, drive(started, cfg.root_tol))
 
     return gen
@@ -183,8 +205,7 @@ def _random_region_with_points(rng: random.Random, count: int):
     return region, pts
 
 
-def _gen_grace(rng: random.Random, cfg: CampaignConfig):
-    n = rng.randint(max(2, cfg.n_min), cfg.n_max)
+def _gen_grace(rng: random.Random, n: int):
     region, roots = _random_region_with_points(rng, n)
     a = Polynomial((yield Product(roots)))
     b = make_apolar(a, n, seed=rng.getrandbits(32))
@@ -206,9 +227,8 @@ def _random_multiaffine(rng: random.Random, n: int, m: int) -> SymmetricMultiaff
     return SymmetricMultiaffine(n, E)
 
 
-def _gen_walsh_classic(rng: random.Random, cfg: CampaignConfig):
+def _gen_walsh_classic(rng: random.Random, n: int):
     yield from ()  # requests nothing
-    n = rng.randint(max(2, cfg.n_min), cfg.n_max)
     P = _random_multiaffine(rng, n, n)
     w = tuple(2.0 * _unit_box(rng) for _ in range(n))
     sed = smallest_enclosing_disk(w)
@@ -216,7 +236,7 @@ def _gen_walsh_classic(rng: random.Random, cfg: CampaignConfig):
     return jsonio.CoincidenceTrial(P, w, region, classic=True)
 
 
-def _gen_theorem1(rng: random.Random, cfg: CampaignConfig, exterior: bool, ahead: bool):
+def _gen_theorem1(rng: random.Random, n: int, ahead: bool, exterior: bool):
     """A theorem 1 instance, whose region is shaped by the zeros of q^(n-m)
     (the points w at m = n). Driven ahead of its check (ahead), it asks
     for the roots of q^(n-m) together with those of the diagonal equation
@@ -226,7 +246,6 @@ def _gen_theorem1(rng: random.Random, cfg: CampaignConfig, exterior: bool, ahead
     built is not asked for: the check builds it and fails as alone. A g
     that is not certified is kept with its error, which the check is
     given, as it would be alone."""
-    n = rng.randint(max(2, cfg.n_min), cfg.n_max)
     m = rng.randint(1, n)
     P = _random_multiaffine(rng, n, m)
     w = [2.0 * _unit_box(rng) for _ in range(n)]
@@ -271,8 +290,7 @@ def _check_coincidence(inst: jsonio.CoincidenceTrial):
     return Verdict(PASS, f"witness {z}", z, hyp)
 
 
-def _gen_theorem2(rng: random.Random, cfg: CampaignConfig):
-    n = rng.randint(max(3, cfg.n_min), cfg.n_max)
+def _gen_theorem2(rng: random.Random, n: int):
     k = rng.randint(1, n - 1)
     radius = rng.uniform(0.1, 3.0)
     factor = rng.uniform(1.01, 2.0) if rng.random() < 0.5 else rng.uniform(2.0, 100.0)
@@ -300,11 +318,8 @@ def _check_theorem2(inst: jsonio.Theorem2Trial):
                    report=report)
 
 
-def _gen_apolarity_identity(rng: random.Random, cfg: CampaignConfig):
+def _gen_apolarity_identity(rng: random.Random, n: int):
     yield from ()  # requests nothing
-    # the identities are drawn at degree 20 at most; a range above that
-    # draws degree 20
-    n = rng.randint(min(max(1, cfg.n_min), 20), min(cfg.n_max, 20))
     a, a2, b = (tuple(_unit_box(rng) for _ in range(n + 1)) for _ in range(3))
     return jsonio.ApolarityIdentityTrial(n, a, a2, b, _unit_box(rng), 2.0 * _unit_box(rng))
 
@@ -327,9 +342,8 @@ def _check_apolarity_identity(inst: jsonio.ApolarityIdentityTrial):
     return Verdict(PASS, f"residual {worst:.3e}")
 
 
-def _gen_derivative_identity(rng: random.Random, cfg: CampaignConfig):
+def _gen_derivative_identity(rng: random.Random, n: int):
     yield from ()  # requests nothing
-    n = rng.randint(2, 20)
     k = rng.randint(1, n - 1)
     return jsonio.DerivativeIdentityTrial(n, k, _unit_box(rng))
 
@@ -342,12 +356,11 @@ def _check_derivative_identity(inst: jsonio.DerivativeIdentityTrial):
     return Verdict(PASS, f"residual {res:.3e}")
 
 
-def _gen_gauss_lucas(rng: random.Random, cfg: CampaignConfig):
+def _gen_gauss_lucas(rng: random.Random, n: int):
     yield from ()  # requests nothing
-    deg = rng.randint(2, 15)
-    coeffs = [_unit_box(rng) for _ in range(deg + 1)]
-    while abs(coeffs[deg]) < 0.1:
-        coeffs[deg] = _unit_box(rng)
+    coeffs = [_unit_box(rng) for _ in range(n + 1)]
+    while abs(coeffs[n]) < 0.1:
+        coeffs[n] = _unit_box(rng)
     return jsonio.GaussLucasTrial(Polynomial(coeffs))
 
 
@@ -357,58 +370,40 @@ def _check_gauss_lucas(inst: jsonio.GaussLucasTrial):
     return Verdict(FAIL, "critical point outside the root hull")
 
 
-def _theorem1_generator(exterior: bool):
-    """The theorem 1 instance generator: its core, for a chunk to drive
-    with the trial's check, asks for g ahead, and a plain call's does
-    not."""
-    prop = "theorem1_exterior" if exterior else "theorem1_convex"
-
-    def gen(rng: random.Random, cfg: CampaignConfig, core: bool = False):
-        make = lambda rng, cfg: _gen_theorem1(rng, cfg, exterior, ahead=core)
-        return _generator(prop, make)(rng, cfg, core)
-
-    return gen
-
-
-# property -> (instance generator, check). gen(rng, cfg, core=True) is a
-# core that returns the trial's instance object, and the check a core
-# that takes that object and returns its Verdict; a core yields the
-# polynomials whose roots it needs and the point sets whose products it
-# needs (see rootfind.drive_many). An instance is JSON only where it
-# leaves a chunk: gen(rng, cfg) returns the dict, a failure record holds
-# it, and run_check and replay take it
-PROPERTIES = {
-    "grace": (_generator("grace", _gen_grace), _check_grace),
-    "walsh_classic": (_generator("walsh_classic", _gen_walsh_classic), _check_coincidence),
-    "theorem1_convex": (_theorem1_generator(exterior=False), _check_coincidence),
-    "theorem1_exterior": (_theorem1_generator(exterior=True), _check_coincidence),
-    "theorem2": (_generator("theorem2", _gen_theorem2), _check_theorem2),
-    "apolarity_identity": (_generator("apolarity_identity", _gen_apolarity_identity),
-                           _check_apolarity_identity),
-    "derivative_identity": (_generator("derivative_identity", _gen_derivative_identity),
-                            _check_derivative_identity),
-    "gauss_lucas": (_generator("gauss_lucas", _gen_gauss_lucas), _check_gauss_lucas),
+# property -> its record: a new property is one row
+CLAIMS = {
+    "grace": Claim(_gen_grace, _check_grace, jsonio.grace_trial_to_json,
+                   jsonio.grace_trial_from_json, least=2),
+    "walsh_classic": Claim(_gen_walsh_classic, _check_coincidence,
+                           jsonio.coincidence_trial_to_json,
+                           jsonio.coincidence_trial_from_json, least=2),
+    "theorem1_convex": Claim(partial(_gen_theorem1, exterior=False), _check_coincidence,
+                             jsonio.coincidence_trial_to_json,
+                             jsonio.coincidence_trial_from_json, least=2, ahead=True),
+    "theorem1_exterior": Claim(partial(_gen_theorem1, exterior=True), _check_coincidence,
+                               jsonio.coincidence_trial_to_json,
+                               jsonio.coincidence_trial_from_json, least=2, ahead=True),
+    "theorem2": Claim(_gen_theorem2, _check_theorem2, jsonio.theorem2_trial_to_json,
+                      jsonio.theorem2_trial_from_json, least=3),
+    "apolarity_identity": Claim(_gen_apolarity_identity, _check_apolarity_identity,
+                                jsonio.apolarity_identity_trial_to_json,
+                                jsonio.apolarity_identity_trial_from_json, cap=20),
+    "derivative_identity": Claim(_gen_derivative_identity, _check_derivative_identity,
+                                 jsonio.derivative_identity_trial_to_json,
+                                 jsonio.derivative_identity_trial_from_json, fixed=(2, 20)),
+    "gauss_lucas": Claim(_gen_gauss_lucas, _check_gauss_lucas, jsonio.gauss_lucas_trial_to_json,
+                         jsonio.gauss_lucas_trial_from_json, fixed=(2, 15)),
 }
 
-_COINCIDENCE = (jsonio.coincidence_trial_to_json, jsonio.coincidence_trial_from_json)
-# property -> the (encoder, decoder) of its instance format, in jsonio
-_FORMATS = {
-    "grace": (jsonio.grace_trial_to_json, jsonio.grace_trial_from_json),
-    "walsh_classic": _COINCIDENCE,
-    "theorem1_convex": _COINCIDENCE,
-    "theorem1_exterior": _COINCIDENCE,
-    "theorem2": (jsonio.theorem2_trial_to_json, jsonio.theorem2_trial_from_json),
-    "apolarity_identity": (jsonio.apolarity_identity_trial_to_json,
-                           jsonio.apolarity_identity_trial_from_json),
-    "derivative_identity": (jsonio.derivative_identity_trial_to_json,
-                            jsonio.derivative_identity_trial_from_json),
-    "gauss_lucas": (jsonio.gauss_lucas_trial_to_json, jsonio.gauss_lucas_trial_from_json),
-}
+# property -> (instance generator, check), each called once per trial.
+# An instance is JSON only where it leaves a chunk: gen(rng, cfg) returns
+# the dict, a failure record holds it, and run_check and replay take it
+PROPERTIES = {prop: (_generator(prop, claim), claim.check) for prop, claim in CLAIMS.items()}
 
 
 def _instance_json(prop: str, inst) -> dict:
     """The instance dict of a trial of prop."""
-    return {"property": prop, **_FORMATS[prop][0](inst)}
+    return {"property": prop, **CLAIMS[prop].encode(inst)}
 
 
 def _as_verdict(outcome: Verdict | PolygeomError) -> Verdict:
@@ -429,14 +424,14 @@ def _as_verdict(outcome: Verdict | PolygeomError) -> Verdict:
 
 def run_check(prop: str, inst: dict, root_tol: float) -> Verdict:
     """One verification of an instance dict, decoded once, its roots
-    found at root_tol. What the decoder raises is the verdict's error, as
-    what the check raises is."""
+    found at root_tol; the verdict holds the decoded instance. What the
+    decoder raises is the verdict's error, as what the check raises is."""
     _, check = PROPERTIES[prop]
     try:
-        decoded = _FORMATS[prop][1](inst)
+        decoded = CLAIMS[prop].decode(inst)
     except PolygeomError as e:
         return _as_verdict(e)
-    return _as_verdict(drive_many([check(decoded)], root_tol)[0])
+    return _as_verdict(drive_many([check(decoded)], root_tol)[0])._replace(instance=decoded)
 
 
 def _trial(generating, check, rec: dict):

@@ -65,7 +65,8 @@ def _exit_code(v: Verdict) -> int:
 
 def _verdict(args, prop: str, inst: dict, fields=None) -> int:
     """Print the verdict of one instance, reached as replay reaches it, plus
-    fields(report) when the check produced a report; return the exit code."""
+    fields(report, instance) when the check produced a report, given the
+    instance object the check ran on; return the exit code."""
     _, v = replay_verdict(inst, prop)
     status = "theorem-violation" if isinstance(v.error, TheoremViolation) else v.status
     doc = {"schema": jsonio.SCHEMA, "status": status}
@@ -74,7 +75,7 @@ def _verdict(args, prop: str, inst: dict, fields=None) -> int:
     if v.witness is not None:
         doc["witness"] = jsonio.complex_to_json(v.witness)
     if fields is not None and v.report is not None:
-        doc.update(fields(v.report))
+        doc.update(fields(v.report, v.instance))
     _emit(doc, args)
     return _exit_code(v)
 
@@ -116,9 +117,8 @@ def _cmd_coincidence(args) -> int:
             "region": jsonio.load_file(args.region),
             "classic": args.classic, "force": args.force}
 
-    def fields(hyp) -> dict:
-        P = jsonio.multiaffine_from_json(inst["multiaffine"])
-        w = jsonio.points_from_json(inst["points"])
+    def fields(hyp, trial: jsonio.CoincidenceTrial) -> dict:
+        P, w = trial.multiaffine, trial.points
         return {
             "hypothesis": {
                 "holds": hyp.holds,
@@ -149,7 +149,7 @@ def _cmd_theorem2(args) -> int:
     if not isinstance(inst, dict):
         raise InvalidInput("a theorem2 instance must be a JSON object")
     inst["k"] = args.k
-    return _verdict(args, "theorem2", inst, lambda r: {
+    return _verdict(args, "theorem2", inst, lambda r, _: {
         "n": r.n, "k": r.k, "bound": r.bound, "count_in_disk": r.count_in_disk,
         "satisfied": r.satisfied, "vacuous": r.vacuous, "mean_residual": r.mean_residual,
         "derivative_roots": jsonio.points_to_json(r.derivative_roots)})

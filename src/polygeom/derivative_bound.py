@@ -161,11 +161,13 @@ def _gauss_lucas_core(p: Polynomial):
         raise DegreeTooLarge(f"n={p.degree()} exceeds N_MAX={N_MAX}")
     hull = convex_hull((yield p).roots)
     crit = yield p.derivative()
-    return all(hull_distance(hull, z) <= _COUNT_TOL for z in crit.roots)
+    # contains' band, _COUNT_TOL*(1+|z|), at a quarter scale: |z| never overflows
+    return all(hull_distance(hull, z) * 0.25 <= _COUNT_TOL * (0.25 + abs(z * 0.25))
+               for z in crit.roots)
 
 
 def gauss_lucas_check(p: Polynomial) -> bool:
-    """Every critical point within _COUNT_TOL of the convex hull of the zeros."""
+    """Every critical point z within _COUNT_TOL*(1+|z|) of the zeros' hull."""
     return drive(_gauss_lucas_core(p))
 
 

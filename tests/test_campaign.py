@@ -78,6 +78,44 @@ class TestConfig:
             run_campaign(CampaignConfig(property="grace", trials=5, root_tol=tol))
 
 
+# the degree rules the properties drew by before they were kept in their
+# records, written out: (n_min, n_max) -> the (lo, hi) a trial draws from
+DEGREE_RULES = {
+    "grace": lambda a, b: (max(2, a), b),
+    "walsh_classic": lambda a, b: (max(2, a), b),
+    "theorem1_convex": lambda a, b: (max(2, a), b),
+    "theorem1_exterior": lambda a, b: (max(2, a), b),
+    "theorem2": lambda a, b: (max(3, a), b),
+    "apolarity_identity": lambda a, b: (min(max(1, a), 20), min(b, 20)),
+    "gauss_lucas": lambda a, b: (2, 15),
+    "derivative_identity": lambda a, b: (2, 20),
+}
+
+
+class TestDegreeRules:
+    @pytest.mark.parametrize("prop", sorted(PROPERTIES))
+    def test_each_range_draws_as_before(self, prop):
+        # the degree a trial's generator hands its core, whose place a
+        # core that returns its degree takes, so that none is driven, at
+        # every range up to N_MAX: a range below the least degree drawn
+        # is refused
+        least = {"theorem2": 3, "grace": 2, "walsh_classic": 2, "theorem1_convex": 2,
+                 "theorem1_exterior": 2}.get(prop, 1)
+        claim = campaign.CLAIMS[prop]
+        gen = campaign._generator(prop, claim._replace(make=lambda rng, n, *ahead: n))
+        for n_min in range(1, poly.N_MAX + 1):
+            for n_max in range(n_min, poly.N_MAX + 1):
+                cfg = CampaignConfig(property=prop, trials=1, n_min=n_min, n_max=n_max)
+                if n_max < least:
+                    with pytest.raises(InvalidConfig, match=f"{prop} needs n_max >= {least}"):
+                        cfg.validate()
+                    continue
+                cfg.validate()
+                s = trial_seed(n_min, n_max)
+                want = random.Random(s).randint(*DEGREE_RULES[prop](n_min, n_max))
+                assert gen(random.Random(s), cfg, core=True) == want
+
+
 class TestSeeding:
     def test_trial_seeds_distinct(self):
         seeds = {trial_seed(42, i) for i in range(10000)}
@@ -574,7 +612,7 @@ class TestGeneratorCores:
         lo, hi = (25, 60) if high else (3, 15) if prop == "theorem2" else (2, 12)
         cfg = CampaignConfig(property=prop, trials=200, seed=6, n_min=lo, n_max=hi)
         gen, _ = PROPERTIES[prop]
-        _, decode = campaign._FORMATS[prop]
+        decode = campaign.CLAIMS[prop].decode
         seeds = [trial_seed(cfg.seed, i) for i in range(cfg.trials)]
         driven = rootfind.drive_many(
             [gen(random.Random(ts), cfg, core=True) for ts in seeds], cfg.root_tol)

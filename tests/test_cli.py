@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import polygeom
+from polygeom import jsonio
 from polygeom.cli import main
 
 
@@ -250,6 +251,23 @@ class TestCoincidence:
         doc = strict_json(capsys.readouterr().out)
         assert doc["status"] == "error"
         assert doc["diagnostic"] == "DegreeTooLarge: n=61 exceeds N_MAX=60"
+
+    def test_instance_is_decoded_once(self, tmp_path, unit_disk, monkeypatch, capsys):
+        # the report's apolarity residual reads P and w from the decode
+        # the check ran on, not from a second parse of the files
+        calls = []
+        multiaffine_from_json = jsonio.multiaffine_from_json
+
+        def counting(d):
+            calls.append(d)
+            return multiaffine_from_json(d)
+
+        monkeypatch.setattr(jsonio, "multiaffine_from_json", counting)
+        ma, pts = self.fixture_files(tmp_path)
+        assert main(["coincidence", "--multiaffine", ma, "--points", pts,
+                     "--region", unit_disk]) == 0
+        assert "apolarity_residual" in strict_json(capsys.readouterr().out)
+        assert len(calls) == 1
 
     def test_forced_solve_finds_no_witness(self, tmp_path, capsys):
         ma, pts = self.fixture_files(tmp_path)

@@ -33,19 +33,20 @@ import pytest
 
 from polygeom import campaign, jsonio
 from polygeom.campaign import CampaignConfig, run_campaign
+from polygeom.poly import N_MAX
 from test_campaign import as_on_cpus, fake_pool
 
 CORPUS_FILE = os.path.join(os.path.dirname(__file__), "data", "outcome_corpus.json")
 
 SEEDS = (101, 202)
 # the CLI degree ranges, then the high-degree ones of the five properties
-# that find roots of degree n
+# whose degree follows the configured range up to N_MAX
+HIGH_DEGREE = [prop for prop, claim in campaign.CLAIMS.items()
+               if claim.fixed is None and claim.cap == N_MAX]
 CAMPAIGNS = (
     [(prop, 3 if prop == "theorem2" else 2, 15 if prop == "theorem2" else 12, 300, seed)
      for seed in SEEDS for prop in campaign.PROPERTIES]
-    + [(prop, 25, 60, 200, seed) for seed in SEEDS
-       for prop in ("grace", "walsh_classic", "theorem1_convex", "theorem1_exterior",
-                    "theorem2")])
+    + [(prop, 25, 60, 200, seed) for seed in SEEDS for prop in HIGH_DEGREE])
 
 
 def this_platform() -> dict:

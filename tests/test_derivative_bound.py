@@ -7,6 +7,7 @@ import pytest
 from polygeom.derivative_bound import (
     Theorem2Instance,
     _disk_frame_points,
+    _gauss_lucas_core,
     check_theorem2,
     factorization_roots,
     gauss_lucas_check,
@@ -17,7 +18,7 @@ from polygeom.derivative_bound import (
 from polygeom.errors import DegreeTooLarge, InvalidInput, InvalidInstance, NonConvergence
 from polygeom.poly import N_MAX, Polynomial, from_roots
 from polygeom.regions import convex_hull, disk
-from polygeom.rootfind import find_roots
+from polygeom.rootfind import RootSet, find_roots
 
 
 class TestBound:
@@ -228,14 +229,49 @@ class TestGaussLucas:
                         complex(-1e-40, -1e-40), complex(1e-200, 0)])
         assert gauss_lucas_check(p)
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "the hull-distance band is an absolute 1e-7, not scaled by 1 + |z|: the "
-        "critical points of collinear zeros at |z| ~ 1e12 sit one ulp (6.1e-5) off "
-        "their segment and read as outside (ROADMAP items 8, 11 and 12)"))
     def test_collinear_zeros_at_scale_1e12(self):
         # z^3 + (2.8e23 - 9.6e23i) z: zeros 0 and +-(6e11 + 8e11i), on one
-        # line, and so are the critical points
+        # line, and so are the critical points, one ulp (6.1e-5) off their
+        # segment: inside the band 1e-7 * (1 + |z|)
         assert gauss_lucas_check(Polynomial([0, complex(2.8e23, -9.6e23), 0, 1]))
+
+    @staticmethod
+    def driven(zeros, crit) -> bool:
+        """The verdict of the Gauss-Lucas core given these zeros and
+        critical points as the roots it asks for, of a polynomial of the
+        zeros' degree that stands in for theirs."""
+        core = _gauss_lucas_core(Polynomial([1.0] * (len(zeros) + 1)))
+        core.send(None)
+        core.send(RootSet(tuple(zeros), (0.0,) * len(zeros)))
+        with pytest.raises(StopIteration) as stop:
+            core.send(RootSet(tuple(crit), (0.0,) * len(crit)))
+        return stop.value.value
+
+    @pytest.mark.parametrize("scale", [1.0, 1e12])
+    def test_band_scales_with_the_critical_point(self, scale):
+        # a critical point below the hull's edge -scale..scale by
+        # rel * (1 + |z|): outside at 1e-6, ten times the band, and
+        # inside at 1e-8, a tenth of it (at scale 1e12 that is 3e3,
+        # far above the absolute 1e-7)
+        zeros = [-scale, scale, complex(0, scale)]
+        x = 0.3 * scale
+        for rel, inside in ((1e-6, False), (1e-8, True)):
+            z = complex(x, -rel * (1.0 + x))
+            assert math.isclose(-z.imag, rel * (1.0 + abs(z)), rel_tol=1e-9)
+            assert self.driven(zeros, [complex(0, 0.3 * scale), z]) is inside
+
+    def test_band_beyond_the_largest_float(self):
+        # a hull near (1.3 + 1.3i)e308, a critical point below its lower
+        # edge whose |z| (1.84e308) is beyond the largest float: the band,
+        # 1e-7 * |z| = 1.84e301 taken at a quarter of the scale, is
+        # finite, and the point is outside at 1.9e302 and inside at 1.9e300
+        c, r = complex(1.3e308, 1.3e308), 1e307
+        zeros = [c - r, c + r, c + complex(0, r)]
+        for off, inside in ((1.9e302, False), (1.9e300, True)):
+            z = complex(c.real + 0.3 * r, c.imag - off)
+            with pytest.raises(OverflowError):
+                abs(z)
+            assert self.driven(zeros, [z]) is inside
 
     def test_random_campaign(self):
         rng = random.Random(77)

@@ -9,7 +9,6 @@ order and is byte-identical at any --jobs setting.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 import os
 import random
@@ -624,15 +623,7 @@ def replay_verdict(inst: dict, prop: str | None = None,
                    cfg: CampaignConfig | None = None) -> tuple[dict, Verdict]:
     """Re-run exactly one recorded trial instance: its verdict document
     and the verdict itself."""
-    if not isinstance(inst, dict):
-        raise InvalidInput("an instance must be a JSON object")
-    # read as jsonio.load_file reads a file: a missing field, NaN or
-    # Infinity is invalid input
-    try:
-        inst = json.loads(json.dumps(inst), object_hook=jsonio._Object,
-                          parse_constant=jsonio._reject_constant)
-    except (TypeError, ValueError) as e:
-        raise InvalidInput(f"an instance must be JSON data: {e}") from None
+    inst = jsonio.read_instance(inst)
     prop = prop or inst.get("property")
     if not isinstance(prop, str) or prop not in PROPERTIES:
         raise InvalidInput(f"unknown or missing property {prop!r}")

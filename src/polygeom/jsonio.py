@@ -4,7 +4,6 @@ every emitted document carries the schema tag "polygeom/1".
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import numbers
@@ -30,9 +29,7 @@ SCHEMA = "polygeom/1"
 
 def _real(v: Any) -> float:
     """A finite JSON number; a string or a boolean is invalid input."""
-    # the float test comes first: an instance reads thousands of floats,
-    # and a numbers.Real check alone costs about 1 us
-    if not (isinstance(v, float) or (isinstance(v, numbers.Real) and not isinstance(v, bool))):
+    if not isinstance(v, numbers.Real) or isinstance(v, bool):
         raise InvalidInput(f"expected a number, got {v!r}")
     try:
         x = float(v)
@@ -74,17 +71,6 @@ def complex_from_json(v: Any) -> complex:
     return complex(_real(v[0]), _real(v[1]))
 
 
-def _complex_list(v: list) -> list[complex]:
-    """complex_from_json of every entry of v: in one pass when each entry
-    is a list of two finite floats, as decoded JSON is, else entry by
-    entry, so that the values and the first error are the same."""
-    if set(map(type, v)) == {list} and set(map(len, v)) == {2}:
-        flat = list(itertools.chain.from_iterable(v))
-        if set(map(type, flat)) == {float} and all(map(math.isfinite, flat)):
-            return list(itertools.starmap(complex, v))
-    return [complex_from_json(z) for z in v]
-
-
 def poly_to_json(p: Polynomial) -> dict:
     return {"coeffs": [complex_to_json(c) for c in p.coeffs]}
 
@@ -93,7 +79,7 @@ def poly_from_json(d: dict) -> Polynomial:
     coeffs = _object(d, "polynomial")["coeffs"]
     if not isinstance(coeffs, list):
         raise InvalidInput("coeffs JSON must be a list of [re, im] pairs")
-    return Polynomial(_complex_list(coeffs))
+    return Polynomial([complex_from_json(c) for c in coeffs])
 
 
 def points_to_json(points: Sequence[complex]) -> list[list[float]]:
@@ -105,7 +91,7 @@ def points_from_json(v: Any) -> list[complex]:
         v = v.get("points")
     if not isinstance(v, list):
         raise InvalidInput("points JSON must be a list of [re, im] pairs")
-    return _complex_list(v)
+    return [complex_from_json(z) for z in v]
 
 
 def region_to_json(r: CircularRegion) -> dict:
@@ -336,13 +322,29 @@ class _Object(dict):
         raise InvalidInput(f"missing field {key!r}")
 
 
+def _parse(text: str) -> Any:
+    return json.loads(text, object_hook=_Object, parse_constant=_reject_constant)
+
+
 def load_file(path: str) -> Any:
     """Parsed JSON; an unreadable file, malformed JSON, NaN/Infinity and
     missing keys are InvalidInput."""
     try:
         with open(path, "r", encoding="utf-8") as f:
-            return json.load(f, object_hook=_Object, parse_constant=_reject_constant)
+            return _parse(f.read())
     except OSError as e:
         raise InvalidInput(f"cannot read {path}: {e.strerror}") from None
     except ValueError as e:
         raise InvalidInput(f"{path}: not valid JSON: {e}") from None
+
+
+def read_instance(v: Any) -> dict:
+    """A trial instance given as an object, read as load_file reads a
+    file: a value that is not JSON data, a missing field, NaN and Infinity
+    are InvalidInput."""
+    if not isinstance(v, dict):
+        raise InvalidInput("an instance must be a JSON object")
+    try:
+        return _parse(json.dumps(v))
+    except (TypeError, ValueError) as e:
+        raise InvalidInput(f"an instance must be JSON data: {e}") from None

@@ -248,7 +248,10 @@ def _segment_distance(a: complex, b: complex, z: complex) -> float:
     f = _frame(b * 0.5 - a * 0.5, z * 0.5 - a * 0.5)
     ab = b * f - a * f
     t = ((z * f - a * f) * ab.conjugate()).real / (abs(ab) ** 2 or math.inf)
-    d = z - (a + min(1.0, max(0.0, t)) * ab / f)
+    t = min(1.0, max(0.0, t))
+    d = z - (a + t * ab / f)
+    if not cmath.isfinite(d):  # the edge is longer than the largest float
+        return abs(z * f - a * f - t * ab) / f
     g = _frame(d * 0.5)
     return abs(d * g) / g
 

@@ -114,8 +114,13 @@ class RootSet:
 
 
 def _valid_tol(tol) -> bool:
-    """A root tolerance is a finite positive number."""
-    return isinstance(tol, numbers.Real) and not isinstance(tol, bool) and 0 < tol < math.inf
+    """A root tolerance is a number that converts to a finite positive float."""
+    if not isinstance(tol, numbers.Real) or isinstance(tol, bool):
+        return False
+    try:
+        return 0 < float(tol) < math.inf
+    except OverflowError:
+        return False
 
 
 def cauchy_bound(p: Polynomial) -> float:

@@ -72,7 +72,8 @@ class TestConfig:
         with pytest.raises(InvalidConfig):
             run_campaign(CampaignConfig(property="grace", trials=5, **bad))
 
-    @pytest.mark.parametrize("tol", [math.inf, math.nan, "1e-12"])
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, "1e-12",
+                                     pytest.param(10 ** 400, id="huge-int")])
     def test_non_finite_tolerance(self, tol):
         with pytest.raises(InvalidConfig):
             run_campaign(CampaignConfig(property="grace", trials=5, root_tol=tol))
@@ -924,7 +925,8 @@ class TestReplay:
         # at the default tolerance the same instance passes
         assert replay({k: x for k, x in inst.items() if k != "root_tol"})["status"] == "pass"
 
-    @pytest.mark.parametrize("tol", [0, math.inf, "1e-12", None])
+    @pytest.mark.parametrize("tol", [0, math.inf, "1e-12", None,
+                                     pytest.param(10 ** 400, id="huge-int")])
     def test_bad_recorded_tolerance_is_invalid_input(self, tol):
         cfg = CampaignConfig(property="derivative_identity", trials=1)
         inst = instance_json(cfg, _run_chunk(cfg, 0, 1)[0])

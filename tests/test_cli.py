@@ -728,6 +728,12 @@ class TestWrongShapeInput:
         inst = {**AGREEMENT_CASES["grace-pass"][0], "property": ["grace"]}
         assert main(["replay", "--instance", write(tmp_path, "inst.json", inst)]) == 2
 
+    def test_replay_at_a_tolerance_beyond_the_float_range(self, tmp_path, capsys):
+        # 0 < tol < inf holds for a 401-digit integer, which no float holds
+        inst = {**AGREEMENT_CASES["grace-pass"][0], "root_tol": 10 ** 400}
+        assert main(["replay", "--instance", write(tmp_path, "inst.json", inst)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_roots_of_non_list_coeffs(self, tmp_path):
         assert main(["roots", "--poly", write(tmp_path, "p.json", {"coeffs": 5})]) == 2
 

@@ -273,6 +273,14 @@ class TestGaussLucas:
                 abs(z)
             assert self.driven(zeros, [z]) is inside
 
+    def test_hull_edge_longer_than_the_largest_float(self):
+        # the square of +-1.7e308 +- 1.7e308i, a critical point below its
+        # lower edge: outside at 2.4e302, ten times the band of 2.3e301,
+        # and inside at 2.4e300; a NaN distance refuted both
+        zeros = [complex(x, y) for x in (1.7e308, -1.7e308) for y in (1.7e308, -1.7e308)]
+        for imag, inside in ((-1.7000024e308, False), (-1.700000024e308, True)):
+            assert self.driven(zeros, [complex(1.53e308, imag)]) is inside
+
     def test_random_campaign(self):
         rng = random.Random(77)
         for _ in range(100):

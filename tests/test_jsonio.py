@@ -23,7 +23,7 @@ from polygeom.poly import Polynomial
 
 
 def per_entry(entries):
-    """The decoder's entry-by-entry path: its values, or its error text."""
+    """complex_from_json of each entry in turn: the values, or the first error text."""
     try:
         return [complex_from_json(z) for z in entries]
     except InvalidInput as e:
@@ -66,8 +66,9 @@ ENTRIES = {
 
 
 class TestOnePassDecoder:
-    # a list of pairs of finite floats is decoded in one pass; anything
-    # else entry by entry: the same values, or the same first error
+    # the readers of point and coefficient lists, on each of the entry
+    # lists: complex_from_json's value for each entry, with its bits, or
+    # the error of the first entry it rejects
     @pytest.mark.parametrize("name", sorted(ENTRIES))
     def test_points_equal_the_per_entry_path(self, name):
         entries = ENTRIES[name]
@@ -86,11 +87,12 @@ class TestOnePassDecoder:
     def test_points_object(self):
         assert points_from_json({"points": [[1.0, 2.0]]}) == [1 + 2j]
 
-    def test_some_entries_take_the_per_entry_path(self):
-        # the table's errors come from that path
-        assert per_entry(ENTRIES["bools"]) == "expected a number, got True"
-        assert per_entry(ENTRIES["pair-of-three"]) == "expected [re, im], got [1.0, 2.0, 3.0]"
-        assert per_entry(ENTRIES["nan"]) == "expected a finite number, got nan"
+    def test_first_errors(self):
+        assert outcome(points_from_json, ENTRIES["bools"]) == "expected a number, got True"
+        assert (outcome(points_from_json, ENTRIES["pair-of-three"])
+                == "expected [re, im], got [1.0, 2.0, 3.0]")
+        assert (outcome(points_from_json, ENTRIES["bad-after-nan"])
+                == "expected a finite number, got nan")
 
 
 class TestDumps:

@@ -358,6 +358,14 @@ class TestHullFrame:
     def test_distance_beyond_the_largest_float_is_inf(self):
         assert hull_distance([1e308, 1.5e308], -1.5e308) == math.inf
 
+    def test_edge_longer_than_the_largest_float(self):
+        # each edge of this square is 3.4e308 long: the edge divided back
+        # out of its frame overflows, and the foot a + t ab was inf - inf
+        hull = convex_hull([complex(x, y) for x in (1.7e308, -1.7e308)
+                            for y in (1.7e308, -1.7e308)])
+        z = complex(1.53e308, -1.7000024e308)
+        assert hull_distance(hull, z) == pytest.approx(2.4e302, rel=1e-9)
+
     # the grid spans 2**7 per coordinate, so no square of a difference of
     # its points goes subnormal at any scale the frame leaves alone
     @settings(max_examples=300, deadline=None, derandomize=True)

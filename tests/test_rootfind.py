@@ -356,7 +356,8 @@ class TestArrayHelpers:
 
 
 class TestTolerance:
-    @pytest.mark.parametrize("tol", [0, -1e-12, math.inf, math.nan, "1e-12", True])
+    @pytest.mark.parametrize("tol", [0, -1e-12, math.inf, math.nan, "1e-12", True,
+                                     pytest.param(10 ** 400, id="huge-int")])
     def test_rejected(self, tol):
         with pytest.raises(InvalidInput):
             find_roots(Polynomial([-1, 0, 1]), tol=tol)
